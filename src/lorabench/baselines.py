@@ -217,6 +217,6 @@ def bias_only_finetune(model: DualEncoderModel, task: FewShotTask,
     for p in params:
         p.requires_grad = False
     from .fewshot import evaluate
-    acc = evaluate(model, task)
+    acc, _ = evaluate(model, task)
     return BaselineResult(accuracy=acc, trainable_count=sum(p.size for p in params),
                           history=history)

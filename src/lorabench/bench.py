@@ -16,11 +16,11 @@ from .baselines import (LinearAdapter, SoftPromptConfig, adapter_finetune,
                         bias_only_finetune, soft_prompt_finetune)
 from .data import Dataset
 from .errors import DomainError, LorabenchError
-from .fewshot import (FewShotTask, PretrainConfig, TrainConfig,
-                      contrastive_pretrain, evaluate, finetune_lora,
-                      sample_support_set, zero_shot_logits, predict)
+from .fewshot import (FewShotTask, PretrainConfig, TrainConfig, accuracy,
+                      class_prompts, contrastive_pretrain, evaluate,
+                      finetune_lora, sample_support_set, zero_shot_logits)
 from .lora import PlacementConfig, inject, merge, unmerge
-from .model import DualEncoderModel, ModelConfig, save_checkpoint, tokenize_prompt
+from .model import DualEncoderModel, ModelConfig, save_checkpoint
 from .report import RunReport, mean_report
 
 METHODS = ("zero-shot", "lora", "soft-prompt", "adapter", "bias-only")
@@ -59,27 +59,45 @@ def derive_seed(master: int, *parts) -> int:
     return int(h)
 
 
-def run_single(model_factory: ModelFactory, ds: Dataset, method: str,
-               shots: int, seed: int,
+def base_zero_shot_accuracies(model: DualEncoderModel, ds: Dataset,
+                              tasks: list[FewShotTask]) -> list[float]:
+    """Every task's zero-shot accuracy, read from one evaluation of `model`
+    on the union of the tasks' query images (rows of `ds`)."""
+    union = np.unique(np.concatenate([t.query_indices for t in tasks]))
+    pooled = FewShotTask(class_names=list(ds.class_names),
+                         support_images=ds.images[:0], support_labels=ds.labels[:0],
+                         query_images=ds.images[union], query_labels=ds.labels[union],
+                         query_indices=union)
+    _, logits = evaluate(model, pooled)
+    return [accuracy(logits[np.searchsorted(union, t.query_indices)], t.query_labels)
+            for t in tasks]
+
+
+def run_single(model_factory: ModelFactory, task: FewShotTask, method: str,
+               seed: int, zs_acc: float, zs_seconds: float = 0.0,
                placement: Optional[PlacementConfig] = None,
                train_cfg: Optional[TrainConfig] = None,
                record_seconds: bool = True,
                merged_checkpoint: Optional[str] = None,
                merge_tolerance: float = 1e-5) -> RunReport:
-    """One (method, shots, seed) run on a freshly loaded model."""
+    """One (method, shots, seed) row on a freshly loaded model.
+
+    `zs_acc` is the base model's zero-shot accuracy on `task`, from the
+    command's one zero-shot pass; `zs_seconds` is this row's share of that
+    pass, and is the `seconds` of a zero-shot row.  A trained row's `seconds`
+    covers its training and its final evaluation.
+    """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
     model = model_factory()
-    task = sample_support_set(ds.images, ds.labels, ds.class_names, shots, seed)
     cfg = train_cfg or TrainConfig()
     cfg = TrainConfig(lr=cfg.lr, batch_size=cfg.batch_size,
                       iters_per_shot=cfg.iters_per_shot,
                       weight_decay=cfg.weight_decay, seed=seed)
     t0 = time.perf_counter()
     model.set_trainable(False)
-    zs_acc = evaluate(model, task)
     total = model.param_count()
-    iters = cfg.iterations(shots)
+    iters = cfg.iterations(task.shots)
     config_digest = "-"
 
     if method == "zero-shot":
@@ -89,9 +107,9 @@ def run_single(model_factory: ModelFactory, ds: Dataset, method: str,
         config_digest = pl.digest()
         adapted = inject(model, pl, seed=seed)
         finetune_lora(adapted, task, cfg)
-        acc = evaluate(adapted.base, task)
+        acc, logits = evaluate(adapted.base, task)
         trainable = adapted.trainable_count()
-        _assert_merge_equivalence(adapted, task, merge_tolerance)
+        _assert_merge_equivalence(adapted, task, logits, merge_tolerance)
         if merged_checkpoint is not None:
             save_checkpoint(adapted.base, merged_checkpoint)
         unmerge(adapted)
@@ -110,26 +128,31 @@ def run_single(model_factory: ModelFactory, ds: Dataset, method: str,
         acc, trainable = res.accuracy, res.trainable_count
         config_digest = "bias"
 
-    seconds = time.perf_counter() - t0 if record_seconds else None
-    return RunReport(method=method, config=config_digest, shots=shots, seed=seed,
+    seconds = zs_seconds if method == "zero-shot" else time.perf_counter() - t0
+    return RunReport(method=method, config=config_digest, shots=task.shots, seed=seed,
                      zs_acc=zs_acc, acc=acc, trainable=trainable, total=total,
-                     iters=iters, seconds=seconds)
+                     iters=iters, seconds=seconds if record_seconds else None)
 
 
-def _assert_merge_equivalence(adapted, task: FewShotTask, tol: float) -> None:
-    """Dynamic-vs-merged logits must agree before a lora row is reported."""
+def _assert_merge_equivalence(adapted, task: FewShotTask, logits: np.ndarray,
+                              tol: float) -> None:
+    """Merged logits must agree with `logits`, the adapted model's query
+    logits before the merge, before a lora row is reported."""
     model = adapted.base
-    prompts = [tokenize_prompt(n, model.vocab, model.cfg.max_text_len)
-               for n in task.class_names]
-    probe = task.query_images[:min(100, task.query_images.shape[0])]
-    dynamic = zero_shot_logits(model, probe, prompts).data.copy()
+    n = min(100, task.query_images.shape[0])
     merge(adapted)
-    merged = zero_shot_logits(model, probe, prompts).data
-    diff = float(np.abs(dynamic - merged).max())
+    merged = zero_shot_logits(model, task.query_images[:n],
+                              class_prompts(model, task.class_names)).data
+    diff = float(np.abs(logits[:n] - merged).max())
     if diff >= tol:
         unmerge(adapted)
         raise LorabenchError(f"merge equivalence violated: max logit diff {diff:.3e}")
     # leave the model merged; callers unmerge when they need the modules back
+
+
+def _sample_tasks(ds: Dataset, shots: int, seeds: list[int]) -> list[FewShotTask]:
+    return [sample_support_set(ds.images, ds.labels, ds.class_names, shots, seed)
+            for seed in seeds]
 
 
 def run_method_over_seeds(model_factory: ModelFactory, ds: Dataset, method: str,
@@ -139,13 +162,21 @@ def run_method_over_seeds(model_factory: ModelFactory, ds: Dataset, method: str,
                           record_seconds: bool = True,
                           merged_checkpoint_dir: Optional[str] = None
                           ) -> list[RunReport]:
-    """Per-seed rows plus one aggregated 'mean' row."""
+    """Per-seed rows plus one aggregated 'mean' row.  Every seed's task is
+    sampled first, and one base zero-shot pass gives every row its zs_acc."""
+    tasks = _sample_tasks(ds, shots, seeds)
+    base = model_factory()
+    t0 = time.perf_counter()
+    zs_accs = base_zero_shot_accuracies(base, ds, tasks)
+    zs_seconds = (time.perf_counter() - t0) / len(tasks)
+    # a zero-shot row changes nothing, so it reuses the model of that pass
+    factory = (lambda: base) if method == "zero-shot" else model_factory
     rows = []
-    for seed in seeds:
+    for seed, task, zs_acc in zip(seeds, tasks, zs_accs):
         merged = None
         if merged_checkpoint_dir is not None and method == "lora":
             merged = f"{merged_checkpoint_dir}/merged_seed{seed}"
-        rows.append(run_single(model_factory, ds, method, shots, seed,
+        rows.append(run_single(factory, task, method, seed, zs_acc, zs_seconds,
                                placement=placement, train_cfg=train_cfg,
                                record_seconds=record_seconds,
                                merged_checkpoint=merged))
@@ -160,22 +191,34 @@ def run_ablation(model_factory: ModelFactory, ds: Dataset,
                  ) -> tuple[list[RunReport], list[tuple]]:
     """One row per (cell, seed), ordered by cell then seed.  Cells whose
     placement is invalid (e.g. rank above the matrix dimension) are skipped
-    and reported in the second return value."""
+    and reported in the second return value.  Every row's task is sampled
+    first, and one base zero-shot pass, made before any worker starts, gives
+    every row its zs_acc."""
+    placements, errors, seeds = {}, {}, {}
+    for i, (group, rank, span, encoders) in enumerate(cells):
+        try:
+            placements[i] = PlacementConfig(matrices=tuple(group), layer_span=span,
+                                            encoders=encoders, rank=rank)
+        except DomainError as e:
+            errors[i] = str(e)
+            continue
+        seeds[i] = [derive_seed(master_seed, group, rank, span, encoders, s)
+                    for s in range(n_seeds)]
+    all_seeds = [seed for i in seeds for seed in seeds[i]]
+    tasks = dict(zip(all_seeds, _sample_tasks(ds, shots, all_seeds)))
+    zs_accs = {}
+    if tasks:
+        zs_accs = dict(zip(tasks, base_zero_shot_accuracies(
+            model_factory(), ds, list(tasks.values()))))
 
     def run_cell(cell_index: int):
         group, rank, span, encoders = cells[cell_index]
-        try:
-            placement = PlacementConfig(matrices=tuple(group), layer_span=span,
-                                        encoders=encoders, rank=rank)
-        except DomainError as e:
-            return cell_index, None, str(e)
         rows = []
-        for s in range(n_seeds):
-            seed = derive_seed(master_seed, group, rank, span, encoders, s)
+        for seed in seeds[cell_index]:
             try:
-                row = run_single(model_factory, ds, "lora", shots, seed,
-                                 placement=placement, train_cfg=train_cfg,
-                                 record_seconds=False)
+                row = run_single(model_factory, tasks[seed], "lora", seed,
+                                 zs_accs[seed], placement=placements[cell_index],
+                                 train_cfg=train_cfg, record_seconds=False)
             except DomainError as e:
                 return cell_index, None, str(e)
             row.extra = {"group": group, "rank": rank, "span": span,
@@ -183,11 +226,13 @@ def run_ablation(model_factory: ModelFactory, ds: Dataset,
             rows.append(row)
         return cell_index, rows, None
 
+    valid = sorted(placements)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, range(len(cells))))
+            results = list(pool.map(run_cell, valid))
     else:
-        results = [run_cell(i) for i in range(len(cells))]
+        results = [run_cell(i) for i in valid]
+    results += [(i, None, err) for i, err in errors.items()]
 
     rows, skipped = [], []
     for idx, cell_rows, err in sorted(results, key=lambda r: r[0]):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .bench import (AblationGridSpec, DEFAULT_GROUPS, DEFAULT_RANKS, SHOT_GRID,
                     METHODS, default_ablation_cells, pretrain_model,
-                    run_ablation, run_method_over_seeds, run_single)
+                    run_ablation, run_method_over_seeds)
 from .data import SyntheticDatasetSpec, generate_dataset, load_dataset, save_dataset
 from .errors import LorabenchError
 from .fewshot import PretrainConfig, TrainConfig
@@ -44,7 +44,12 @@ def _apply_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespac
     """Resolution order: explicit flag > config-file key > default."""
     file_cfg = {}
     if getattr(args, "config", None):
-        file_cfg = json.loads(Path(args.config).read_text())
+        try:
+            file_cfg = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as e:
+            raise UsageError(f"--config {args.config}: not valid JSON: {e}") from None
+        if not isinstance(file_cfg, dict):
+            raise UsageError(f"--config {args.config}: expected a JSON object")
     for key, default in defaults.items():
         if getattr(args, key, None) is None:
             setattr(args, key, file_cfg.get(key, default))
@@ -126,6 +131,8 @@ def build_parser() -> _Parser:
 def cmd_gen(args) -> int:
     _apply_config(args, {"classes": 8, "images_per_class": 64, "noise": 0.6,
                          "shift": 0, "seed": 0})
+    if args.noise < 0:
+        raise UsageError(f"noise must be >= 0, got {args.noise}")
     spec = SyntheticDatasetSpec(n_classes=args.classes,
                                 images_per_class=args.images_per_class,
                                 noise=args.noise, pixel_shift=args.shift,
@@ -155,7 +162,7 @@ def cmd_zeroshot(args) -> int:
     _apply_config(args, {"shots": 4, "seed": 0})
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
-    row = run_single(factory, ds, "zero-shot", args.shots, args.seed)
+    row = run_method_over_seeds(factory, ds, "zero-shot", args.shots, [args.seed])[0]
     print(f"zero-shot accuracy: {row.acc:.4f} "
           f"({ds.images.shape[0]} images, {len(ds.class_names)} classes)")
     if args.out:
@@ -169,6 +176,8 @@ def cmd_finetune(args) -> int:
                          "rank": 2, "dropout": 0.25, "merged_out": None})
     if args.shots not in SHOT_GRID:
         raise UsageError(f"shots must be one of {SHOT_GRID}, got {args.shots}")
+    if not args.seeds:
+        raise UsageError("--seeds needs at least one seed")
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
     from .lora import PlacementConfig
@@ -192,6 +201,10 @@ def cmd_ablate(args) -> int:
                          "spans": ["all"], "encoders": ["both"], "shots": 4,
                          "n_seeds": 3, "master_seed": 0, "workers": 1,
                          "iters_per_shot": 500})
+    if args.shots < 1:
+        raise UsageError(f"shots must be >= 1, got {args.shots}")
+    if args.n_seeds < 1:
+        raise UsageError(f"--seeds (seeds per cell) must be >= 1, got {args.n_seeds}")
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
     if args.default_grid:

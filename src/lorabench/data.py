@@ -143,6 +143,35 @@ def save_dataset(ds: Dataset, directory) -> None:
     (directory / "captions.txt").write_text("\n".join(ds.captions) + "\n")
 
 
+def _read_labels(path: Path, n: int, n_classes: int) -> np.ndarray:
+    """One label in [0, n_classes) for each image index in [0, n), each
+    index given exactly once."""
+    labels = np.full(n, -1, dtype=np.int64)
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None or header[:2] != ["index", "label"]:
+            raise FormatError(f"bad labels.csv header: {header}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                index, label = int(row[0]), int(row[1])
+            except (IndexError, ValueError):
+                raise FormatError(f"labels.csv:{lineno}: malformed row {row}") from None
+            if not 0 <= index < n:
+                raise FormatError(f"labels.csv:{lineno}: index {index} outside [0, {n})")
+            if labels[index] != -1:
+                raise FormatError(f"labels.csv:{lineno}: duplicate index {index}")
+            if not 0 <= label < n_classes:
+                raise FormatError(f"labels.csv:{lineno}: label {label} outside "
+                                  f"[0, {n_classes})")
+            labels[index] = label
+    missing = np.flatnonzero(labels == -1)
+    if missing.size:
+        raise FormatError(f"labels.csv: no label for {missing.size} of {n} images "
+                          f"(first missing index {missing[0]})")
+    return labels
+
+
 def load_dataset(directory) -> Dataset:
     directory = Path(directory)
     try:
@@ -160,14 +189,7 @@ def load_dataset(directory) -> Dataset:
     if len(raw) != expect:
         raise FormatError(f"images.bin has {len(raw)} bytes, expected {expect}")
     images = np.frombuffer(raw, dtype="<f4").reshape(n, size, size).astype(np.float32)
-    labels = np.empty(n, dtype=np.int64)
-    with open(directory / "labels.csv", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header[:2] != ["index", "label"]:
-            raise FormatError(f"bad labels.csv header: {header}")
-        for row in reader:
-            labels[int(row[0])] = int(row[1])
+    labels = _read_labels(directory / "labels.csv", n, len(manifest["class_names"]))
     captions = (directory / "captions.txt").read_text().splitlines()
     if len(captions) != n:
         raise FormatError(f"{len(captions)} captions for {n} images")

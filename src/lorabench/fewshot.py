@@ -5,7 +5,7 @@ The fine-tuning loop keeps every hyper-parameter fixed across tasks:
 lr 2e-4 with cosine annealing, batch size 32, 500 * shots iterations,
 rank-2 adapters with dropout 0.25 on query/key/value of every layer of both
 encoders.  Class prompts are re-encoded through the (adapting) text encoder
-at every step.
+at every step; a frozen tower is encoded once per run instead.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ class FewShotTask:
     support_labels: np.ndarray   # (N,)
     query_images: np.ndarray
     query_labels: np.ndarray
+    query_indices: Optional[np.ndarray] = None   # rows of the sampled dataset
 
     @property
     def num_classes(self) -> int:
@@ -65,7 +66,8 @@ def sample_support_set(images: np.ndarray, labels: np.ndarray,
     qry_idx = np.asarray(qry_idx)
     return FewShotTask(class_names=list(class_names),
                        support_images=images[sup_idx], support_labels=labels[sup_idx],
-                       query_images=images[qry_idx], query_labels=labels[qry_idx])
+                       query_images=images[qry_idx], query_labels=labels[qry_idx],
+                       query_indices=qry_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +99,18 @@ def predict(scores: Tensor) -> np.ndarray:
     return data.argmax(axis=1)
 
 
+def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of rows whose top-1 prediction is the label."""
+    return float((predict(logits) == labels).mean())
+
+
+def class_prompts(model: DualEncoderModel,
+                  class_names: Sequence[str]) -> list[ClassPrompt]:
+    """The template prompt of every class."""
+    return [tokenize_prompt(n, model.vocab, model.cfg.max_text_len)
+            for n in class_names]
+
+
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray, tau: float) -> Tensor:
     """Mean negative log posterior of the true classes, via stable log-softmax."""
     labels = np.asarray(labels)
@@ -107,15 +121,16 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray, tau: float) -> Tensor
 
 
 def evaluate(model: DualEncoderModel, task: FewShotTask,
-             prompts: Optional[list[ClassPrompt]] = None) -> float:
-    """Top-1 accuracy on the query set."""
+             prompts: Optional[list[ClassPrompt]] = None
+             ) -> tuple[float, np.ndarray]:
+    """Top-1 accuracy on the query set, and the (n_query, K) logits it was
+    read from."""
     if task.query_images.shape[0] == 0:
         raise DomainError("empty query set")
     if prompts is None:
-        prompts = [tokenize_prompt(n, model.vocab, model.cfg.max_text_len)
-                   for n in task.class_names]
-    logits = zero_shot_logits(model, task.query_images, prompts)
-    return float((predict(logits) == task.query_labels).mean())
+        prompts = class_prompts(model, task.class_names)
+    logits = zero_shot_logits(model, task.query_images, prompts).data
+    return accuracy(logits, task.query_labels), logits
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +192,28 @@ def run_training_loop(model: DualEncoderModel, params, task: FewShotTask,
                       train_rng: np.random.Generator,
                       encode_text_fn=None) -> TrainingHistory:
     """Shared CE loop used by the adapter-module method and the trainable-subset
-    baselines: sample a batch, re-encode prompts, step AdamW under cosine lr."""
-    prompts = [tokenize_prompt(n, model.vocab, model.cfg.max_text_len)
-               for n in task.class_names]
+    baselines: sample a batch, encode it and the class prompts, step AdamW
+    under cosine lr.
+
+    A frozen tower (see `_Encoder.frozen`) is encoded once, outside the tape:
+    the vision tower over the whole support set, which each step indexes, and
+    the text tower over the class prompts.  Neither draws from `train_rng`,
+    so the losses are those of encoding it at every step.
+    """
     if encode_text_fn is None:
-        encode_text_fn = lambda training, rng: encode_prompts(
-            model, prompts, training=training, rng=rng)
+        prompts = class_prompts(model, task.class_names)
+        if model.textual.frozen():
+            frozen_text = encode_prompts(model, prompts)
+            encode_text_fn = lambda training, rng: frozen_text
+        else:
+            encode_text_fn = lambda training, rng: encode_prompts(
+                model, prompts, training=training, rng=rng)
+    if model.visual.frozen():
+        support_feats = encode_images(model, task.support_images).data
+        encode_batch = lambda idx: Tensor(support_feats[idx])
+    else:
+        encode_batch = lambda idx: encode_images(
+            model, task.support_images[idx], training=True, rng=train_rng)
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     sampler = _BatchSampler(task.support_images.shape[0], cfg.batch_size,
                             np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xBA7C])))
@@ -192,8 +223,7 @@ def run_training_loop(model: DualEncoderModel, params, task: FewShotTask,
         lr = cosine_lr(step, iterations, cfg.lr)
         idx = sampler.next()
         with Tape() as tape:
-            feats = encode_images(model, task.support_images[idx],
-                                  training=True, rng=train_rng)
+            feats = encode_batch(idx)
             text_feats = encode_text_fn(training=True, rng=train_rng)
             logits = matmul(feats, transpose(text_feats, (1, 0)))
             loss = cross_entropy_loss(logits, task.support_labels[idx], tau)

@@ -28,6 +28,11 @@ PROMPT_TEMPLATE = ("a", "photo", "of", "a")
 CHECKPOINT_VERSION = 1
 _MASK_NEG = -1e9  # large finite negative; exp underflows to exactly 0
 
+# Images per forward block of the vision tower.  At the default width one
+# block's widest activation, the (64, 17, 256) MLP hidden state, is 1.1 MB in
+# float32 and stays inside a 2 MB L2 cache; a 480-image block spills it.
+IMAGE_BLOCK = 64
+
 
 # ---------------------------------------------------------------------------
 # vocabulary and prompts
@@ -240,6 +245,13 @@ class _Encoder:
             for n, p in blk.named_parameters():
                 yield f"blocks.{i}.{n}", p
 
+    def frozen(self) -> bool:
+        """No parameter trains and no block carries an adapter.  Dropout
+        lives only in adapters, so a frozen tower's training forward equals
+        its eval forward and its outputs can be computed once."""
+        return (not any(blk.lora for blk in self.blocks)
+                and not any(p.requires_grad for _, p in self.named_parameters()))
+
 
 class VisionEncoder(_Encoder):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -327,20 +339,32 @@ def patchify(images: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 
 def encode_images(model: DualEncoderModel, images: np.ndarray,
                   training: bool = False, rng=None) -> Tensor:
-    """Encode a (batch, H, W) pixel array to (batch, embed_dim) unit vectors."""
+    """Encode a (batch, H, W) pixel array to (batch, embed_dim) unit vectors.
+
+    The batch runs through the tower in blocks of IMAGE_BLOCK images, so a
+    large evaluation batch never builds activations that overflow the cache.
+    Images do not interact, so blocking changes no image's features.  A batch
+    of at most IMAGE_BLOCK images is one block.
+    """
     cfg = model.cfg
     enc = model.visual
-    patches = Tensor(patchify(np.asarray(images), cfg).astype(cfg.np_dtype))
-    b = patches.shape[0]
-    x = add(matmul(patches, enc.patch_w), enc.patch_b)
-    cls_rows = add(reshape(enc.cls_token, (1, 1, cfg.width)),
-                   Tensor(np.zeros((b, 1, cfg.width), dtype=cfg.np_dtype)))
-    x = add(concat([cls_rows, x], axis=1), enc.pos_embed)
-    for blk in enc.blocks:
-        x = block_forward(blk, x, mask=None, training=training, rng=rng)
-    x = layer_norm(x, enc.ln_f_g, enc.ln_f_b)
-    pooled = select_positions(x, np.zeros(b, dtype=np.int64))
-    return l2_normalize(matmul(pooled, enc.proj))
+    patches = patchify(np.asarray(images), cfg).astype(cfg.np_dtype)
+    n = patches.shape[0]
+    feats = []
+    # an empty batch runs as one empty block and gives (0, embed_dim)
+    for start in range(0, max(n, 1), IMAGE_BLOCK):
+        block = Tensor(patches[start:start + IMAGE_BLOCK])
+        b = block.shape[0]
+        x = add(matmul(block, enc.patch_w), enc.patch_b)
+        cls_rows = add(reshape(enc.cls_token, (1, 1, cfg.width)),
+                       Tensor(np.zeros((b, 1, cfg.width), dtype=cfg.np_dtype)))
+        x = add(concat([cls_rows, x], axis=1), enc.pos_embed)
+        for blk in enc.blocks:
+            x = block_forward(blk, x, mask=None, training=training, rng=rng)
+        x = layer_norm(x, enc.ln_f_g, enc.ln_f_b)
+        pooled = select_positions(x, np.zeros(b, dtype=np.int64))
+        feats.append(l2_normalize(matmul(pooled, enc.proj)))
+    return feats[0] if len(feats) == 1 else concat(feats, axis=0)
 
 
 def encode_tokens(model: DualEncoderModel, tokens: np.ndarray,

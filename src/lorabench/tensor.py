@@ -9,6 +9,7 @@ which is a valid topological order by construction.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -95,31 +96,41 @@ class Tensor:
         return matmul(self, other)
 
 
+class _ActiveTapes(threading.local):
+    """The stack of entered tapes, one per thread, so that concurrent training
+    runs each record only onto their own tape."""
+
+    def __init__(self):
+        self.stack: list["Tape"] = []
+
+
 class Tape:
     """Ordered record of differentiable operations.
 
     Every recorded node's inputs were recorded (or are leaves) before the
     node itself, so reverse replay visits consumers before producers.
     A tape can run backward exactly once; a second call raises StateError.
+    The active tape is per thread.
     """
 
-    _active: list["Tape"] = []
+    _active = _ActiveTapes()
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._consumed = False
 
     def __enter__(self):
-        Tape._active.append(self)
+        Tape._active.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        Tape._active.pop()
+        Tape._active.stack.pop()
         return False
 
     @classmethod
     def current(cls) -> Optional["Tape"]:
-        return cls._active[-1] if cls._active else None
+        stack = cls._active.stack
+        return stack[-1] if stack else None
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward: Callable):
         self._nodes.append((out, inputs, backward))

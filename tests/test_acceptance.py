@@ -65,11 +65,11 @@ def pipeline(desk_dataset, tmp_path_factory):
         m = load_checkpoint(ckpt)
         task = sample_support_set(shifted.images, shifted.labels,
                                   shifted.class_names, shots=4, seed=seed)
-        zs = evaluate(m, task)
+        zs, _ = evaluate(m, task)
         base_before = {n: p.data.copy() for n, p in m.named_parameters()}
         adapted = inject(m, PlacementConfig(), seed=seed)
         hist = finetune_lora(adapted, task, TrainConfig(seed=seed))
-        acc = evaluate(m, task)
+        acc, _ = evaluate(m, task)
         base_intact = all(np.array_equal(p.data, base_before[n])
                           for n, p in m.named_parameters())
         runs.append({"seed": seed, "zs": zs, "acc": acc, "hist": hist,

@@ -157,7 +157,7 @@ class TestBiasOnly:
         from lorabench.fewshot import evaluate
         model = small_model_for(small_dataset)
         task = _task(small_dataset)
-        zs = evaluate(model, task)
+        zs, _ = evaluate(model, task)
         res = bias_only_finetune(model, task, TrainConfig(iters_per_shot=0))
         assert res.accuracy == zs
         assert len(res.history.steps) == 0

@@ -164,10 +164,11 @@ class TestAblate:
         assert "skipped" in capsys.readouterr().err
 
     def test_workers_match_serial(self, workdir, tmp_path):
+        # 20 steps per row: enough for runs sharing a tape to drift apart
         base = ["ablate", "--checkpoint", str(workdir / "ckpt"),
                 "--dataset", str(workdir / "ds"), "--groups", "q,v",
                 "--ranks", "1", "--shots", "1", "--seeds", "1",
-                "--iters-per-shot", "1"]
+                "--iters-per-shot", "20"]
         assert main(base + ["--out", str(tmp_path / "s.csv")]) == 0
         assert main(base + ["--workers", "2", "--out", str(tmp_path / "p.csv")]) == 0
         assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
@@ -214,3 +215,27 @@ class TestExitCodes:
                      "--images-per-class", "8"]) == 0
         manifest2 = json.loads((tmp_path / "d2" / "manifest.json").read_text())
         assert manifest2["n_images"] == 32
+
+
+class TestUsageErrors:
+    """Bad arguments exit 1 with one line on stderr and no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--out", "{tmp}/d", "--config", "{tmp}/bad.json"],
+        ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--seeds=", "--out", "{tmp}/x.csv"],
+        ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--shots", "0", "--out", "{tmp}/x.csv"],
+        ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--seeds", "0", "--out", "{tmp}/x.csv"],
+        ["gen", "--out", "{tmp}/d", "--noise", "-1"],
+    ], ids=["malformed-config-json", "finetune-empty-seeds", "ablate-zero-shots",
+            "ablate-zero-seeds", "gen-negative-noise"])
+    def test_exit_1_with_one_line(self, argv, workdir, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text('{"classes": 4,')
+        argv = [a.format(tmp=tmp_path, work=workdir) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.strip()
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "d").exists()

@@ -110,3 +110,31 @@ class TestDiskLayout:
         (tmp_path / "ds" / "manifest.json").write_text('{"kind": "other"}')
         with pytest.raises(FormatError, match="not a dataset"):
             load_dataset(tmp_path / "ds")
+
+
+class TestLabelsCsv:
+    """A malformed labels.csv is rejected, never loaded with gaps."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        ds = generate_dataset(SyntheticDatasetSpec(n_classes=2,
+                                                   images_per_class=3, seed=5))
+        save_dataset(ds, tmp_path / "ds")
+        return tmp_path / "ds"
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda lines: lines[:-2], "no label for 2 of 6 images"),          # truncated
+        (lambda lines: lines + ["6,0,dax"], r"index 6 outside \[0, 6\)"),
+        (lambda lines: lines[:1] + ["-1,0,dax"] + lines[2:], r"index -1 outside"),
+        (lambda lines: lines + [lines[1]], "duplicate index 0"),
+        (lambda lines: lines[:1] + ["0,2,dax"] + lines[2:], r"label 2 outside \[0, 2\)"),
+        (lambda lines: lines[:1] + ["0"] + lines[2:], "malformed row"),
+        (lambda lines: [], "header"),
+    ], ids=["truncated", "index-past-end", "negative-index", "duplicate-index",
+            "label-out-of-range", "short-row", "empty-file"])
+    def test_malformed_labels_rejected(self, saved, edit, match):
+        path = saved / "labels.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(FormatError, match=match):
+            load_dataset(saved)

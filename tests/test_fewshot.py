@@ -1,18 +1,23 @@
 """Zero-shot prediction, task sampling, the fine-tuning loop and the
 desk-scale contrastive pretrainer."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from conftest import small_model_for
+from lorabench.baselines import soft_prompt_finetune
 from lorabench.errors import DomainError, LorabenchError, ShapeError
 from lorabench.fewshot import (FewShotTask, PretrainConfig, TrainConfig,
-                               contrastive_pretrain, cross_entropy_loss,
-                               evaluate, finetune_lora, posterior, predict,
-                               sample_support_set, zero_shot_logits)
+                               class_prompts, contrastive_pretrain,
+                               cross_entropy_loss, evaluate, finetune_lora,
+                               posterior, predict, sample_support_set,
+                               zero_shot_logits)
 from lorabench.lora import PlacementConfig, inject
-from lorabench.model import tokenize_prompt
-from lorabench.tensor import Tensor
+from lorabench.model import encode_images, encode_prompts, tokenize_prompt
+from lorabench.tensor import Tape, Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +138,7 @@ class TestEvaluate:
         model = small_model_for(small_dataset, seed=11)
         task = sample_support_set(small_dataset.images, small_dataset.labels,
                                   small_dataset.class_names, 1, seed=0)
-        acc = evaluate(model, task)
+        acc, _ = evaluate(model, task)
         assert 0.0 <= acc <= 1.0
 
     def test_chance_level_many_queries(self):
@@ -144,7 +149,7 @@ class TestEvaluate:
                                                    image_size=8, seed=1))
         model = small_model_for(ds, seed=23)
         task = sample_support_set(ds.images, ds.labels, ds.class_names, 1, seed=0)
-        acc = evaluate(model, task)  # 504 queries
+        acc, _ = evaluate(model, task)  # 504 queries
         assert abs(acc - 0.125) < 0.06
 
     def test_empty_query_raises(self, small_dataset):
@@ -218,6 +223,106 @@ class TestFinetune:
                                   small_dataset.class_names, 1, seed=0)
         with pytest.raises(LorabenchError, match="step 0"):
             finetune_lora(adapted, task, TrainConfig(iters_per_shot=2, seed=0))
+
+
+    def test_threads_train_as_if_serial(self, small_dataset):
+        # each thread records onto its own tape: two concurrent 20-step runs
+        # give the adapter bytes and losses of the same runs made one by one
+        def run(seed, out):
+            model = small_model_for(small_dataset)
+            adapted = inject(model, PlacementConfig(), seed=seed)
+            task = sample_support_set(small_dataset.images, small_dataset.labels,
+                                      small_dataset.class_names, 2, seed=seed)
+            hist = finetune_lora(adapted, task, TrainConfig(iters_per_shot=10,
+                                                            seed=seed))
+            out[seed] = ({n: t.data.tobytes() for n, t in adapted.named_lora_tensors()},
+                         hist.losses)
+
+        seeds = (1, 2)
+        serial, threaded = {}, {}
+        for seed in seeds:
+            run(seed, serial)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(seed, threaded))
+                       for seed in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(serial[s][1]) == 20 for s in seeds)
+        assert threaded == serial
+
+
+# ---------------------------------------------------------------------------
+# frozen towers: encoded once per training run
+
+
+def _frozen_run_model(ds, run):
+    """The model as the training loop of `run` sees it, and its adapters
+    (None for soft-prompt)."""
+    model = small_model_for(ds, dtype="float64")
+    if run == "soft-prompt":
+        model.set_trainable(False)
+        return model, None
+    return model, inject(model, PlacementConfig(encoders=run), seed=0)
+
+
+# loss histories of these runs before frozen towers were cached (float64)
+FROZEN_RUN_LOSSES = {
+    "text": [1.439372275603373, 1.420765343166474, 1.3866871188267003,
+             1.3783080445362716, 1.3886373558563059, 1.4137931719368078,
+             1.4599915628556055, 1.4274866362091652, 1.4467931838748427,
+             1.3860801868835573],
+    "vision": [1.439372275603373, 1.4207645547114431, 1.3868042299215761,
+               1.3777042238464663, 1.3893722916585736, 1.414674303527737,
+               1.4570310397891517, 1.4287930825171968, 1.4465849781990667,
+               1.3824389122865308],
+    "soft-prompt": [1.439372275603373, 1.4208262500016071, 1.3872085036292088,
+                    1.377891241348753, 1.3896767150682692, 1.4153519986426533,
+                    1.4566492062852148, 1.4291439769682819, 1.447143331450134,
+                    1.3825899466968252],
+}
+
+
+class TestFrozenTowers:
+    @pytest.mark.parametrize("run,frozen,live", [
+        ("text", "visual", "textual"),       # adapters on the text tower only
+        ("vision", "textual", "visual"),
+        ("soft-prompt", "visual", None),     # the context is not in a tower
+    ])
+    def test_frozen_forward_is_untaped_eval_forward(self, small_dataset, run,
+                                                   frozen, live):
+        model, _ = _frozen_run_model(small_dataset, run)
+        assert getattr(model, frozen).frozen()
+        if live is not None:
+            assert not getattr(model, live).frozen()
+        if frozen == "visual":
+            encode = lambda **kw: encode_images(model, small_dataset.images, **kw)
+        else:
+            prompts = class_prompts(model, small_dataset.class_names)
+            encode = lambda **kw: encode_prompts(model, prompts, **kw)
+        with Tape() as tape:
+            taped = encode(training=True, rng=np.random.default_rng(0))
+        assert len(tape) == 0 and not taped.requires_grad
+        assert np.array_equal(taped.data, encode().data)
+
+    @pytest.mark.parametrize("run", sorted(FROZEN_RUN_LOSSES))
+    def test_loss_history_unchanged(self, small_dataset, run):
+        model, adapted = _frozen_run_model(small_dataset, run)
+        task = sample_support_set(small_dataset.images, small_dataset.labels,
+                                  small_dataset.class_names, 2, seed=0)
+        cfg = TrainConfig(iters_per_shot=5, seed=0)
+        if run == "soft-prompt":
+            hist = soft_prompt_finetune(model, task, train_cfg=cfg).history
+        else:
+            hist = finetune_lora(adapted, task, cfg)
+        np.testing.assert_allclose(hist.losses, FROZEN_RUN_LOSSES[run],
+                                   rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

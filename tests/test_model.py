@@ -7,10 +7,10 @@ import pytest
 from conftest import gradcheck, small_model_for, tiny_config
 from lorabench.errors import FormatError, InputError, ShapeError
 from lorabench.fewshot import cross_entropy_loss
-from lorabench.model import (BOS_ID, EOS_ID, PAD_ID, DualEncoderModel,
-                             ModelConfig, Vocabulary, encode_image,
-                             encode_images, encode_prompts, encode_text,
-                             encode_tokens, load_checkpoint,
+from lorabench.model import (BOS_ID, EOS_ID, IMAGE_BLOCK, PAD_ID,
+                             DualEncoderModel, ModelConfig, Vocabulary,
+                             encode_image, encode_images, encode_prompts,
+                             encode_text, encode_tokens, load_checkpoint,
                              multi_head_attention, patchify, save_checkpoint,
                              tokenize_caption, tokenize_prompt)
 from lorabench.tensor import Tensor, matmul, transpose
@@ -188,6 +188,22 @@ class TestEncodeImage:
         assert np.array_equal(patches[0], img[:4, :4].reshape(-1))
         assert np.array_equal(patches[1], img[:4, 4:].reshape(-1))
         assert np.array_equal(patches[2], img[4:, :4].reshape(-1))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_blocked_forward_matches_small_batches(self, dtype):
+        # 150 images run as blocks of 64, 64 and 22.  The reference encodes
+        # two images at a time: numpy multiplies a lone row by a matrix with
+        # a matrix-vector kernel, whose sums round differently.
+        n = 150
+        assert n % IMAGE_BLOCK and n > 2 * IMAGE_BLOCK
+        model = DualEncoderModel(tiny_config(dtype=dtype, width=64, heads=4,
+                                             depth=2, embed_dim=32), seed=0)
+        imgs = np.random.default_rng(7).standard_normal((n, 8, 8))
+        got = encode_images(model, imgs).data
+        want = np.concatenate([encode_images(model, imgs[i:i + 2]).data
+                               for i in range(0, n, 2)])
+        assert got.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
 
 
 class TestEncodeText:
