@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InputError
-from .fewshot import (FewShotTask, TrainConfig, TrainingHistory,
-                      cross_entropy_loss, predict, run_training_loop)
+from .fewshot import (FewShotTask, TrainConfig, TrainingHistory, _BatchSampler,
+                      accuracy, class_prompts, cross_entropy_loss, evaluate,
+                      run_training_loop, train_on_support)
 from .model import (DualEncoderModel, PROMPT_TEMPLATE, encode_images,
                     encode_prompts, encode_tokens, tokenize_prompt)
-from .optim import AdamW, cosine_lr
-from .tensor import (Tape, Tensor, add, concat, gelu, l2_normalize, matmul,
-                     mean, reshape, take_rows, transpose)
+from .tensor import (Tensor, add, concat, gelu, l2_normalize, matmul, reshape,
+                     take_rows, transpose)
 
 
 @dataclass
@@ -92,10 +92,9 @@ def soft_prompt_finetune(model: DualEncoderModel, task: FewShotTask,
     encode_text_fn = lambda training, rng: _soft_prompt_features(
         model, context, tokens, eos)
 
-    iterations = train_cfg.iterations(task.shots)
     train_rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 0x50F7]))
-    history = run_training_loop(model, [context], task, train_cfg, iterations,
-                                train_rng, encode_text_fn=encode_text_fn)
+    history = train_on_support(model, [context], task, train_cfg, train_rng,
+                               encode_text_fn=encode_text_fn)
     acc = soft_prompt_evaluate(model, task, context, tokens, eos)
     return BaselineResult(accuracy=acc, trainable_count=context.size,
                           history=history, artifacts={"context": context,
@@ -107,8 +106,7 @@ def soft_prompt_evaluate(model: DualEncoderModel, task: FewShotTask,
                          eos: np.ndarray) -> float:
     feats = encode_images(model, task.query_images)
     texts = _soft_prompt_features(model, context, tokens, eos)
-    logits = matmul(feats, transpose(texts, (1, 0)))
-    return float((predict(logits) == task.query_labels).mean())
+    return accuracy(matmul(feats, transpose(texts, (1, 0))), task.query_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -159,34 +157,21 @@ def adapter_finetune(model: DualEncoderModel, task: FewShotTask,
     if not (0.0 <= alpha <= 1.0):
         raise DomainError(f"alpha must be in [0, 1], got {alpha}")
     model.set_trainable(False)
-    prompts = [tokenize_prompt(n, model.vocab, model.cfg.max_text_len)
-               for n in task.class_names]
     sup_feats = encode_images(model, task.support_images).data
-    qry_feats = encode_images(model, task.query_images).data
-    text_feats = encode_prompts(model, prompts).data
-
-    iterations = train_cfg.iterations(task.shots)
-    opt = AdamW(adapter.parameters(), lr=train_cfg.lr,
-                weight_decay=train_cfg.weight_decay)
-    rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 0xADA7]))
-    n = sup_feats.shape[0]
+    qry_feats = encode_images(model, task.query_images)
+    texts = encode_prompts(model, class_prompts(model, task.class_names))
     tau = model.tau
-    history = TrainingHistory()
-    texts = Tensor(text_feats)
-    for step in range(iterations):
-        lr = cosine_lr(step, iterations, train_cfg.lr)
-        idx = rng.integers(0, n, size=train_cfg.batch_size) if n < train_cfg.batch_size \
-            else rng.permutation(n)[:train_cfg.batch_size]
-        with Tape() as tape:
-            logits = adapter_logits(adapter, alpha, Tensor(sup_feats[idx]), texts)
-            loss = cross_entropy_loss(logits, task.support_labels[idx], tau)
-            tape.backward(loss)
-        opt.step(lr=lr)
-        opt.zero_grad()
-        history.append(step, lr, loss.item())
 
-    logits = adapter_logits(adapter, alpha, Tensor(qry_feats), texts)
-    acc = float((predict(logits) == task.query_labels).mean())
+    def loss_fn(idx):
+        logits = adapter_logits(adapter, alpha, Tensor(sup_feats[idx]), texts)
+        return cross_entropy_loss(logits, task.support_labels[idx], tau)
+
+    sampler = _BatchSampler(sup_feats.shape[0], train_cfg.batch_size,
+                            train_cfg.seed, 0xADA7)
+    history = run_training_loop(adapter.parameters(), loss_fn, sampler,
+                                train_cfg.iterations(task.shots), train_cfg.lr,
+                                train_cfg.weight_decay)
+    acc = accuracy(adapter_logits(adapter, alpha, qry_feats, texts), task.query_labels)
     return BaselineResult(accuracy=acc, trainable_count=adapter.param_count(),
                           history=history, artifacts={"adapter": adapter})
 
@@ -211,12 +196,10 @@ def bias_only_finetune(model: DualEncoderModel, task: FewShotTask,
     params = bias_parameters(model)
     for p in params:
         p.requires_grad = True
-    iterations = train_cfg.iterations(task.shots)
     train_rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 0xB1A5]))
-    history = run_training_loop(model, params, task, train_cfg, iterations, train_rng)
+    history = train_on_support(model, params, task, train_cfg, train_rng)
     for p in params:
         p.requires_grad = False
-    from .fewshot import evaluate
     acc, _ = evaluate(model, task)
     return BaselineResult(accuracy=acc, trainable_count=sum(p.size for p in params),
                           history=history)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Optional
 
@@ -38,8 +38,6 @@ class AblationGridSpec:
     ranks: tuple[int, ...] = DEFAULT_RANKS
     spans: tuple[str, ...] = ("all",)
     encoders: tuple[str, ...] = ("both",)
-    shots: int = 4
-    n_seeds: int = 3
 
     def cells(self) -> list[tuple[str, int, str, str]]:
         return list(product(self.groups, self.ranks, self.spans, self.encoders))
@@ -90,10 +88,7 @@ def run_single(model_factory: ModelFactory, task: FewShotTask, method: str,
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
     model = model_factory()
-    cfg = train_cfg or TrainConfig()
-    cfg = TrainConfig(lr=cfg.lr, batch_size=cfg.batch_size,
-                      iters_per_shot=cfg.iters_per_shot,
-                      weight_decay=cfg.weight_decay, seed=seed)
+    cfg = replace(train_cfg or TrainConfig(), seed=seed)
     t0 = time.perf_counter()
     model.set_trainable(False)
     total = model.param_count()

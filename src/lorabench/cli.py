@@ -8,6 +8,7 @@ Flags override keys of an optional JSON config file.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from .bench import (AblationGridSpec, DEFAULT_GROUPS, DEFAULT_RANKS, SHOT_GRID,
 from .data import SyntheticDatasetSpec, generate_dataset, load_dataset, save_dataset
 from .errors import LorabenchError
 from .fewshot import PretrainConfig, TrainConfig
+from .lora import PlacementConfig
 from .model import load_checkpoint, save_checkpoint
 from .report import (format_summary, mean_report, read_report_csv, summarize,
                      write_report_csv)
@@ -40,8 +42,19 @@ def _str_list(text: str) -> list[str]:
     return [x for x in text.split(",") if x != ""]
 
 
+# CLI keys whose config dataclass field has another name
+_FIELD_NAMES = {"classes": "n_classes", "shift": "pixel_shift"}
+
+
+def _defaults(cls, *keys) -> dict:
+    """The defaults of the named fields of dataclass `cls`, keyed by CLI key."""
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
+    return {key: fields[_FIELD_NAMES.get(key, key)] for key in keys}
+
+
 def _apply_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Resolution order: explicit flag > config-file key > default."""
+    """Resolution order: explicit flag > config-file key > default.  The
+    config file may only set keys of `defaults`."""
     file_cfg = {}
     if getattr(args, "config", None):
         try:
@@ -50,6 +63,10 @@ def _apply_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespac
             raise UsageError(f"--config {args.config}: not valid JSON: {e}") from None
         if not isinstance(file_cfg, dict):
             raise UsageError(f"--config {args.config}: expected a JSON object")
+        unknown = sorted(set(file_cfg) - set(defaults))
+        if unknown:
+            raise UsageError(f"--config {args.config}: unknown key(s) "
+                             f"{', '.join(unknown)}")
     for key, default in defaults.items():
         if getattr(args, key, None) is None:
             setattr(args, key, file_cfg.get(key, default))
@@ -122,15 +139,19 @@ def build_parser() -> _Parser:
     a.add_argument("--iters-per-shot", dest="iters_per_shot", type=int)
 
     r = sub.add_parser("report", help="summarize report rows as a table + JSON")
-    r.add_argument("--rows", required=True, help="input CSV of report rows")
+    r.add_argument("--rows", required=True, nargs="+",
+                   help="input CSVs of report rows, summarized together")
     r.add_argument("--out-json", dest="out_json")
 
     return p
 
 
 def cmd_gen(args) -> int:
-    _apply_config(args, {"classes": 8, "images_per_class": 64, "noise": 0.6,
-                         "shift": 0, "seed": 0})
+    _apply_config(args, _defaults(SyntheticDatasetSpec, "classes",
+                                  "images_per_class", "noise", "shift", "seed"))
+    for key in ("classes", "images_per_class"):
+        if getattr(args, key) < 1:
+            raise UsageError(f"{key} must be >= 1, got {getattr(args, key)}")
     if args.noise < 0:
         raise UsageError(f"noise must be >= 0, got {args.noise}")
     spec = SyntheticDatasetSpec(n_classes=args.classes,
@@ -145,7 +166,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    _apply_config(args, {"epochs": 40, "batch_size": 32, "lr": 1e-3, "seed": 0})
+    _apply_config(args, _defaults(PretrainConfig, "epochs", "batch_size", "lr", "seed"))
+    if args.epochs < 1:
+        raise UsageError(f"epochs must be >= 1, got {args.epochs}")
     ds = load_dataset(args.dataset)
     cfg = PretrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                          lr=args.lr, seed=args.seed)
@@ -159,7 +182,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_zeroshot(args) -> int:
-    _apply_config(args, {"shots": 4, "seed": 0})
+    _apply_config(args, {"shots": 4, **_defaults(TrainConfig, "seed")})
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
     row = run_method_over_seeds(factory, ds, "zero-shot", args.shots, [args.seed])[0]
@@ -172,15 +195,15 @@ def cmd_zeroshot(args) -> int:
 
 def cmd_finetune(args) -> int:
     _apply_config(args, {"method": "lora", "shots": 4, "seeds": [0, 1, 2],
-                         "lr": 2e-4, "iters_per_shot": 500, "batch_size": 32,
-                         "rank": 2, "dropout": 0.25, "merged_out": None})
+                         "merged_out": None,
+                         **_defaults(TrainConfig, "lr", "iters_per_shot", "batch_size"),
+                         **_defaults(PlacementConfig, "rank", "dropout")})
     if args.shots not in SHOT_GRID:
         raise UsageError(f"shots must be one of {SHOT_GRID}, got {args.shots}")
     if not args.seeds:
         raise UsageError("--seeds needs at least one seed")
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
-    from .lora import PlacementConfig
     placement = PlacementConfig(rank=args.rank, dropout=args.dropout)
     train_cfg = TrainConfig(lr=args.lr, batch_size=args.batch_size,
                             iters_per_shot=args.iters_per_shot)
@@ -200,7 +223,7 @@ def cmd_ablate(args) -> int:
     _apply_config(args, {"groups": list(DEFAULT_GROUPS), "ranks": [2],
                          "spans": ["all"], "encoders": ["both"], "shots": 4,
                          "n_seeds": 3, "master_seed": 0, "workers": 1,
-                         "iters_per_shot": 500})
+                         **_defaults(TrainConfig, "iters_per_shot")})
     if args.shots < 1:
         raise UsageError(f"shots must be >= 1, got {args.shots}")
     if args.n_seeds < 1:
@@ -227,7 +250,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = read_report_csv(args.rows)
+    rows = [row for path in args.rows for row in read_report_csv(path)]
     summary = summarize(rows)
     print(format_summary(summary))
     if args.out_json:

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import DomainError, LorabenchError, ShapeError
 from .lora import AdaptedModel
 from .model import (ClassPrompt, DualEncoderModel, encode_images,
-                    encode_prompts, tokenize_caption, tokenize_prompt)
+                    encode_prompts, encode_tokens, tokenize_caption,
+                    tokenize_prompt)
 from .optim import AdamW, cosine_lr
 from .tensor import (Tape, Tensor, div, gather_per_row, log_softmax, matmul,
                      mean, row_softmax, transpose)
@@ -169,13 +170,14 @@ class TrainingHistory:
 
 
 class _BatchSampler:
-    """Uniform batches: with replacement when the pool is smaller than the
-    batch, otherwise epoch-wise shuffles without replacement."""
+    """Uniform batches drawn from stream `stream` of `seed`: with replacement
+    when the pool is smaller than the batch, otherwise epoch-wise shuffles
+    without replacement."""
 
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
+    def __init__(self, n: int, batch_size: int, seed: int, stream: int):
         self.n = n
         self.batch_size = batch_size
-        self.rng = rng
+        self.rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
         self._order = np.empty(0, dtype=np.int64)
 
     def next(self) -> np.ndarray:
@@ -187,13 +189,41 @@ class _BatchSampler:
         return batch
 
 
-def run_training_loop(model: DualEncoderModel, params, task: FewShotTask,
-                      cfg: TrainConfig, iterations: int,
-                      train_rng: np.random.Generator,
-                      encode_text_fn=None) -> TrainingHistory:
-    """Shared CE loop used by the adapter-module method and the trainable-subset
-    baselines: sample a batch, encode it and the class prompts, step AdamW
-    under cosine lr.
+def run_training_loop(params, loss_fn: Callable[[np.ndarray], Tensor],
+                      sampler: _BatchSampler, iterations: int, lr: float,
+                      weight_decay: float,
+                      after_step: Optional[Callable[[], None]] = None
+                      ) -> TrainingHistory:
+    """The one training loop: each step draws a batch of indices, records
+    `loss_fn(idx)` on a tape, backpropagates and steps AdamW under cosine lr;
+    `after_step` runs after every update."""
+    opt = AdamW(params, lr=lr, weight_decay=weight_decay)
+    history = TrainingHistory()
+    for step in range(iterations):
+        step_lr = cosine_lr(step, iterations, lr)
+        idx = sampler.next()
+        with Tape() as tape:
+            loss = loss_fn(idx)
+            loss_val = loss.item()
+            if not np.isfinite(loss_val):
+                last = history.steps[-1] if history.steps else None
+                raise LorabenchError(f"non-finite loss at step {step}; "
+                                     f"last good step: {last}")
+            tape.backward(loss)
+        opt.step(lr=step_lr)
+        opt.zero_grad()
+        if after_step is not None:
+            after_step()
+        history.append(step, step_lr, loss_val)
+    return history
+
+
+def train_on_support(model: DualEncoderModel, params, task: FewShotTask,
+                     cfg: TrainConfig, train_rng: np.random.Generator,
+                     encode_text_fn=None) -> TrainingHistory:
+    """CE training on the support set, shared by the adapter-module method
+    and the trainable-subset baselines: each step encodes a support batch and
+    the class prompts and scores them against the labels.
 
     A frozen tower (see `_Encoder.frozen`) is encoded once, outside the tape:
     the vision tower over the whole support set, which each step indexes, and
@@ -214,38 +244,26 @@ def run_training_loop(model: DualEncoderModel, params, task: FewShotTask,
     else:
         encode_batch = lambda idx: encode_images(
             model, task.support_images[idx], training=True, rng=train_rng)
-    opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    sampler = _BatchSampler(task.support_images.shape[0], cfg.batch_size,
-                            np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xBA7C])))
     tau = model.tau
-    history = TrainingHistory()
-    for step in range(iterations):
-        lr = cosine_lr(step, iterations, cfg.lr)
-        idx = sampler.next()
-        with Tape() as tape:
-            feats = encode_batch(idx)
-            text_feats = encode_text_fn(training=True, rng=train_rng)
-            logits = matmul(feats, transpose(text_feats, (1, 0)))
-            loss = cross_entropy_loss(logits, task.support_labels[idx], tau)
-            loss_val = loss.item()
-            if not np.isfinite(loss_val):
-                last = history.steps[-1] if history.steps else None
-                raise LorabenchError(f"non-finite loss at step {step}; "
-                                     f"last good step: {last}")
-            tape.backward(loss)
-        opt.step(lr=lr)
-        opt.zero_grad()
-        history.append(step, lr, loss_val)
-    return history
+
+    def loss_fn(idx):
+        feats = encode_batch(idx)
+        text_feats = encode_text_fn(training=True, rng=train_rng)
+        logits = matmul(feats, transpose(text_feats, (1, 0)))
+        return cross_entropy_loss(logits, task.support_labels[idx], tau)
+
+    sampler = _BatchSampler(task.support_images.shape[0], cfg.batch_size,
+                            cfg.seed, 0xBA7C)
+    return run_training_loop(params, loss_fn, sampler, cfg.iterations(task.shots),
+                             cfg.lr, cfg.weight_decay)
 
 
 def finetune_lora(adapted: AdaptedModel, task: FewShotTask,
                   cfg: TrainConfig) -> TrainingHistory:
     """Fine-tune only the adapter tensors on the support set."""
-    iterations = cfg.iterations(task.shots)
     train_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD209]))
-    return run_training_loop(adapted.base, adapted.trainable_parameters(), task,
-                             cfg, iterations, train_rng)
+    return train_on_support(adapted.base, adapted.trainable_parameters(), task,
+                            cfg, train_rng)
 
 
 # ---------------------------------------------------------------------------
@@ -263,58 +281,40 @@ class PretrainConfig:
 
 
 def contrastive_pretrain(model: DualEncoderModel, images: np.ndarray,
-                         captions: list[str], cfg: PretrainConfig,
-                         log: Optional[Callable[[int, float, float], None]] = None
-                         ) -> TrainingHistory:
-    """Symmetric in-batch contrastive training of the full model.
+                         captions: list[str], cfg: PretrainConfig) -> TrainingHistory:
+    """Symmetric in-batch contrastive training of the full model, one
+    epoch-wise shuffle of the pairs per epoch.
 
     The temperature is trainable here (and only here), clamped from below.
     """
     if cfg.batch_size < 2:
         raise DomainError(f"contrastive batches need >= 2 pairs, got {cfg.batch_size}")
     n = images.shape[0]
+    if n < cfg.batch_size:
+        raise DomainError(f"pretraining needs at least batch size {cfg.batch_size} "
+                          f"images, got {n}")
     prompts = [tokenize_caption(c, model.vocab, model.cfg.max_text_len) for c in captions]
     tokens = np.stack([p.tokens for p in prompts])
     eos = np.asarray([p.eos_index for p in prompts])
+    targets = np.arange(cfg.batch_size)
+
+    def loss_fn(idx):
+        f = encode_images(model, images[idx])
+        t = encode_tokens(model, tokens[idx], eos[idx])
+        # divide by the temperature tensor so tau receives gradient
+        scaled = div(matmul(f, transpose(t, (1, 0))), model.temperature)
+        li = cross_entropy_loss(scaled, targets, tau=1.0)
+        lt = cross_entropy_loss(transpose(scaled, (1, 0)), targets, tau=1.0)
+        return (li + lt) * 0.5
+
+    def clamp_tau():
+        if model.tau < cfg.min_tau:
+            model.temperature.data = np.asarray(cfg.min_tau, dtype=model.cfg.np_dtype)
 
     model.set_trainable(True)
-    params = model.parameters()
-    opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    order_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC0DE]))
-    history = TrainingHistory()
-
-    from .model import encode_tokens
-
-    steps_per_epoch = n // cfg.batch_size
-    total = cfg.epochs * steps_per_epoch
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = order_rng.permutation(n)
-        for b in range(steps_per_epoch):
-            idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            lr = cosine_lr(step, total, cfg.lr)
-            with Tape() as tape:
-                f = encode_images(model, images[idx])
-                t = encode_tokens(model, tokens[idx], eos[idx])
-                sims = matmul(f, transpose(t, (1, 0)))
-                # divide by the temperature tensor so tau receives gradient
-                scaled = div(sims, model.temperature)
-                targets = np.arange(cfg.batch_size)
-                li = cross_entropy_loss(scaled, targets, tau=1.0)
-                lt = cross_entropy_loss(transpose(scaled, (1, 0)), targets, tau=1.0)
-                loss = (li + lt) * 0.5
-                loss_val = loss.item()
-                if not np.isfinite(loss_val):
-                    raise LorabenchError(f"non-finite pretraining loss at step {step}")
-                tape.backward(loss)
-            opt.step(lr=lr)
-            opt.zero_grad()
-            if model.tau < cfg.min_tau:
-                model.temperature.data = np.asarray(cfg.min_tau,
-                                                    dtype=model.cfg.np_dtype)
-            history.append(step, lr, loss_val)
-            if log is not None:
-                log(step, lr, loss_val)
-            step += 1
+    sampler = _BatchSampler(n, cfg.batch_size, cfg.seed, 0xC0DE)
+    history = run_training_loop(model.parameters(), loss_fn, sampler,
+                                cfg.epochs * (n // cfg.batch_size), cfg.lr,
+                                cfg.weight_decay, after_step=clamp_tau)
     model.set_trainable(False)
     return history

@@ -111,18 +111,6 @@ def init_lora(d_out: int, d_in: int, rank: int, scale: float = 1.0,
     return LoRAModule(A, B, rank, scale, dropout, target)
 
 
-def lora_forward(W: Tensor, module: LoRAModule, x: Tensor,
-                 training: bool = False, rng=None) -> Tensor:
-    """h = W x + scale * B (A drop(x)) for column-convention W (d_out x d_in)."""
-    from .tensor import dropout as drop_op, matmul, transpose
-
-    xd = drop_op(x, module.dropout, training, rng)
-    base = matmul(W, x) if x.data.ndim == 1 else matmul(x, transpose(W, (1, 0)))
-    delta = matmul(module.B, matmul(module.A, xd)) if x.data.ndim == 1 else \
-        matmul(matmul(xd, transpose(module.A, (1, 0))), transpose(module.B, (1, 0)))
-    return base + delta * module.scale
-
-
 class AdaptedModel:
     """A frozen base model plus the adapter modules selected by a placement."""
 
@@ -206,13 +194,6 @@ def unmerge(adapted: AdaptedModel) -> AdaptedModel:
     adapted._snapshots = None
     adapted.merged = False
     return adapted
-
-
-def detach(adapted: AdaptedModel) -> DualEncoderModel:
-    """Remove modules without merging, returning the unchanged base model."""
-    for (enc, layer, mat) in adapted.modules:
-        _encoder_of(adapted.base, enc).blocks[layer].lora.pop(mat, None)
-    return adapted.base
 
 
 def trainable_param_count(cfg: PlacementConfig, depth: int, width: int) -> int:

@@ -217,14 +217,6 @@ def attention_forward(block: AttentionBlock, x: Tensor, mask: Optional[np.ndarra
     return _lora_linear(ctx, block.wo, block.bo, block.lora.get("o"), training, rng)
 
 
-def multi_head_attention(x: Tensor, block: AttentionBlock) -> Tensor:
-    """Single-sequence attention on (seq, width); reference entry point."""
-    if x.data.ndim != 2 or x.shape[1] != block.wq.shape[0]:
-        raise ShapeError(f"expected (seq, {block.wq.shape[0]}), got {x.shape}")
-    out = attention_forward(block, reshape(x, (1,) + tuple(x.shape)), mask=None)
-    return reshape(out, tuple(x.shape))
-
-
 class _Encoder:
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -394,18 +386,6 @@ def encode_tokens(model: DualEncoderModel, tokens: np.ndarray,
     x = layer_norm(x, enc.ln_f_g, enc.ln_f_b)
     pooled = select_positions(x, np.asarray(eos_indices, dtype=np.int64))
     return l2_normalize(matmul(pooled, enc.proj))
-
-
-def encode_image(model: DualEncoderModel, image: np.ndarray) -> Tensor:
-    """Single-image eval-mode embedding of shape (embed_dim,)."""
-    out = encode_images(model, np.asarray(image)[None])
-    return reshape(out, (model.cfg.embed_dim,))
-
-
-def encode_text(model: DualEncoderModel, prompt: ClassPrompt) -> Tensor:
-    """Single-prompt eval-mode embedding of shape (embed_dim,)."""
-    out = encode_tokens(model, prompt.tokens[None], np.asarray([prompt.eos_index]))
-    return reshape(out, (model.cfg.embed_dim,))
 
 
 def encode_prompts(model: DualEncoderModel, prompts: list[ClassPrompt],

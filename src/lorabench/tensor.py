@@ -463,8 +463,3 @@ def l2_normalize(x: Tensor) -> Tensor:
     """Scale vectors along the last axis to unit Euclidean norm."""
     sq = tsum(mul(x, x), axis=-1, keepdims=True)
     return div(x, sqrt(sq))
-
-
-def assert_finite(t: Tensor, what: str = "tensor"):
-    if not np.isfinite(t.data).all():
-        raise DomainError(f"{what} contains NaN/Inf")

@@ -72,6 +72,18 @@ class TestSoftPrompt:
 # ---------------------------------------------------------------------------
 # adapter
 
+# float64 loss histories of adapter runs, recorded before the adapter shared
+# the few-shot training loop
+ADAPTER_RUN_LOSSES = {
+    1: [1.3969272054354778, 1.2834322313403264, 1.561054049481823,
+        1.371514763277851, 1.3258471899733106],
+    2: [1.412439263298991, 1.412376237899885, 1.412314804010242,
+        1.4122578819638048, 1.412207951782701, 1.412166809279999,
+        1.4121353922459667, 1.4121136902617915, 1.4121007463125679,
+        1.4120947499659289],
+}
+
+
 class TestAdapter:
     def test_alpha_zero_equivalence_exact(self, small_dataset):
         model = small_model_for(small_dataset)
@@ -126,6 +138,19 @@ class TestAdapter:
             assert np.array_equal(p.data, before[n]), n
         assert res.trainable_count == adapter.param_count()
         assert 0.0 <= res.accuracy <= 1.0
+
+    @pytest.mark.parametrize("shots", sorted(ADAPTER_RUN_LOSSES))
+    def test_loss_history_unchanged(self, small_dataset, shots):
+        # batch 8 over a support set of 4 classes x shots images: equal to
+        # the batch at 2 shots, smaller than it at 1
+        model = small_model_for(small_dataset, dtype="float64")
+        task = _task(small_dataset, shots=shots)
+        adapter = LinearAdapter(model.cfg.embed_dim, bottleneck=4, seed=0,
+                                dtype=np.float64)
+        res = adapter_finetune(model, task, adapter, alpha=0.5,
+                               train_cfg=TrainConfig(batch_size=8, iters_per_shot=5))
+        np.testing.assert_allclose(res.history.losses, ADAPTER_RUN_LOSSES[shots],
+                                   rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

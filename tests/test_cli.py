@@ -2,11 +2,14 @@
 
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lorabench.cli import main
+from lorabench.cli import build_parser, main
 from lorabench.report import read_report_csv
 
 
@@ -63,6 +66,18 @@ class TestPretrain:
         model = load_checkpoint(workdir / "ckpt")
         feats = encode_images(model, np.zeros((2, 16, 16))).data
         assert np.abs(np.linalg.norm(feats, axis=-1) - 1.0).max() < 1e-6
+
+    def test_dataset_smaller_than_batch(self, tmp_path, capsys):
+        # 8 classes x 2 images cannot fill one batch of 32
+        assert main(["gen", "--out", str(tmp_path / "ds"),
+                     "--images-per-class", "2"]) == 0
+        capsys.readouterr()
+        assert main(["pretrain", "--dataset", str(tmp_path / "ds"),
+                     "--out", str(tmp_path / "ckpt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "batch size 32" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "ckpt").exists()
 
 
 class TestZeroshot:
@@ -175,6 +190,21 @@ class TestAblate:
 
 
 class TestReportCmd:
+    def test_several_row_files(self, workdir, tmp_path, capsys):
+        zs, ft = tmp_path / "zs.csv", tmp_path / "ft.csv"
+        common = ["--checkpoint", str(workdir / "ckpt"), "--dataset", str(workdir / "ds"),
+                  "--shots", "1"]
+        assert main(["zeroshot", *common, "--out", str(zs)]) == 0
+        assert main(["finetune", *common, "--method", "lora", "--seeds", "0",
+                     "--iters-per-shot", "1", "--out", str(ft)]) == 0
+        out_json = tmp_path / "summary.json"
+        assert main(["report", "--rows", str(zs), str(ft),
+                     "--out-json", str(out_json)]) == 0
+        summary = json.loads(out_json.read_text())
+        assert summary["methods"] == ["lora", "zero-shot"]
+        assert summary["shots"] == [1]
+
+
     def test_summary_and_json(self, workdir, tmp_path, capsys):
         ft = tmp_path / "ft.csv"
         main(["finetune", "--checkpoint", str(workdir / "ckpt"),
@@ -229,13 +259,33 @@ class TestUsageErrors:
         ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
          "--seeds", "0", "--out", "{tmp}/x.csv"],
         ["gen", "--out", "{tmp}/d", "--noise", "-1"],
+        ["gen", "--out", "{tmp}/d", "--classes", "0"],
+        ["gen", "--out", "{tmp}/d", "--images-per-class", "0"],
+        ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--config", "{tmp}/typo.json", "--out", "{tmp}/x.csv"],
+        ["pretrain", "--dataset", "{work}/ds", "--out", "{tmp}/d", "--epochs", "0"],
     ], ids=["malformed-config-json", "finetune-empty-seeds", "ablate-zero-shots",
-            "ablate-zero-seeds", "gen-negative-noise"])
+            "ablate-zero-seeds", "gen-negative-noise", "gen-zero-classes",
+            "gen-zero-images-per-class", "unknown-config-key", "pretrain-zero-epochs"])
     def test_exit_1_with_one_line(self, argv, workdir, tmp_path, capsys):
         (tmp_path / "bad.json").write_text('{"classes": 4,')
+        (tmp_path / "typo.json").write_text('{"iters_per_shots": 1}')
         argv = [a.format(tmp=tmp_path, work=workdir) for a in argv]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1 and captured.err.strip()
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "x.csv").exists() and not (tmp_path / "d").exists()
+
+
+class TestReadme:
+    def test_walkthrough_commands_parse(self):
+        # every command of the README's CLI walkthrough is accepted by the parser
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## CLI walkthrough.*?```sh\n(.*?)```", readme, re.S).group(1)
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("lorabench ")]
+        assert len(commands) >= 9
+        parser = build_parser()
+        for cmd in commands:
+            parser.parse_args(shlex.split(cmd)[1:])

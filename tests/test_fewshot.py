@@ -1,6 +1,7 @@
 """Zero-shot prediction, task sampling, the fine-tuning loop and the
 desk-scale contrastive pretrainer."""
 
+import hashlib
 import sys
 import threading
 
@@ -328,6 +329,15 @@ class TestFrozenTowers:
 # ---------------------------------------------------------------------------
 # contrastive pretraining
 
+# a float64 pretraining run recorded before pretraining shared the few-shot
+# training loop: its losses, final temperature and parameter bytes
+PRETRAIN_LOSSES = [2.4173186360293104, 2.7459241015319664, 2.4017513284491656,
+                   2.3002440456739706, 2.3008517194251747, 2.298852536508818]
+PRETRAIN_TAU = 0.07311629631904674
+PRETRAIN_PARAMS_SHA256 = \
+    "36c6e6509cabacbdcfc73254af5c181bf9cd73195b2e7fea607ca4ba6990f4db"
+
+
 class TestPretrain:
     def test_init_loss_near_ln_batch(self, small_dataset):
         # at tau=1 a random model gives near-uniform in-batch similarities,
@@ -344,6 +354,28 @@ class TestPretrain:
             contrastive_pretrain(model, small_dataset.images,
                                  small_dataset.captions,
                                  PretrainConfig(epochs=1, batch_size=1))
+
+    def test_dataset_smaller_than_batch(self, small_dataset):
+        # 32 pairs cannot fill one batch of 33: fail before any step
+        model = small_model_for(small_dataset)
+        before = {n: p.data.copy() for n, p in model.named_parameters()}
+        with pytest.raises(DomainError, match="33"):
+            contrastive_pretrain(model, small_dataset.images,
+                                 small_dataset.captions,
+                                 PretrainConfig(epochs=1, batch_size=33))
+        for n, p in model.named_parameters():
+            assert np.array_equal(p.data, before[n]) and not p.requires_grad, n
+
+    def test_loss_history_unchanged(self, small_dataset):
+        # batch 10 over 32 pairs: 3 steps per epoch, 2 pairs left out of each
+        model = small_model_for(small_dataset, dtype="float64", seed=1)
+        hist = contrastive_pretrain(model, small_dataset.images,
+                                    small_dataset.captions,
+                                    PretrainConfig(epochs=2, batch_size=10, seed=1))
+        np.testing.assert_allclose(hist.losses, PRETRAIN_LOSSES, rtol=1e-12, atol=0)
+        assert model.tau == PRETRAIN_TAU
+        params = b"".join(p.data.tobytes() for p in model.parameters())
+        assert hashlib.sha256(params).hexdigest() == PRETRAIN_PARAMS_SHA256
 
     def test_deterministic_checkpoints(self, small_dataset):
         def run():

@@ -8,11 +8,10 @@ from conftest import small_model_for, tiny_config
 from lorabench.errors import DomainError, FormatError, StateError
 from lorabench.fewshot import (FewShotTask, TrainConfig, finetune_lora,
                                sample_support_set, zero_shot_logits)
-from lorabench.lora import (LoRAModule, PlacementConfig, detach, init_lora,
-                            inject, load_lora_checkpoint, lora_forward, merge,
-                            save_lora_checkpoint, trainable_param_count,
-                            unmerge)
-from lorabench.model import DualEncoderModel, tokenize_prompt
+from lorabench.lora import (LoRAModule, PlacementConfig, init_lora, inject,
+                            load_lora_checkpoint, merge, save_lora_checkpoint,
+                            trainable_param_count, unmerge)
+from lorabench.model import DualEncoderModel, _lora_linear, tokenize_prompt
 from lorabench.tensor import Tensor
 
 
@@ -63,41 +62,51 @@ class TestInit:
         assert m.param_count() == 2 * 6 + 8 * 2
 
 
+def _linear(rng, d=4):
+    """A row-convention (input-major) weight and bias, as blocks store them."""
+    return Tensor(rng.standard_normal((d, d))), Tensor(rng.standard_normal(d))
+
+
 class TestLoraForward:
+    """The adapted projection of every attention block, `model._lora_linear`:
+    x @ W + b + scale * drop(x) @ A^T @ B^T on rows x."""
+
     def test_b_zero_is_plain_linear(self):
         rng = np.random.default_rng(0)
-        W = Tensor(rng.standard_normal((4, 4)))
-        x = Tensor(rng.standard_normal(4))
+        W, b = _linear(rng)
+        x = rng.standard_normal((3, 4))
         m = init_lora(4, 4, 2, seed=1, dtype=np.float64)
-        out = lora_forward(W, m, x)
-        assert np.array_equal(out.data, W.data @ x.data)
+        out = _lora_linear(Tensor(x), W, b, m, training=False, rng=None)
+        assert np.array_equal(out.data, x @ W.data + b.data)
 
     def test_zero_scale_is_plain_linear(self):
         rng = np.random.default_rng(1)
-        W = Tensor(rng.standard_normal((4, 4)))
-        x = Tensor(rng.standard_normal(4))
+        W, b = _linear(rng)
+        x = rng.standard_normal((3, 4))
         m = init_lora(4, 4, 2, scale=0.0, seed=1, dtype=np.float64)
         m.B.data = rng.standard_normal((4, 2))
-        assert np.abs(lora_forward(W, m, x).data - W.data @ x.data).max() == 0.0
+        out = _lora_linear(Tensor(x), W, b, m, training=False, rng=None)
+        assert np.abs(out.data - (x @ W.data + b.data)).max() == 0.0
 
     def test_dense_materialization_oracle(self):
         rng = np.random.default_rng(2)
-        W = Tensor(rng.standard_normal((4, 4)))
-        x = Tensor(rng.standard_normal(4))
+        W, b = _linear(rng)
+        x = rng.standard_normal((3, 4))
         m = init_lora(4, 4, 2, scale=0.7, seed=3, dtype=np.float64)
         m.B.data = rng.standard_normal((4, 2))
-        want = (W.data + 0.7 * m.B.data @ m.A.data) @ x.data
-        assert np.abs(lora_forward(W, m, x).data - want).max() < 1e-12
+        want = x @ (W.data + 0.7 * (m.B.data @ m.A.data).T) + b.data
+        out = _lora_linear(Tensor(x), W, b, m, training=False, rng=None)
+        assert np.abs(out.data - want).max() < 1e-12
 
     def test_batch_matches_vector_path(self):
         rng = np.random.default_rng(3)
-        W = Tensor(rng.standard_normal((4, 4)))
+        W, b = _linear(rng)
         xb = rng.standard_normal((5, 4))
         m = init_lora(4, 4, 2, seed=4, dtype=np.float64)
         m.B.data = rng.standard_normal((4, 2))
-        batch = lora_forward(W, m, Tensor(xb)).data
+        batch = _lora_linear(Tensor(xb), W, b, m, training=False, rng=None).data
         for i in range(5):
-            single = lora_forward(W, m, Tensor(xb[i])).data
+            single = _lora_linear(Tensor(xb[i]), W, b, m, training=False, rng=None).data
             assert np.abs(batch[i] - single).max() < 1e-12
 
 
@@ -189,15 +198,6 @@ class TestInject:
         model = small_model_for(small_dataset)  # width 16
         with pytest.raises(DomainError):
             inject(model, PlacementConfig(rank=32), seed=0)
-
-    def test_detach_restores_plain_model(self, small_dataset):
-        model = small_model_for(small_dataset)
-        before = _logits(model, small_dataset)
-        adapted = inject(model, PlacementConfig(), seed=0)
-        _randomize_modules(adapted)
-        base = detach(adapted)
-        assert base is model and not model.has_lora()
-        assert np.array_equal(_logits(model, small_dataset), before)
 
 
 class TestMerge:

@@ -9,10 +9,9 @@ from lorabench.errors import FormatError, InputError, ShapeError
 from lorabench.fewshot import cross_entropy_loss
 from lorabench.model import (BOS_ID, EOS_ID, IMAGE_BLOCK, PAD_ID,
                              DualEncoderModel, ModelConfig, Vocabulary,
-                             encode_image, encode_images, encode_prompts,
-                             encode_text, encode_tokens, load_checkpoint,
-                             multi_head_attention, patchify, save_checkpoint,
-                             tokenize_caption, tokenize_prompt)
+                             attention_forward, encode_images, encode_prompts,
+                             encode_tokens, load_checkpoint, patchify,
+                             save_checkpoint, tokenize_caption, tokenize_prompt)
 from lorabench.tensor import Tensor, matmul, transpose
 
 
@@ -121,34 +120,31 @@ class TestTokenize:
 # ---------------------------------------------------------------------------
 # attention
 
+def _attend(blk, x):
+    """`attention_forward` on the single sequence x, as a (1, seq, d) batch."""
+    return attention_forward(blk, Tensor(x[None]), mask=None).data[0]
+
+
 class TestAttention:
     def test_naive_oracle(self, tiny_model):
         blk = tiny_model.visual.blocks[0]
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 8))
-        got = multi_head_attention(Tensor(x), blk).data
-        assert np.abs(got - naive_attention(x, blk)).max() < 1e-12
+        assert np.abs(_attend(blk, x) - naive_attention(x, blk)).max() < 1e-12
 
     def test_seq1_weights_are_one(self, tiny_model):
         # single-key softmax is 1, so the output is (x Wv + bv) Wo + bo
         blk = tiny_model.visual.blocks[0]
         x = np.random.default_rng(1).standard_normal((1, 8))
-        got = multi_head_attention(Tensor(x), blk).data
         want = (x @ blk.wv.data + blk.bv.data) @ blk.wo.data + blk.bo.data
-        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(_attend(blk, x) - want).max() < 1e-12
 
     def test_zero_wv_gives_output_bias(self, tiny_model):
         blk = tiny_model.visual.blocks[0]
         blk.wv.data = np.zeros_like(blk.wv.data)
         blk.bo.data = np.arange(8.0)
         x = np.random.default_rng(2).standard_normal((4, 8))
-        got = multi_head_attention(Tensor(x), blk).data
-        assert np.abs(got - np.arange(8.0)).max() < 1e-12
-
-    def test_shape_error(self, tiny_model):
-        blk = tiny_model.visual.blocks[0]
-        with pytest.raises(ShapeError):
-            multi_head_attention(Tensor(np.ones((3, 5))), blk)
+        assert np.abs(_attend(blk, x) - np.arange(8.0)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +162,16 @@ class TestEncodeImage:
         assert np.array_equal(feats[0], feats[1])
 
     def test_eval_forward_deterministic(self, tiny_model):
-        img = np.random.default_rng(5).standard_normal((8, 8))
-        a = encode_image(tiny_model, img).data
-        b = encode_image(tiny_model, img).data
+        imgs = np.random.default_rng(5).standard_normal((2, 8, 8))
+        a = encode_images(tiny_model, imgs).data
+        b = encode_images(tiny_model, imgs).data
         assert np.array_equal(a, b)
 
     def test_scripted_forward_oracle(self, tiny_model):
-        img = np.random.default_rng(6).standard_normal((8, 8))
-        got = encode_image(tiny_model, img).data
-        assert np.abs(got - naive_encode_image(tiny_model, img)).max() < 1e-10
+        imgs = np.random.default_rng(6).standard_normal((3, 8, 8))
+        got = encode_images(tiny_model, imgs).data
+        for row, img in zip(got, imgs):
+            assert np.abs(row - naive_encode_image(tiny_model, img)).max() < 1e-10
 
     def test_wrong_image_size(self, tiny_model):
         with pytest.raises(ShapeError):
@@ -208,20 +205,21 @@ class TestEncodeImage:
 
 class TestEncodeText:
     def test_unit_norm_and_determinism(self, tiny_model):
-        p = tokenize_prompt("cat", tiny_model.vocab, 8)
-        a = encode_text(tiny_model, p).data
-        b = encode_text(tiny_model, p).data
-        assert abs(np.linalg.norm(a) - 1.0) < 1e-6
+        prompts = [tokenize_prompt(n, tiny_model.vocab, 8) for n in ("cat", "dog")]
+        a = encode_prompts(tiny_model, prompts).data
+        b = encode_prompts(tiny_model, prompts).data
+        assert np.abs(np.linalg.norm(a, axis=-1) - 1.0).max() < 1e-6
         assert np.array_equal(a, b)
 
     def test_padding_masked_matches_trimmed_oracle(self, tiny_model):
-        # "dog" leaves one PAD slot at max_len 8; the masked padded forward
-        # must match an oracle that never sees the padding at all
-        p = tokenize_prompt("dog", tiny_model.vocab, 8)
-        assert (p.tokens == PAD_ID).sum() == 1
-        got = encode_text(tiny_model, p).data
-        want = naive_encode_trimmed_text(tiny_model, p.tokens, p.eos_index)
-        assert np.abs(got - want).max() < 1e-10
+        # "dog" and "cat" leave one PAD slot at max_len 8; the masked padded
+        # forward must match an oracle that never sees the padding at all
+        prompts = [tokenize_prompt(n, tiny_model.vocab, 8) for n in ("dog", "cat")]
+        got = encode_prompts(tiny_model, prompts).data
+        for row, p in zip(got, prompts):
+            assert (p.tokens == PAD_ID).sum() == 1
+            want = naive_encode_trimmed_text(tiny_model, p.tokens, p.eos_index)
+            assert np.abs(row - want).max() < 1e-10
 
     def test_more_padding_same_embedding(self):
         # same prompt under a longer max_len: extra PAD positions beyond the
@@ -243,11 +241,12 @@ class TestEncodeText:
             encode_tokens(tiny_model, bad, np.asarray([1]))
 
     def test_batch_row_independence(self, tiny_model):
-        pa = tokenize_prompt("dog", tiny_model.vocab, 8)
-        pb = tokenize_prompt("cat", tiny_model.vocab, 8)
-        both = encode_prompts(tiny_model, [pa, pb]).data
-        alone = encode_text(tiny_model, pa).data
-        assert np.abs(both[0] - alone).max() < 1e-10
+        # a prompt's row does not depend on the other prompts of its batch
+        pa, pb, pc = (tokenize_prompt(n, tiny_model.vocab, 8)
+                      for n in ("dog", "cat", "bird"))
+        with_b = encode_prompts(tiny_model, [pa, pb]).data
+        with_c = encode_prompts(tiny_model, [pc, pa]).data
+        assert np.abs(with_b[0] - with_c[1]).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
