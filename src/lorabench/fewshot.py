@@ -282,8 +282,9 @@ class PretrainConfig:
 
 def contrastive_pretrain(model: DualEncoderModel, images: np.ndarray,
                          captions: list[str], cfg: PretrainConfig) -> TrainingHistory:
-    """Symmetric in-batch contrastive training of the full model, one
-    epoch-wise shuffle of the pairs per epoch.
+    """Symmetric in-batch contrastive training of the full model.  Each
+    epoch visits the pairs in a fresh shuffle and leaves out the
+    n mod batch_size pairs that cannot fill a batch.
 
     The temperature is trainable here (and only here), clamped from below.
     """
