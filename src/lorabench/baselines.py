@@ -8,16 +8,16 @@ counts and accuracy trends are directly comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError
 from .fewshot import (FewShotTask, TrainConfig, TrainingHistory, _BatchSampler,
                       accuracy, class_prompts, cross_entropy_loss, evaluate,
                       run_training_loop, train_on_support)
 from .model import (DualEncoderModel, PROMPT_TEMPLATE, encode_images,
-                    encode_prompts, encode_tokens, tokenize_prompt)
+                    encode_prompts, encode_tokens)
 from .tensor import (Tensor, add, concat, gelu, l2_normalize, matmul, reshape,
                      take_rows, transpose)
 
@@ -27,33 +27,17 @@ class BaselineResult:
     accuracy: float
     trainable_count: int
     history: TrainingHistory
-    artifacts: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
 # continuous-context prompt tuning
 
 
-@dataclass
-class SoftPromptConfig:
-    context_length: int = 4
-
-
-def _context_token_layout(model: DualEncoderModel, task: FewShotTask, m: int):
-    """Token grids for [BOS, <m placeholders>, class words, EOS, PAD...]."""
-    placeholder = ["a"] * m  # ids are irrelevant; embeddings get overridden
-    prompts = [tokenize_prompt(name, model.vocab, model.cfg.max_text_len,
-                               template=tuple(placeholder))
-               for name in task.class_names]
-    tokens = np.stack([p.tokens for p in prompts])
-    eos = np.asarray([p.eos_index for p in prompts])
-    return tokens, eos
-
-
 def _soft_prompt_features(model: DualEncoderModel, context: Tensor,
                           tokens: np.ndarray, eos: np.ndarray):
-    """Text features with rows 1..m of the embedded sequence replaced by the
-    shared trainable context."""
+    """Text features of the class prompts `tokens` with the embeddings of
+    their template words, rows 1..m, replaced by the shared trainable
+    context."""
     k, t = tokens.shape
     m, d = context.shape
     table = model.textual.token_embed
@@ -66,47 +50,29 @@ def _soft_prompt_features(model: DualEncoderModel, context: Tensor,
 
 
 def soft_prompt_finetune(model: DualEncoderModel, task: FewShotTask,
-                         cfg: SoftPromptConfig = SoftPromptConfig(),
                          train_cfg: TrainConfig = TrainConfig()) -> BaselineResult:
-    """Optimize shared context vectors in front of the class tokens (Eq.4-style).
+    """Optimize the embeddings of the template words "a photo of a", shared
+    by every class prompt (Eq.4-style).
 
-    The context is initialized from the embeddings of the standard template,
-    so step-0 predictions match template zero-shot predictions exactly.
+    The context starts as the embeddings of those words, so step-0
+    predictions match template zero-shot predictions exactly.
     """
-    m = cfg.context_length
-    cfg_model = model.cfg
-    longest = max(len(n.split()) for n in task.class_names)
-    if 2 + m + longest > cfg_model.max_text_len:
-        raise InputError(f"context length {m} overflows max text length "
-                         f"{cfg_model.max_text_len}")
     model.set_trainable(False)
-    if m == len(PROMPT_TEMPLATE):
-        init = model.textual.token_embed.data[
-            np.asarray(model.vocab.encode_words(PROMPT_TEMPLATE))].copy()
-    else:
-        init = (np.random.default_rng(train_cfg.seed).standard_normal(
-            (m, cfg_model.width)) * 0.02).astype(cfg_model.np_dtype)
-    context = Tensor(init.astype(cfg_model.np_dtype), requires_grad=True)
-
-    tokens, eos = _context_token_layout(model, task, m)
+    prompts = class_prompts(model, task.class_names)
+    tokens = np.stack([p.tokens for p in prompts])
+    eos = np.asarray([p.eos_index for p in prompts])
+    m = len(PROMPT_TEMPLATE)
+    context = Tensor(model.textual.token_embed.data[tokens[0, 1:1 + m]].copy(),
+                     requires_grad=True)
     encode_text_fn = lambda training, rng: _soft_prompt_features(
         model, context, tokens, eos)
 
     train_rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 0x50F7]))
     history = train_on_support(model, [context], task, train_cfg, train_rng,
                                encode_text_fn=encode_text_fn)
-    acc = soft_prompt_evaluate(model, task, context, tokens, eos)
+    acc, _ = evaluate(model, task, _soft_prompt_features(model, context, tokens, eos))
     return BaselineResult(accuracy=acc, trainable_count=context.size,
-                          history=history, artifacts={"context": context,
-                                                      "tokens": tokens, "eos": eos})
-
-
-def soft_prompt_evaluate(model: DualEncoderModel, task: FewShotTask,
-                         context: Tensor, tokens: np.ndarray,
-                         eos: np.ndarray) -> float:
-    feats = encode_images(model, task.query_images)
-    texts = _soft_prompt_features(model, context, tokens, eos)
-    return accuracy(matmul(feats, transpose(texts, (1, 0))), task.query_labels)
+                          history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +139,7 @@ def adapter_finetune(model: DualEncoderModel, task: FewShotTask,
                                 train_cfg.weight_decay)
     acc = accuracy(adapter_logits(adapter, alpha, qry_feats, texts), task.query_labels)
     return BaselineResult(accuracy=acc, trainable_count=adapter.param_count(),
-                          history=history, artifacts={"adapter": adapter})
+                          history=history)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .baselines import (LinearAdapter, SoftPromptConfig, adapter_finetune,
-                        bias_only_finetune, soft_prompt_finetune)
+from .baselines import (LinearAdapter, adapter_finetune, bias_only_finetune,
+                        soft_prompt_finetune)
 from .data import Dataset
 from .errors import DomainError, LorabenchError
 from .fewshot import (FewShotTask, PretrainConfig, TrainConfig, accuracy,
@@ -28,6 +28,9 @@ SHOT_GRID = (1, 2, 4, 8, 16)
 
 DEFAULT_GROUPS = ("q", "k", "v", "o", "qk", "qkv", "qkvo")
 DEFAULT_RANKS = (1, 2, 4, 8, 16)
+
+# largest |merged - unmerged| query logit a lora row may report
+MERGE_TOLERANCE = 1e-5
 
 ModelFactory = Callable[[], DualEncoderModel]
 
@@ -76,8 +79,7 @@ def run_single(model_factory: ModelFactory, task: FewShotTask, method: str,
                placement: Optional[PlacementConfig] = None,
                train_cfg: Optional[TrainConfig] = None,
                record_seconds: bool = True,
-               merged_checkpoint: Optional[str] = None,
-               merge_tolerance: float = 1e-5) -> RunReport:
+               merged_checkpoint: Optional[str] = None) -> RunReport:
     """One (method, shots, seed) row on a freshly loaded model.
 
     `zs_acc` is the base model's zero-shot accuracy on `task`, from the
@@ -104,12 +106,12 @@ def run_single(model_factory: ModelFactory, task: FewShotTask, method: str,
         finetune_lora(adapted, task, cfg)
         acc, logits = evaluate(adapted.base, task)
         trainable = adapted.trainable_count()
-        _assert_merge_equivalence(adapted, task, logits, merge_tolerance)
+        _assert_merge_equivalence(adapted, task, logits)
         if merged_checkpoint is not None:
             save_checkpoint(adapted.base, merged_checkpoint)
         unmerge(adapted)
     elif method == "soft-prompt":
-        res = soft_prompt_finetune(model, task, SoftPromptConfig(), cfg)
+        res = soft_prompt_finetune(model, task, cfg)
         acc, trainable = res.accuracy, res.trainable_count
         config_digest = "ctx4"
     elif method == "adapter":
@@ -129,8 +131,8 @@ def run_single(model_factory: ModelFactory, task: FewShotTask, method: str,
                      iters=iters, seconds=seconds if record_seconds else None)
 
 
-def _assert_merge_equivalence(adapted, task: FewShotTask, logits: np.ndarray,
-                              tol: float) -> None:
+def _assert_merge_equivalence(adapted, task: FewShotTask,
+                              logits: np.ndarray) -> None:
     """Merged logits must agree with `logits`, the adapted model's query
     logits before the merge, before a lora row is reported."""
     model = adapted.base
@@ -139,7 +141,7 @@ def _assert_merge_equivalence(adapted, task: FewShotTask, logits: np.ndarray,
     merged = zero_shot_logits(model, task.query_images[:n],
                               class_prompts(model, task.class_names)).data
     diff = float(np.abs(logits[:n] - merged).max())
-    if diff >= tol:
+    if diff >= MERGE_TOLERANCE:
         unmerge(adapted)
         raise LorabenchError(f"merge equivalence violated: max logit diff {diff:.3e}")
     # leave the model merged; callers unmerge when they need the modules back

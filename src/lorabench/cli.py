@@ -13,16 +13,15 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import (AblationGridSpec, DEFAULT_GROUPS, DEFAULT_RANKS, SHOT_GRID,
-                    METHODS, default_ablation_cells, pretrain_model,
-                    run_ablation, run_method_over_seeds)
+from .bench import (AblationGridSpec, DEFAULT_GROUPS, SHOT_GRID, METHODS,
+                    default_ablation_cells, pretrain_model, run_ablation,
+                    run_method_over_seeds)
 from .data import SyntheticDatasetSpec, generate_dataset, load_dataset, save_dataset
 from .errors import LorabenchError
 from .fewshot import PretrainConfig, TrainConfig
 from .lora import PlacementConfig
 from .model import load_checkpoint, save_checkpoint
-from .report import (format_summary, mean_report, read_report_csv, summarize,
-                     write_report_csv)
+from .report import format_summary, read_report_csv, summarize, write_report_csv
 
 
 class UsageError(Exception):
@@ -71,6 +70,13 @@ def _apply_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespac
         if getattr(args, key, None) is None:
             setattr(args, key, file_cfg.get(key, default))
     return args
+
+
+def _require_positive(args: argparse.Namespace, *keys) -> None:
+    for key in keys:
+        if getattr(args, key) < 1:
+            raise UsageError(f"--{key.replace('_', '-')} must be >= 1, "
+                             f"got {getattr(args, key)}")
 
 
 def build_parser() -> _Parser:
@@ -149,9 +155,7 @@ def build_parser() -> _Parser:
 def cmd_gen(args) -> int:
     _apply_config(args, _defaults(SyntheticDatasetSpec, "classes",
                                   "images_per_class", "noise", "shift", "seed"))
-    for key in ("classes", "images_per_class"):
-        if getattr(args, key) < 1:
-            raise UsageError(f"{key} must be >= 1, got {getattr(args, key)}")
+    _require_positive(args, "classes", "images_per_class")
     if args.noise < 0:
         raise UsageError(f"noise must be >= 0, got {args.noise}")
     spec = SyntheticDatasetSpec(n_classes=args.classes,
@@ -167,8 +171,7 @@ def cmd_gen(args) -> int:
 
 def cmd_pretrain(args) -> int:
     _apply_config(args, _defaults(PretrainConfig, "epochs", "batch_size", "lr", "seed"))
-    if args.epochs < 1:
-        raise UsageError(f"epochs must be >= 1, got {args.epochs}")
+    _require_positive(args, "epochs")
     ds = load_dataset(args.dataset)
     cfg = PretrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                          lr=args.lr, seed=args.seed)
@@ -183,6 +186,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_zeroshot(args) -> int:
     _apply_config(args, {"shots": 4, **_defaults(TrainConfig, "seed")})
+    _require_positive(args, "shots")
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
     row = run_method_over_seeds(factory, ds, "zero-shot", args.shots, [args.seed])[0]
@@ -202,6 +206,7 @@ def cmd_finetune(args) -> int:
         raise UsageError(f"shots must be one of {SHOT_GRID}, got {args.shots}")
     if not args.seeds:
         raise UsageError("--seeds needs at least one seed")
+    _require_positive(args, "iters_per_shot", "batch_size")
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
     placement = PlacementConfig(rank=args.rank, dropout=args.dropout)
@@ -224,8 +229,7 @@ def cmd_ablate(args) -> int:
                          "spans": ["all"], "encoders": ["both"], "shots": 4,
                          "n_seeds": 3, "master_seed": 0, "workers": 1,
                          **_defaults(TrainConfig, "iters_per_shot")})
-    if args.shots < 1:
-        raise UsageError(f"shots must be >= 1, got {args.shots}")
+    _require_positive(args, "shots", "iters_per_shot", "workers")
     if args.n_seeds < 1:
         raise UsageError(f"--seeds (seeds per cell) must be >= 1, got {args.n_seeds}")
     ds = load_dataset(args.dataset)

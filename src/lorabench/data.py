@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FormatError, InputError
+from .errors import DomainError, FormatError
 
 DEFAULT_CLASS_NAMES = ("dax", "wug", "blick", "zorp", "fep", "toma", "gazzer",
                        "lorp", "mipen", "kiki", "bouba", "tive", "sprock",
@@ -180,19 +180,22 @@ def load_dataset(directory) -> Dataset:
         raise FormatError(f"cannot read dataset manifest: {e}") from None
     if manifest.get("kind") != "synthetic_dataset":
         raise FormatError(f"not a dataset directory: {directory}")
-    spec_dict = dict(manifest["spec"])
-    spec_dict["class_names"] = tuple(spec_dict["class_names"])
-    spec = SyntheticDatasetSpec(**spec_dict)
-    n, size = manifest["n_images"], manifest["image_size"]
+    try:
+        spec = SyntheticDatasetSpec(**dict(
+            manifest["spec"], class_names=tuple(manifest["spec"]["class_names"])))
+        n, size = manifest["n_images"], manifest["image_size"]
+        class_names = list(manifest["class_names"])
+        vocab_words = list(manifest["vocab_words"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"malformed dataset manifest ({type(e).__name__}: {e})") from None
     raw = (directory / "images.bin").read_bytes()
     expect = n * size * size * 4
     if len(raw) != expect:
         raise FormatError(f"images.bin has {len(raw)} bytes, expected {expect}")
     images = np.frombuffer(raw, dtype="<f4").reshape(n, size, size).astype(np.float32)
-    labels = _read_labels(directory / "labels.csv", n, len(manifest["class_names"]))
+    labels = _read_labels(directory / "labels.csv", n, len(class_names))
     captions = (directory / "captions.txt").read_text().splitlines()
     if len(captions) != n:
         raise FormatError(f"{len(captions)} captions for {n} images")
     return Dataset(spec=spec, images=images, labels=labels, captions=captions,
-                   class_names=list(manifest["class_names"]),
-                   vocab_words=list(manifest["vocab_words"]))
+                   class_names=class_names, vocab_words=vocab_words)

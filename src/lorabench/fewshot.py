@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,11 +19,10 @@ import numpy as np
 from .errors import DomainError, LorabenchError, ShapeError
 from .lora import AdaptedModel
 from .model import (ClassPrompt, DualEncoderModel, encode_images,
-                    encode_prompts, encode_tokens, tokenize_caption,
-                    tokenize_prompt)
+                    encode_prompts, encode_tokens, tokenize_prompt)
 from .optim import AdamW, cosine_lr
 from .tensor import (Tape, Tensor, div, gather_per_row, log_softmax, matmul,
-                     mean, row_softmax, transpose)
+                     mean, transpose)
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +51,8 @@ def sample_support_set(images: np.ndarray, labels: np.ndarray,
                        class_names: Sequence[str], shots: int, seed: int,
                        min_query: int = 1) -> FewShotTask:
     """Draw `shots` support images per class without replacement; the rest is query."""
+    if shots < 1:
+        raise DomainError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A3F]))
     sup_idx, qry_idx = [], []
     for k, name in enumerate(class_names):
@@ -85,13 +85,6 @@ def zero_shot_logits(model: DualEncoderModel, images: np.ndarray,
     return matmul(feats, transpose(texts, (1, 0)))
 
 
-def posterior(logits: Tensor, tau: float) -> Tensor:
-    """Softmax posteriors over classes at temperature tau."""
-    if tau <= 0:
-        raise DomainError(f"temperature must be > 0, got {tau}")
-    return row_softmax(logits, temperature=tau)
-
-
 def predict(scores: Tensor) -> np.ndarray:
     """Per-row argmax; ties resolve to the lowest class index."""
     data = np.asarray(scores.data if isinstance(scores, Tensor) else scores)
@@ -122,15 +115,18 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray, tau: float) -> Tensor
 
 
 def evaluate(model: DualEncoderModel, task: FewShotTask,
-             prompts: Optional[list[ClassPrompt]] = None
-             ) -> tuple[float, np.ndarray]:
+             text_feats: Optional[Tensor] = None) -> tuple[float, np.ndarray]:
     """Top-1 accuracy on the query set, and the (n_query, K) logits it was
-    read from."""
+    read from.  `text_feats` are the class features the queries are scored
+    against; by default the encoded class prompts."""
     if task.query_images.shape[0] == 0:
         raise DomainError("empty query set")
-    if prompts is None:
-        prompts = class_prompts(model, task.class_names)
-    logits = zero_shot_logits(model, task.query_images, prompts).data
+    if task.num_classes < 2:
+        raise DomainError(f"need at least 2 classes, got {task.num_classes}")
+    if text_feats is None:
+        text_feats = encode_prompts(model, class_prompts(model, task.class_names))
+    feats = encode_images(model, task.query_images)
+    logits = matmul(feats, transpose(text_feats, (1, 0))).data
     return accuracy(logits, task.query_labels), logits
 
 
@@ -294,7 +290,8 @@ def contrastive_pretrain(model: DualEncoderModel, images: np.ndarray,
     if n < cfg.batch_size:
         raise DomainError(f"pretraining needs at least batch size {cfg.batch_size} "
                           f"images, got {n}")
-    prompts = [tokenize_caption(c, model.vocab, model.cfg.max_text_len) for c in captions]
+    prompts = [tokenize_prompt(c, model.vocab, model.cfg.max_text_len, template=())
+               for c in captions]
     tokens = np.stack([p.tokens for p in prompts])
     eos = np.asarray([p.eos_index for p in prompts])
     targets = np.arange(cfg.batch_size)

@@ -7,16 +7,13 @@ to the column-vector convention, so merging folds in (B @ A) transposed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, FormatError, StateError
-from .model import (DualEncoderModel, ModelConfig, read_tensor_blob,
-                    write_tensor_blob)
+from .errors import DomainError, StateError
+from .model import DualEncoderModel
 from .tensor import Tensor
 
 MATRICES = ("q", "k", "v", "o")
@@ -79,14 +76,11 @@ class PlacementConfig:
 class LoRAModule:
     """One factored update: A is (rank, d_in) Kaiming-uniform, B is (d_out, rank) zeros."""
 
-    def __init__(self, A: Tensor, B: Tensor, rank: int, scale: float,
-                 dropout: float, target: tuple[str, int, str]):
+    def __init__(self, A: Tensor, B: Tensor, scale: float, dropout: float):
         self.A = A
         self.B = B
-        self.rank = rank
         self.scale = scale
         self.dropout = dropout
-        self.target = target
 
     def delta(self) -> np.ndarray:
         """Materialized dense update (d_out x d_in), i.e. B @ A."""
@@ -97,9 +91,7 @@ class LoRAModule:
 
 
 def init_lora(d_out: int, d_in: int, rank: int, scale: float = 1.0,
-              dropout: float = 0.0, seed: int = 0,
-              target: tuple[str, int, str] = ("", 0, ""),
-              dtype=np.float32) -> LoRAModule:
+              dropout: float = 0.0, seed: int = 0, dtype=np.float32) -> LoRAModule:
     """Seeded module init: A ~ U(-sqrt(6/d_in), +sqrt(6/d_in)), B = 0."""
     if rank < 1 or rank > min(d_out, d_in):
         raise DomainError(f"rank {rank} outside [1, min({d_out}, {d_in})]")
@@ -108,7 +100,7 @@ def init_lora(d_out: int, d_in: int, rank: int, scale: float = 1.0,
     A = Tensor(rng.uniform(-bound, bound, size=(rank, d_in)).astype(dtype),
                requires_grad=True)
     B = Tensor(np.zeros((d_out, rank), dtype=dtype), requires_grad=True)
-    return LoRAModule(A, B, rank, scale, dropout, target)
+    return LoRAModule(A, B, scale, dropout)
 
 
 class AdaptedModel:
@@ -132,14 +124,6 @@ class AdaptedModel:
     def trainable_count(self) -> int:
         return sum(m.param_count() for m in self.modules.values())
 
-    def named_lora_tensors(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for (enc, layer, mat) in sorted(self.modules):
-            m = self.modules[(enc, layer, mat)]
-            out.append((f"{enc}.{layer}.{mat}.A", m.A))
-            out.append((f"{enc}.{layer}.{mat}.B", m.B))
-        return out
-
 
 def _encoder_of(model: DualEncoderModel, name: str):
     return model.visual if name == "vision" else model.textual
@@ -159,7 +143,7 @@ def inject(model: DualEncoderModel, cfg: PlacementConfig, seed: int = 0) -> Adap
     for child, target in zip(ss.spawn(len(targets)), targets):
         enc, layer, mat = target
         module = init_lora(d, d, cfg.rank, cfg.scale, cfg.dropout,
-                           seed=child, target=target, dtype=model.cfg.np_dtype)
+                           seed=child, dtype=model.cfg.np_dtype)
         _encoder_of(model, enc).blocks[layer].lora[mat] = module
         modules[target] = module
     return AdaptedModel(model, cfg, modules)
@@ -200,39 +184,3 @@ def trainable_param_count(cfg: PlacementConfig, depth: int, width: int) -> int:
     """Sum of rank * (d_out + d_in) over every selected target matrix."""
     return len(cfg.targets(depth)) * cfg.rank * (width + width)
 
-
-# ---------------------------------------------------------------------------
-# adapter-only checkpoints
-
-
-def save_lora_checkpoint(adapted: AdaptedModel, path) -> None:
-    write_tensor_blob(adapted.named_lora_tensors(), Path(path),
-                      {"kind": "lora", "placement": asdict(adapted.placement),
-                       "width": adapted.base.cfg.width,
-                       "depth": adapted.base.cfg.depth})
-
-
-def load_lora_checkpoint(model: DualEncoderModel, path) -> AdaptedModel:
-    """Attach saved adapter tensors onto a base model with matching dims."""
-    manifest, arrays = read_tensor_blob(Path(path))
-    if manifest.get("kind") != "lora":
-        raise FormatError(f"not a lora checkpoint: kind={manifest.get('kind')!r}")
-    if manifest["width"] != model.cfg.width or manifest["depth"] != model.cfg.depth:
-        raise FormatError(f"checkpoint dims ({manifest['width']}, {manifest['depth']}) "
-                          f"do not match model ({model.cfg.width}, {model.cfg.depth})")
-    pcfg = manifest["placement"]
-    cfg = PlacementConfig(matrices=tuple(pcfg["matrices"]), layer_span=pcfg["layer_span"],
-                          encoders=pcfg["encoders"], rank=pcfg["rank"],
-                          scale=pcfg["scale"], dropout=pcfg["dropout"])
-    adapted = inject(model, cfg, seed=0)
-    for target, module in adapted.modules.items():
-        enc, layer, mat = target
-        for letter, tensor in (("A", module.A), ("B", module.B)):
-            name = f"{enc}.{layer}.{mat}.{letter}"
-            if name not in arrays:
-                raise FormatError(f"lora checkpoint missing tensor {name}")
-            arr = arrays[name]
-            if tuple(arr.shape) != tuple(tensor.data.shape):
-                raise FormatError(f"tensor {name}: shape {arr.shape} vs {tensor.data.shape}")
-            tensor.data = arr.astype(model.cfg.np_dtype)
-    return adapted

@@ -9,7 +9,6 @@ modules (see lora.py); the block only needs objects exposing A/B/scale/dropout.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Iterator, Optional
@@ -47,12 +46,6 @@ class Vocabulary:
         if len(self._ids) != len(self.words):
             raise InputError("duplicate words in vocabulary")
 
-    def __len__(self):
-        return len(self.words) + _N_SPECIAL
-
-    def __contains__(self, word):
-        return word in self._ids
-
     def id_of(self, word: str) -> int:
         try:
             return self._ids[word]
@@ -83,11 +76,6 @@ def tokenize_prompt(class_name: str, vocab: Vocabulary, max_len: int,
     tokens = np.full(max_len, PAD_ID, dtype=np.int64)
     tokens[:len(seq)] = seq
     return ClassPrompt(class_name=class_name, tokens=tokens, eos_index=len(seq) - 1)
-
-
-def tokenize_caption(caption: str, vocab: Vocabulary, max_len: int) -> ClassPrompt:
-    """Tokenize a free caption (no template) the same way as a prompt."""
-    return tokenize_prompt(caption, vocab, max_len, template=())
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +306,6 @@ class DualEncoderModel:
 
 def patchify(images: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """(batch, H, W) pixels -> (batch, n_patches, patch_dim), row-major patches."""
-    if images.ndim == 2:
-        images = images[None]
     b, h, w = images.shape
     if (h, w) != (cfg.image_size, cfg.image_size):
         raise ShapeError(f"expected {cfg.image_size}x{cfg.image_size} images, got {h}x{w}")
@@ -370,8 +356,6 @@ def encode_tokens(model: DualEncoderModel, tokens: np.ndarray,
     cfg = model.cfg
     enc = model.textual
     tokens = np.asarray(tokens)
-    if tokens.ndim == 1:
-        tokens = tokens[None]
     if tokens.min() < 0 or tokens.max() >= enc.token_embed.shape[0]:
         raise InputError(f"token id out of range [0, {enc.token_embed.shape[0]})")
     if embeddings is None:
@@ -437,9 +421,12 @@ def read_tensor_blob(directory: Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise FormatError(f"cannot read checkpoint manifest: {e}") from None
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {manifest.get('version')!r}")
+    tensors = manifest.get("tensors")
+    if not isinstance(tensors, dict):
+        raise FormatError("checkpoint manifest has no tensors table")
     blob = (directory / "weights.bin").read_bytes()
     arrays = {}
-    for name, meta in manifest["tensors"].items():
+    for name, meta in tensors.items():
         dt = _blob_dtype(meta["dtype"])
         end = meta["offset"] + meta["nbytes"]
         if end > len(blob):
@@ -463,7 +450,10 @@ def load_checkpoint(path) -> DualEncoderModel:
     manifest, arrays = read_tensor_blob(Path(path))
     if manifest.get("kind") != "dual_encoder":
         raise FormatError(f"not a model checkpoint: kind={manifest.get('kind')!r}")
-    cfg = ModelConfig(**manifest["config"])
+    try:
+        cfg = ModelConfig(**manifest["config"])
+    except (KeyError, TypeError) as e:
+        raise FormatError(f"malformed checkpoint config ({type(e).__name__}: {e})") from None
     model = DualEncoderModel(cfg, seed=0)
     for name, p in model.named_parameters():
         if name not in arrays:

@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .tensor import Tensor
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:

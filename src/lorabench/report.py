@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import FormatError

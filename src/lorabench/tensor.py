@@ -74,26 +74,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class _ActiveTapes(threading.local):
@@ -194,13 +179,6 @@ def add(a: Tensor, b) -> Tensor:
                                            _unbroadcast(g, b.data.shape)))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
-    out = Tensor(a.data - b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
-                                           _unbroadcast(-g, b.data.shape)))
-
-
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     out = Tensor(a.data * b.data)
@@ -246,24 +224,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
-    return _record(out, (a,), lambda g: (g * out.data,))
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
-
-
 def sqrt(a: Tensor) -> Tensor:
     out = Tensor(np.sqrt(a.data))
     return _record(out, (a,), lambda g: (g * 0.5 / out.data,))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = Tensor(np.tanh(a.data))
-    return _record(out, (a,), lambda g: (g * (1.0 - out.data * out.data),))
 
 
 def gelu(a: Tensor) -> Tensor:

@@ -11,21 +11,20 @@ import numpy as np
 import pytest
 
 from conftest import small_model_for
-from lorabench.baselines import (LinearAdapter, _context_token_layout,
-                                 _soft_prompt_features, adapter_logits,
-                                 bias_only_finetune)
+from lorabench.baselines import (LinearAdapter, _soft_prompt_features,
+                                 adapter_logits, bias_only_finetune)
 from lorabench.bench import AblationGridSpec, pretrain_model, run_ablation
 from lorabench.data import SyntheticDatasetSpec, generate_dataset
 from lorabench.fewshot import (PretrainConfig, TrainConfig, cross_entropy_loss,
-                               evaluate, finetune_lora, posterior,
-                               sample_support_set, zero_shot_logits)
+                               evaluate, finetune_lora, sample_support_set,
+                               zero_shot_logits)
 from lorabench.lora import PlacementConfig, inject, merge, trainable_param_count
 from lorabench.model import (DualEncoderModel, ModelConfig, PROMPT_TEMPLATE,
                              encode_images, encode_prompts, load_checkpoint,
                              save_checkpoint, tokenize_prompt)
 from lorabench.optim import cosine_lr
 from lorabench.report import write_report_csv
-from lorabench.tensor import Tensor, matmul, transpose
+from lorabench.tensor import Tensor, matmul, row_softmax, transpose
 
 
 def check(num, desc, cond):
@@ -207,7 +206,8 @@ def test_criterion_09_baseline_contracts(small_dataset):
     ids = np.asarray(model.vocab.encode_words(PROMPT_TEMPLATE))
     context = Tensor(model.textual.token_embed.data[ids].copy(),
                      requires_grad=True)
-    tokens, eos = _context_token_layout(model, task, 4)
+    tokens = np.stack([p.tokens for p in prompts])
+    eos = np.asarray([p.eos_index for p in prompts])
     texts = _soft_prompt_features(model, context, tokens, eos)
     feats = encode_images(model, task.query_images)
     soft = matmul(feats, transpose(texts, (1, 0))).data
@@ -239,7 +239,7 @@ def test_criterion_10_posterior_properties():
     sums_ok, argmax_ok = True, True
     base = logits.data.argmax(axis=1)
     for tau in (0.01, 0.07, 1.0):
-        p = posterior(logits, tau).data
+        p = row_softmax(logits, temperature=tau).data
         sums_ok &= bool(np.abs(p.sum(axis=1) - 1.0).max() < 1e-6)
         argmax_ok &= bool(np.array_equal(p.argmax(axis=1), base))
     check(10, "posterior rows sum to 1 within 1e-6 and argmax is invariant "

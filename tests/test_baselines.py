@@ -1,17 +1,21 @@
 """Baseline mechanisms: continuous-context prompts, the bottleneck adapter,
 and bias-only tuning."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import lorabench.baselines as baselines
 from conftest import small_model_for
-from lorabench.baselines import (LinearAdapter, SoftPromptConfig,
-                                 _context_token_layout, _soft_prompt_features,
+from lorabench.baselines import (LinearAdapter, _soft_prompt_features,
                                  adapter_finetune, adapter_logits,
                                  bias_only_finetune, bias_parameters,
                                  soft_prompt_finetune)
-from lorabench.errors import DomainError, InputError
-from lorabench.fewshot import TrainConfig, sample_support_set, zero_shot_logits
+from lorabench.errors import DomainError
+from lorabench.fewshot import (TrainConfig, class_prompts, evaluate,
+                               sample_support_set, train_on_support,
+                               zero_shot_logits)
 from lorabench.model import (PROMPT_TEMPLATE, encode_images, encode_prompts,
                              tokenize_prompt)
 from lorabench.tensor import Tensor, matmul, transpose
@@ -29,15 +33,27 @@ def _template_context(model):
 # ---------------------------------------------------------------------------
 # soft prompts
 
+# a float64 soft-prompt run (model seed 0, 2 shots, task seed 0, batch 8,
+# 10 steps at lr 1e-2) recorded when its queries were scored on a separate
+# soft-prompt evaluation path: accuracy, and the sha256 of the trained
+# context and of the query logits
+SOFT_PROMPT_RUN = (
+    0.25,
+    "0b45e522710da825cbe011a121c0873fd707eb1f2fe165e0ac3d8fc1a9dd0298",
+    "f108d012c3beb66785e6fdd8a9925174dd38fae00a0a87f015b7f7201c7a1288",
+)
+
+
 class TestSoftPrompt:
     def test_step0_equals_template_zero_shot_exactly(self, small_dataset):
         model = small_model_for(small_dataset)
         task = _task(small_dataset)
-        prompts = [tokenize_prompt(n, model.vocab, 12) for n in task.class_names]
+        prompts = class_prompts(model, task.class_names)
         want = zero_shot_logits(model, task.query_images, prompts).data
 
         context = _template_context(model)
-        tokens, eos = _context_token_layout(model, task, 4)
+        tokens = np.stack([p.tokens for p in prompts])
+        eos = np.asarray([p.eos_index for p in prompts])
         texts = _soft_prompt_features(model, context, tokens, eos)
         feats = encode_images(model, task.query_images)
         got = matmul(feats, transpose(texts, (1, 0))).data
@@ -61,12 +77,27 @@ class TestSoftPrompt:
             assert np.array_equal(p.data, before[n]), n
         assert len(res.history.steps) == 3
 
-    def test_context_overflow(self, small_dataset):
-        model = small_model_for(small_dataset)  # max_text_len 12
-        task = _task(small_dataset)
-        with pytest.raises(InputError):
-            soft_prompt_finetune(model, task, SoftPromptConfig(context_length=10),
-                                 TrainConfig(iters_per_shot=1))
+    def test_run_unchanged(self, small_dataset, monkeypatch):
+        seen = {}
+
+        def train_spy(model, params, *args, **kwargs):
+            seen["context"] = params[0]
+            return train_on_support(model, params, *args, **kwargs)
+
+        def evaluate_spy(*args, **kwargs):
+            acc, logits = evaluate(*args, **kwargs)
+            seen["logits"] = logits
+            return acc, logits
+
+        monkeypatch.setattr(baselines, "train_on_support", train_spy)
+        monkeypatch.setattr(baselines, "evaluate", evaluate_spy)
+        model = small_model_for(small_dataset, dtype="float64")
+        res = soft_prompt_finetune(model, _task(small_dataset, shots=2),
+                                   TrainConfig(batch_size=8, iters_per_shot=5,
+                                               lr=1e-2))
+        digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
+        assert (res.accuracy, digest(seen["context"].data),
+                digest(seen["logits"])) == SOFT_PROMPT_RUN
 
 
 # ---------------------------------------------------------------------------

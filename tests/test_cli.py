@@ -228,6 +228,20 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_checkpoint_manifest_is_runtime_error(self, workdir, tmp_path,
+                                                            capsys):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        manifest = json.loads((workdir / "ckpt" / "manifest.json").read_text())
+        del manifest["tensors"]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        (ckpt / "weights.bin").write_bytes((workdir / "ckpt" / "weights.bin").read_bytes())
+        code = main(["zeroshot", "--checkpoint", str(ckpt),
+                     "--dataset", str(workdir / "ds")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "tensors" in err and "Traceback" not in err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
 
@@ -264,9 +278,24 @@ class TestUsageErrors:
         ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
          "--config", "{tmp}/typo.json", "--out", "{tmp}/x.csv"],
         ["pretrain", "--dataset", "{work}/ds", "--out", "{tmp}/d", "--epochs", "0"],
+        ["zeroshot", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--shots", "0", "--out", "{tmp}/x.csv"],
+        ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--batch-size", "0", "--out", "{tmp}/x.csv"],
+        ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--iters-per-shot", "0", "--out", "{tmp}/x.csv"],
+        ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--iters-per-shot", "0", "--out", "{tmp}/x.csv"],
+        ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--workers", "0", "--out", "{tmp}/x.csv"],
+        ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--workers", "-2", "--out", "{tmp}/x.csv"],
     ], ids=["malformed-config-json", "finetune-empty-seeds", "ablate-zero-shots",
             "ablate-zero-seeds", "gen-negative-noise", "gen-zero-classes",
-            "gen-zero-images-per-class", "unknown-config-key", "pretrain-zero-epochs"])
+            "gen-zero-images-per-class", "unknown-config-key", "pretrain-zero-epochs",
+            "zeroshot-zero-shots", "finetune-zero-batch-size",
+            "finetune-zero-iters-per-shot", "ablate-zero-iters-per-shot",
+            "ablate-zero-workers", "ablate-negative-workers"])
     def test_exit_1_with_one_line(self, argv, workdir, tmp_path, capsys):
         (tmp_path / "bad.json").write_text('{"classes": 4,')
         (tmp_path / "typo.json").write_text('{"iters_per_shots": 1}')

@@ -1,5 +1,7 @@
 """Synthetic dataset generation and on-disk layout."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,22 @@ class TestDiskLayout:
         (tmp_path / "ds").mkdir()
         (tmp_path / "ds" / "manifest.json").write_text('{"kind": "other"}')
         with pytest.raises(FormatError, match="not a dataset"):
+            load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda m: m.pop("spec"), "spec"),
+        (lambda m: m["spec"].update(colour="red"), "colour"),
+        (lambda m: m.pop("n_images"), "n_images"),
+    ], ids=["no-spec", "unknown-spec-key", "no-n-images"])
+    def test_malformed_manifest_rejected(self, tmp_path, edit, match):
+        ds = generate_dataset(SyntheticDatasetSpec(n_classes=2,
+                                                   images_per_class=2, seed=5))
+        save_dataset(ds, tmp_path / "ds")
+        mpath = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        edit(manifest)
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=match):
             load_dataset(tmp_path / "ds")
 
 

@@ -14,11 +14,10 @@ from lorabench.errors import DomainError, LorabenchError, ShapeError
 from lorabench.fewshot import (FewShotTask, PretrainConfig, TrainConfig,
                                class_prompts, contrastive_pretrain,
                                cross_entropy_loss, evaluate, finetune_lora,
-                               posterior, predict, sample_support_set,
-                               zero_shot_logits)
+                               predict, sample_support_set, zero_shot_logits)
 from lorabench.lora import PlacementConfig, inject
 from lorabench.model import encode_images, encode_prompts, tokenize_prompt
-from lorabench.tensor import Tape, Tensor
+from lorabench.tensor import Tape, Tensor, row_softmax
 
 
 # ---------------------------------------------------------------------------
@@ -47,24 +46,24 @@ class TestPrediction:
             zero_shot_logits(model, small_dataset.images[:2], prompts)
 
     def test_posterior_uniform(self):
-        p = posterior(Tensor(np.zeros((3, 4))), tau=1.0).data
+        p = row_softmax(Tensor(np.zeros((3, 4))), temperature=1.0).data
         assert np.abs(p - 0.25).max() < 1e-12
 
     def test_posterior_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         l = Tensor(rng.uniform(-1, 1, (100, 8)))
         for tau in (0.01, 0.07, 1.0):
-            p = posterior(l, tau).data
+            p = row_softmax(l, temperature=tau).data
             assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-6
             assert np.array_equal(p.argmax(axis=1), l.data.argmax(axis=1))
 
     def test_small_tau_concentrates(self):
-        p = posterior(Tensor(np.array([[0.1, 0.0]])), tau=0.01).data
+        p = row_softmax(Tensor(np.array([[0.1, 0.0]])), temperature=0.01).data
         assert p[0, 0] > 0.99
 
     def test_posterior_bad_tau(self):
         with pytest.raises(DomainError):
-            posterior(Tensor(np.zeros((1, 2))), tau=0.0)
+            row_softmax(Tensor(np.zeros((1, 2))), temperature=0.0)
 
     def test_predict_and_tie_break(self):
         scores = Tensor(np.array([[0.1, 0.9], [0.5, 0.5], [0.3, 0.2]]))
@@ -133,6 +132,12 @@ class TestSampleSupportSet:
             sample_support_set(small_dataset.images, small_dataset.labels,
                                small_dataset.class_names, shots=8, seed=0)
 
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_shots_below_one(self, small_dataset, shots):
+        with pytest.raises(DomainError, match="shots"):
+            sample_support_set(small_dataset.images, small_dataset.labels,
+                               small_dataset.class_names, shots, seed=0)
+
 
 class TestEvaluate:
     def test_chance_level_for_random_model(self, small_dataset):
@@ -162,6 +167,26 @@ class TestEvaluate:
         model = small_model_for(small_dataset)
         with pytest.raises(DomainError):
             evaluate(model, task)
+
+    def test_given_text_feats_score_the_queries(self, small_dataset):
+        model = small_model_for(small_dataset)
+        task = sample_support_set(small_dataset.images, small_dataset.labels,
+                                  small_dataset.class_names, 1, seed=0)
+        acc, logits = evaluate(model, task)
+        texts = encode_prompts(model, class_prompts(model, task.class_names))
+        assert np.array_equal(logits, zero_shot_logits(
+            model, task.query_images, class_prompts(model, task.class_names)).data)
+        acc2, logits2 = evaluate(model, task, texts)
+        assert acc2 == acc and np.array_equal(logits2, logits)
+        # reversed class features score every query against the other order
+        _, flipped = evaluate(model, task, Tensor(texts.data[::-1].copy()))
+        np.testing.assert_allclose(flipped, logits[:, ::-1], rtol=0, atol=1e-6)
+
+    def test_needs_two_classes(self, small_dataset):
+        task = sample_support_set(small_dataset.images, small_dataset.labels,
+                                  small_dataset.class_names[:1], 1, seed=0)
+        with pytest.raises(DomainError, match="2 classes"):
+            evaluate(small_model_for(small_dataset), task)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +232,12 @@ class TestFinetune:
             task = sample_support_set(small_dataset.images, small_dataset.labels,
                                       small_dataset.class_names, 1, seed=1)
             finetune_lora(adapted, task, TrainConfig(iters_per_shot=4, seed=1))
-            return {n: t.data.copy() for n, t in adapted.named_lora_tensors()}
+            return [t.data.copy() for t in adapted.trainable_parameters()]
 
         a, b = run(), run()
-        assert a.keys() == b.keys()
-        for name in a:
-            assert np.array_equal(a[name], b[name]), name
+        assert len(a) == len(b)
+        for i, (ta, tb) in enumerate(zip(a, b)):
+            assert np.array_equal(ta, tb), i
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_aborts_with_last_good_step(self, small_dataset):
@@ -236,7 +261,7 @@ class TestFinetune:
                                       small_dataset.class_names, 2, seed=seed)
             hist = finetune_lora(adapted, task, TrainConfig(iters_per_shot=10,
                                                             seed=seed))
-            out[seed] = ({n: t.data.tobytes() for n, t in adapted.named_lora_tensors()},
+            out[seed] = ([t.data.tobytes() for t in adapted.trainable_parameters()],
                          hist.losses)
 
         seeds = (1, 2)

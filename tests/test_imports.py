@@ -1,0 +1,47 @@
+"""Every name a module of the package imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lorabench"
+# __init__.py imports names only to re-export them
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import except `from __future__`."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    return names
+
+
+def _used(tree: ast.AST) -> set[str]:
+    """Names loaded anywhere, including inside quoted annotations."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    annotations = [getattr(n, attr) for n in ast.walk(tree)
+                   for attr in ("annotation", "returns") if getattr(n, attr, None)]
+    for ann in annotations:
+        for c in ast.walk(ann):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                used |= _used(ast.parse(c.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = _used(tree)
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_scan_sees_every_module():
+    assert {p.stem for p in MODULES} >= {"tensor", "model", "lora", "fewshot",
+                                         "baselines", "bench", "cli"}

@@ -1,16 +1,14 @@
-"""Low-rank adapter engine: init, forward, placement, merge, counting,
-checkpoints."""
+"""Low-rank adapter engine: init, forward, placement, merge, counting."""
 
 import numpy as np
 import pytest
 
 from conftest import small_model_for, tiny_config
-from lorabench.errors import DomainError, FormatError, StateError
+from lorabench.errors import DomainError, StateError
 from lorabench.fewshot import (FewShotTask, TrainConfig, finetune_lora,
                                sample_support_set, zero_shot_logits)
 from lorabench.lora import (LoRAModule, PlacementConfig, init_lora, inject,
-                            load_lora_checkpoint, merge, save_lora_checkpoint,
-                            trainable_param_count, unmerge)
+                            merge, trainable_param_count, unmerge)
 from lorabench.model import DualEncoderModel, _lora_linear, tokenize_prompt
 from lorabench.tensor import Tensor
 
@@ -314,34 +312,3 @@ class TestFrozenBase:
         assert not np.array_equal(adapted.modules[("vision", 0, "q")].A.data,
                                   a_before)
 
-
-# ---------------------------------------------------------------------------
-# adapter-only checkpoints
-
-class TestLoraCheckpoints:
-    def test_round_trip(self, small_dataset, tmp_path):
-        model = small_model_for(small_dataset)
-        adapted = inject(model, PlacementConfig(rank=3), seed=2)
-        _randomize_modules(adapted, seed=2)
-        save_lora_checkpoint(adapted, tmp_path / "lora")
-        fresh = small_model_for(small_dataset)
-        loaded = load_lora_checkpoint(fresh, tmp_path / "lora")
-        assert loaded.placement == adapted.placement
-        for key, m in adapted.modules.items():
-            assert np.array_equal(loaded.modules[key].A.data, m.A.data), key
-            assert np.array_equal(loaded.modules[key].B.data, m.B.data), key
-
-    def test_dim_mismatch(self, small_dataset, tmp_path):
-        model = small_model_for(small_dataset)
-        adapted = inject(model, PlacementConfig(), seed=0)
-        save_lora_checkpoint(adapted, tmp_path / "lora")
-        other = small_model_for(small_dataset, width=32, heads=4, embed_dim=16)
-        with pytest.raises(FormatError, match="dims"):
-            load_lora_checkpoint(other, tmp_path / "lora")
-
-    def test_wrong_kind(self, small_dataset, tmp_path):
-        from lorabench.model import save_checkpoint
-        model = small_model_for(small_dataset)
-        save_checkpoint(model, tmp_path / "ckpt")
-        with pytest.raises(FormatError, match="kind"):
-            load_lora_checkpoint(small_model_for(small_dataset), tmp_path / "ckpt")

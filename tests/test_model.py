@@ -11,7 +11,7 @@ from lorabench.model import (BOS_ID, EOS_ID, IMAGE_BLOCK, PAD_ID,
                              DualEncoderModel, ModelConfig, Vocabulary,
                              attention_forward, encode_images, encode_prompts,
                              encode_tokens, load_checkpoint, patchify,
-                             save_checkpoint, tokenize_caption, tokenize_prompt)
+                             save_checkpoint, tokenize_prompt)
 from lorabench.tensor import Tensor, matmul, transpose
 
 
@@ -107,7 +107,7 @@ class TestTokenize:
 
     def test_caption_has_no_template(self, tiny_model):
         v = tiny_model.vocab
-        p = tokenize_caption("a photo of a dog", v, 8)
+        p = tokenize_prompt("a photo of a dog", v, 8, template=())
         assert p.tokens.tolist()[:7] == [BOS_ID, v.id_of("a"), v.id_of("photo"),
                                          v.id_of("of"), v.id_of("a"),
                                          v.id_of("dog"), EOS_ID]
@@ -230,13 +230,13 @@ class TestEncodeText:
         # encode the 7-token layout through the 8-position model by padding
         padded = np.full(8, PAD_ID, dtype=np.int64)
         padded[:7] = short.tokens
-        a = encode_tokens(model, padded, np.asarray([short.eos_index])).data
-        b = encode_tokens(model, long.tokens, np.asarray([long.eos_index])).data
+        a = encode_tokens(model, padded[None], np.asarray([short.eos_index])).data
+        b = encode_tokens(model, long.tokens[None], np.asarray([long.eos_index])).data
         assert np.abs(a - b).max() < 1e-10
 
     def test_token_out_of_range(self, tiny_model):
-        bad = np.zeros(8, dtype=np.int64)
-        bad[0] = 10_000
+        bad = np.zeros((1, 8), dtype=np.int64)
+        bad[0, 0] = 10_000
         with pytest.raises(InputError):
             encode_tokens(tiny_model, bad, np.asarray([1]))
 
@@ -316,6 +316,22 @@ class TestCheckpoints:
         manifest["version"] = 99
         mpath.write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="version"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda m: m.pop("tensors"), "no tensors table"),
+        (lambda m: m["config"].update(colour="red"), "colour"),
+        (lambda m: m.pop("config"), "config"),
+        (lambda m: m.update(kind="lora"), "not a model checkpoint"),
+    ], ids=["no-tensors", "unknown-config-key", "no-config", "wrong-kind"])
+    def test_malformed_manifest_rejected(self, small_dataset, tmp_path, edit, match):
+        import json
+        save_checkpoint(small_model_for(small_dataset), tmp_path / "ckpt")
+        mpath = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        edit(manifest)
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=match):
             load_checkpoint(tmp_path / "ckpt")
 
 

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import analytic_grads, gradcheck, max_rel_err, numeric_grad
 from lorabench.errors import DomainError, ShapeError, StateError
-from lorabench.tensor import (Tape, Tensor, add, concat, div, dropout, exp,
+from lorabench.tensor import (Tape, Tensor, add, concat, div, dropout,
                               gather_per_row, gelu, l2_normalize, layer_norm,
-                              log, log_softmax, matmul, mean, mul, reshape,
-                              row_softmax, select_positions, sqrt, sub,
-                              take_rows, tanh, transpose, tsum)
+                              log_softmax, matmul, mean, mul, reshape,
+                              row_softmax, select_positions, sqrt, take_rows,
+                              transpose, tsum)
 
 
 def t64(a, rg=False):
@@ -286,7 +286,6 @@ class TestElementwiseOps:
     def test_arithmetic_values(self):
         a, b = t64([2.0, 4.0]), t64([1.0, 2.0])
         assert np.array_equal(add(a, b).data, [3.0, 6.0])
-        assert np.array_equal(sub(a, b).data, [1.0, 2.0])
         assert np.array_equal(mul(a, b).data, [2.0, 8.0])
         assert np.array_equal(div(a, b).data, [2.0, 2.0])
         assert np.array_equal((-a).data, [-2.0, -4.0])
@@ -296,15 +295,14 @@ class TestElementwiseOps:
         a = t64(rng.standard_normal((3, 4)), rg=True)
         b = t64(rng.uniform(0.5, 2.0, 4), rg=True)
         c = t64(rng.standard_normal((3, 4)))
-        for op in (add, sub, mul, div):
+        for op in (add, mul, div):
             gradcheck(lambda op=op: tsum(mul(op(a, b), c)), [a, b])
 
     def test_unary_grads(self):
         rng = np.random.default_rng(14)
         x = t64(rng.uniform(0.5, 2.0, (3, 3)), rg=True)
         c = t64(rng.standard_normal((3, 3)))
-        for op in (exp, log, sqrt, tanh):
-            gradcheck(lambda op=op: tsum(mul(op(x), c)), [x])
+        gradcheck(lambda: tsum(mul(sqrt(x), c)), [x])
 
     def test_l2_normalize_unit_norm_and_grad(self):
         rng = np.random.default_rng(15)
