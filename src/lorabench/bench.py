@@ -6,8 +6,7 @@ from __future__ import annotations
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from itertools import product
+from dataclasses import replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,17 +32,6 @@ DEFAULT_RANKS = (1, 2, 4, 8, 16)
 MERGE_TOLERANCE = 1e-5
 
 ModelFactory = Callable[[], DualEncoderModel]
-
-
-@dataclass
-class AblationGridSpec:
-    groups: tuple[str, ...] = DEFAULT_GROUPS
-    ranks: tuple[int, ...] = DEFAULT_RANKS
-    spans: tuple[str, ...] = ("all",)
-    encoders: tuple[str, ...] = ("both",)
-
-    def cells(self) -> list[tuple[str, int, str, str]]:
-        return list(product(self.groups, self.ranks, self.spans, self.encoders))
 
 
 def default_ablation_cells() -> list[tuple[str, int, str, str]]:
@@ -182,61 +170,43 @@ def run_method_over_seeds(model_factory: ModelFactory, ds: Dataset, method: str,
 
 
 def run_ablation(model_factory: ModelFactory, ds: Dataset,
-                 cells: list[tuple[str, int, str, str]], shots: int,
+                 placements: list[PlacementConfig], shots: int,
                  n_seeds: int, master_seed: int = 0, workers: int = 1,
                  train_cfg: Optional[TrainConfig] = None
                  ) -> tuple[list[RunReport], list[tuple]]:
-    """One row per (cell, seed), ordered by cell then seed.  Cells whose
-    placement is invalid (e.g. rank above the matrix dimension) are skipped
-    and reported in the second return value.  Every row's task is sampled
-    first, and one base zero-shot pass, made before any worker starts, gives
-    every row its zs_acc."""
-    placements, errors, seeds = {}, {}, {}
-    for i, (group, rank, span, encoders) in enumerate(cells):
-        try:
-            placements[i] = PlacementConfig(matrices=tuple(group), layer_span=span,
-                                            encoders=encoders, rank=rank)
-        except DomainError as e:
-            errors[i] = str(e)
+    """One lora row per (placement, seed), ordered by placement then seed.
+    A placement whose rank exceeds the base model's width is skipped before
+    any model is loaded for it; the second return value lists it with the
+    reason.  Every row's task is sampled, and one base zero-shot pass gives
+    every row its zs_acc, before any row trains.  An error in a row
+    propagates."""
+    base = model_factory()
+    width = base.cfg.width
+    plan, skipped = [], []
+    for pl in placements:
+        cell = ("".join(pl.matrices), pl.rank, pl.layer_span, pl.encoders)
+        if pl.rank > width:
+            skipped.append((cell, f"rank {pl.rank} exceeds matrix dimension {width}"))
             continue
-        seeds[i] = [derive_seed(master_seed, group, rank, span, encoders, s)
-                    for s in range(n_seeds)]
-    all_seeds = [seed for i in seeds for seed in seeds[i]]
-    tasks = dict(zip(all_seeds, _sample_tasks(ds, shots, all_seeds)))
-    zs_accs = {}
-    if tasks:
-        zs_accs = dict(zip(tasks, base_zero_shot_accuracies(
-            model_factory(), ds, list(tasks.values()))))
+        plan += [(cell, pl, derive_seed(master_seed, *cell, s)) for s in range(n_seeds)]
+    tasks = _sample_tasks(ds, shots, [seed for _, _, seed in plan])
+    zs_accs = base_zero_shot_accuracies(base, ds, tasks) if plan else []
+    del base  # each row loads its own model; keep one model per running row
 
-    def run_cell(cell_index: int):
-        group, rank, span, encoders = cells[cell_index]
-        rows = []
-        for seed in seeds[cell_index]:
-            try:
-                row = run_single(model_factory, tasks[seed], "lora", seed,
-                                 zs_accs[seed], placement=placements[cell_index],
-                                 train_cfg=train_cfg, record_seconds=False)
-            except DomainError as e:
-                return cell_index, None, str(e)
-            row.extra = {"group": group, "rank": rank, "span": span,
-                         "encoders": encoders}
-            rows.append(row)
-        return cell_index, rows, None
+    def run_row(step) -> RunReport:
+        (cell, placement, seed), task, zs_acc = step
+        row = run_single(model_factory, task, "lora", seed, zs_acc,
+                         placement=placement, train_cfg=train_cfg,
+                         record_seconds=False)
+        row.extra = dict(zip(("group", "rank", "span", "encoders"), cell))
+        return row
 
-    valid = sorted(placements)
+    steps = list(zip(plan, tasks, zs_accs))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, valid))
+            rows = list(pool.map(run_row, steps))
     else:
-        results = [run_cell(i) for i in valid]
-    results += [(i, None, err) for i, err in errors.items()]
-
-    rows, skipped = [], []
-    for idx, cell_rows, err in sorted(results, key=lambda r: r[0]):
-        if cell_rows is None:
-            skipped.append((cells[idx], err))
-        else:
-            rows.extend(cell_rows)
+        rows = list(map(run_row, steps))
     return rows, skipped
 
 

@@ -11,13 +11,13 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import product
 from pathlib import Path
 
-from .bench import (AblationGridSpec, DEFAULT_GROUPS, SHOT_GRID, METHODS,
-                    default_ablation_cells, pretrain_model, run_ablation,
-                    run_method_over_seeds)
+from .bench import (DEFAULT_GROUPS, SHOT_GRID, METHODS, default_ablation_cells,
+                    pretrain_model, run_ablation, run_method_over_seeds)
 from .data import SyntheticDatasetSpec, generate_dataset, load_dataset, save_dataset
-from .errors import LorabenchError
+from .errors import DomainError, LorabenchError
 from .fewshot import PretrainConfig, TrainConfig
 from .lora import PlacementConfig
 from .model import load_checkpoint, save_checkpoint
@@ -74,9 +74,18 @@ def _apply_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespac
 
 def _require_positive(args: argparse.Namespace, *keys) -> None:
     for key in keys:
-        if getattr(args, key) < 1:
-            raise UsageError(f"--{key.replace('_', '-')} must be >= 1, "
+        if not getattr(args, key) > 0:
+            raise UsageError(f"--{key.replace('_', '-')} must be > 0, "
                              f"got {getattr(args, key)}")
+
+
+def _placement(label: str, **fields) -> PlacementConfig:
+    """PlacementConfig(**fields), where an invalid field is a usage error
+    that names `label`."""
+    try:
+        return PlacementConfig(**fields)
+    except DomainError as e:
+        raise UsageError(f"{label}: {e}") from None
 
 
 def build_parser() -> _Parser:
@@ -171,7 +180,10 @@ def cmd_gen(args) -> int:
 
 def cmd_pretrain(args) -> int:
     _apply_config(args, _defaults(PretrainConfig, "epochs", "batch_size", "lr", "seed"))
-    _require_positive(args, "epochs")
+    _require_positive(args, "epochs", "lr")
+    if args.batch_size < 2:
+        raise UsageError(f"--batch-size must be >= 2 (contrastive pairs), "
+                         f"got {args.batch_size}")
     ds = load_dataset(args.dataset)
     cfg = PretrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                          lr=args.lr, seed=args.seed)
@@ -206,10 +218,10 @@ def cmd_finetune(args) -> int:
         raise UsageError(f"shots must be one of {SHOT_GRID}, got {args.shots}")
     if not args.seeds:
         raise UsageError("--seeds needs at least one seed")
-    _require_positive(args, "iters_per_shot", "batch_size")
+    _require_positive(args, "iters_per_shot", "batch_size", "lr")
+    placement = _placement("finetune", rank=args.rank, dropout=args.dropout)
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
-    placement = PlacementConfig(rank=args.rank, dropout=args.dropout)
     train_cfg = TrainConfig(lr=args.lr, batch_size=args.batch_size,
                             iters_per_shot=args.iters_per_shot)
     rows = run_method_over_seeds(factory, ds, args.method, args.shots,
@@ -232,17 +244,19 @@ def cmd_ablate(args) -> int:
     _require_positive(args, "shots", "iters_per_shot", "workers")
     if args.n_seeds < 1:
         raise UsageError(f"--seeds (seeds per cell) must be >= 1, got {args.n_seeds}")
+    cells = (default_ablation_cells() if args.default_grid else
+             list(product(args.groups, args.ranks, args.spans, args.encoders)))
+    if not cells:
+        raise UsageError("the ablation grid has no cell: --groups, --ranks, "
+                         "--spans and --encoders each need a value")
+    placements = [_placement(f"ablation cell {(group, rank, span, encoders)}",
+                             matrices=tuple(group), rank=rank, layer_span=span,
+                             encoders=encoders)
+                  for group, rank, span, encoders in cells]
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
-    if args.default_grid:
-        cells = default_ablation_cells()
-    else:
-        grid = AblationGridSpec(groups=tuple(args.groups), ranks=tuple(args.ranks),
-                                spans=tuple(args.spans),
-                                encoders=tuple(args.encoders))
-        cells = grid.cells()
     train_cfg = TrainConfig(iters_per_shot=args.iters_per_shot)
-    rows, skipped = run_ablation(factory, ds, cells, args.shots, args.n_seeds,
+    rows, skipped = run_ablation(factory, ds, placements, args.shots, args.n_seeds,
                                  master_seed=args.master_seed,
                                  workers=args.workers, train_cfg=train_cfg)
     write_report_csv(args.out, rows, ablation=True)

@@ -48,18 +48,18 @@ class FewShotTask:
 
 
 def sample_support_set(images: np.ndarray, labels: np.ndarray,
-                       class_names: Sequence[str], shots: int, seed: int,
-                       min_query: int = 1) -> FewShotTask:
-    """Draw `shots` support images per class without replacement; the rest is query."""
+                       class_names: Sequence[str], shots: int, seed: int) -> FewShotTask:
+    """Draw `shots` support images per class without replacement; the rest,
+    at least one image per class, is query."""
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A3F]))
     sup_idx, qry_idx = [], []
     for k, name in enumerate(class_names):
         pool = np.flatnonzero(labels == k)
-        if len(pool) < shots + min_query:
+        if len(pool) <= shots:
             raise DomainError(f"class {name!r} has {len(pool)} images, "
-                              f"needs {shots + min_query}")
+                              f"needs {shots + 1}")
         perm = rng.permutation(pool)
         sup_idx.extend(perm[:shots])
         qry_idx.extend(perm[shots:])

@@ -13,7 +13,7 @@ import pytest
 from conftest import small_model_for
 from lorabench.baselines import (LinearAdapter, _soft_prompt_features,
                                  adapter_logits, bias_only_finetune)
-from lorabench.bench import AblationGridSpec, pretrain_model, run_ablation
+from lorabench.bench import pretrain_model, run_ablation
 from lorabench.data import SyntheticDatasetSpec, generate_dataset
 from lorabench.fewshot import (PretrainConfig, TrainConfig, cross_entropy_loss,
                                evaluate, finetune_lora, sample_support_set,
@@ -175,11 +175,12 @@ def test_criterion_07_frozen_base_integrity(pipeline):
 
 def test_criterion_08_ablation_grid(small_dataset, tmp_path):
     factory = lambda: small_model_for(small_dataset, seed=0)
-    cells = AblationGridSpec(groups=("q", "v"), ranks=(1, 2)).cells()
+    placements = [PlacementConfig(matrices=(group,), rank=rank)
+                  for group in ("q", "v") for rank in (1, 2)]
     cfg = TrainConfig(iters_per_shot=2)
 
     def run(path):
-        rows, skipped = run_ablation(factory, small_dataset, cells, shots=1,
+        rows, skipped = run_ablation(factory, small_dataset, placements, shots=1,
                                      n_seeds=3, master_seed=0, train_cfg=cfg)
         assert not skipped
         write_report_csv(path, rows, ablation=True)

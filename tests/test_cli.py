@@ -4,13 +4,20 @@ import csv
 import json
 import re
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from lorabench import bench
 from lorabench.cli import build_parser, main
-from lorabench.report import read_report_csv
+from lorabench.errors import DomainError
+from lorabench.lora import ENCODER_CHOICES, LAYER_SPANS, MATRICES
+from lorabench.model import load_checkpoint
+from lorabench.report import RunReport, read_report_csv
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +176,11 @@ class TestAblate:
         assert main(args + ["--out", str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_oversized_rank_cell_skipped_not_fatal(self, workdir, tmp_path, capsys):
+    def test_oversized_rank_cell_skipped_not_fatal(self, workdir, tmp_path, capsys,
+                                                   monkeypatch):
+        loads = []
+        monkeypatch.setattr("lorabench.cli.load_checkpoint",
+                            lambda path: loads.append(path) or load_checkpoint(path))
         out = tmp_path / "skip.csv"
         assert main(["ablate", "--checkpoint", str(workdir / "ckpt"),
                      "--dataset", str(workdir / "ds"), "--groups", "q",
@@ -177,6 +188,29 @@ class TestAblate:
                      "--iters-per-shot", "1", "--out", str(out)]) == 0
         assert len(read_report_csv(out)) == 1
         assert "skipped" in capsys.readouterr().err
+        # the zero-shot pass and the one rank-2 row; none for the skipped cell
+        assert len(loads) == 2
+
+    def test_training_error_propagates(self, workdir, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def finetune_lora(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise DomainError("non-finite gradient")
+            return real(*args, **kwargs)
+
+        real = bench.finetune_lora
+        monkeypatch.setattr(bench, "finetune_lora", finetune_lora)
+        out = tmp_path / "err.csv"
+        assert main(["ablate", "--checkpoint", str(workdir / "ckpt"),
+                     "--dataset", str(workdir / "ds"), "--groups", "q",
+                     "--ranks", "1", "--shots", "1", "--seeds", "3",
+                     "--iters-per-shot", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite gradient" in err
+        assert "Traceback" not in err and not out.exists()
+        assert len(calls) == 2
 
     def test_workers_match_serial(self, workdir, tmp_path):
         # 20 steps per row: enough for runs sharing a tape to drift apart
@@ -187,6 +221,58 @@ class TestAblate:
         assert main(base + ["--out", str(tmp_path / "s.csv")]) == 0
         assert main(base + ["--workers", "2", "--out", str(tmp_path / "p.csv")]) == 0
         assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
+
+
+def _stub_row(model_factory, task, method, seed, zs_acc, placement, **kwargs):
+    return RunReport(method=method, config=placement.digest(), shots=task.shots,
+                     seed=seed, zs_acc=zs_acc, acc=zs_acc, trainable=0, total=0,
+                     iters=0)
+
+
+def _valid_cell_value(group, rank, span, encoders) -> bool:
+    return (len(set(group)) == len(group) and set(group) <= set(MATRICES)
+            and rank >= 1 and span in LAYER_SPANS and encoders in ENCODER_CHOICES)
+
+
+class TestGridFuzz:
+    """Any --groups/--ranks/--spans/--encoders either exits 1 with one line
+    (some cell invalid, or no cell) or writes one row per seed of every cell
+    whose rank fits the model width.  Rows are stubbed; only planning runs."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(groups=st.lists(st.text("qkvox", min_size=1, max_size=3), max_size=3),
+           ranks=st.lists(st.integers(-1, 70), max_size=3),
+           spans=st.lists(st.sampled_from(LAYER_SPANS + ("middle",)), max_size=2),
+           encoders=st.lists(st.sampled_from(ENCODER_CHOICES + ("audio",)),
+                             max_size=2))
+    def test_grid_flags(self, workdir, capsys, groups, ranks, spans, encoders):
+        width = load_checkpoint(workdir / "ckpt").cfg.width
+        cells = [(g, r, s, e) for g in groups for r in ranks for s in spans
+                 for e in encoders]
+        capsys.readouterr()
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(bench, "run_single", _stub_row)
+            out = Path(tmp) / "grid.csv"
+            code = main(["ablate", "--checkpoint", str(workdir / "ckpt"),
+                         "--dataset", str(workdir / "ds"), "--shots", "1",
+                         "--seeds", "2", "--out", str(out),
+                         f"--groups={','.join(groups)}",
+                         f"--ranks={','.join(map(str, ranks))}",
+                         f"--spans={','.join(spans)}",
+                         f"--encoders={','.join(encoders)}"])
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err + captured.out
+            if not cells or not all(_valid_cell_value(*c) for c in cells):
+                assert code == 1 and captured.err.count("\n") == 1
+                assert not out.exists()
+                return
+            assert code == 0
+            kept = [(g, str(r), s, e) for g, r, s, e in cells if r <= width]
+            rows = read_report_csv(out)
+            assert [(r["group"], r["rank"], r["span"], r["encoders"])
+                    for r in rows] == [c for c in kept for _ in range(2)]
+            assert captured.err.count("skipped cell") == len(cells) - len(kept)
 
 
 class TestReportCmd:
@@ -261,6 +347,12 @@ class TestExitCodes:
         assert manifest2["n_images"] == 32
 
 
+# ablate --config files, by name, whose grid has an invalid cell or no cell
+BAD_GRIDS = {"groups": {"groups": ["qq"]}, "spans": {"spans": ["middle"]},
+             "encoders": {"encoders": ["audio"]}, "ranks": {"ranks": [0]},
+             "empty": {"groups": []}}
+
+
 class TestUsageErrors:
     """Bad arguments exit 1 with one line on stderr and no traceback."""
 
@@ -290,15 +382,48 @@ class TestUsageErrors:
          "--workers", "0", "--out", "{tmp}/x.csv"],
         ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
          "--workers", "-2", "--out", "{tmp}/x.csv"],
+        ["pretrain", "--dataset", "{work}/ds", "--out", "{tmp}/d", "--batch-size", "0"],
+        ["pretrain", "--dataset", "{work}/ds", "--out", "{tmp}/d", "--batch-size", "1"],
+        ["pretrain", "--dataset", "{work}/ds", "--out", "{tmp}/d", "--lr", "0"],
+        ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--lr", "0", "--out", "{tmp}/x.csv"],
+        ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--dropout", "1.5", "--out", "{tmp}/x.csv"],
+        ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--rank", "0", "--out", "{tmp}/x.csv"],
+        ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--groups", "x", "--out", "{tmp}/x.csv"],
+        ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--groups", "qq", "--out", "{tmp}/x.csv"],
+        ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--spans", "middle", "--out", "{tmp}/x.csv"],
+        ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--encoders", "audio", "--out", "{tmp}/x.csv"],
+        ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--ranks", "0", "--out", "{tmp}/x.csv"],
+        ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--groups", ",", "--out", "{tmp}/x.csv"],
+        *[["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+           "--config", f"{{tmp}}/{name}.json", "--out", "{tmp}/x.csv"]
+          for name in BAD_GRIDS],
     ], ids=["malformed-config-json", "finetune-empty-seeds", "ablate-zero-shots",
             "ablate-zero-seeds", "gen-negative-noise", "gen-zero-classes",
             "gen-zero-images-per-class", "unknown-config-key", "pretrain-zero-epochs",
             "zeroshot-zero-shots", "finetune-zero-batch-size",
             "finetune-zero-iters-per-shot", "ablate-zero-iters-per-shot",
-            "ablate-zero-workers", "ablate-negative-workers"])
+            "ablate-zero-workers", "ablate-negative-workers",
+            "pretrain-zero-batch-size", "pretrain-one-batch-size", "pretrain-zero-lr",
+            "finetune-zero-lr", "finetune-dropout-above-1", "finetune-zero-rank",
+            "ablate-unknown-group", "ablate-duplicate-group", "ablate-unknown-span",
+            "ablate-unknown-encoder", "ablate-zero-rank", "ablate-empty-grid",
+            "ablate-config-duplicate-group", "ablate-config-unknown-span",
+            "ablate-config-unknown-encoder", "ablate-config-zero-rank",
+            "ablate-config-empty-grid"])
     def test_exit_1_with_one_line(self, argv, workdir, tmp_path, capsys):
         (tmp_path / "bad.json").write_text('{"classes": 4,')
         (tmp_path / "typo.json").write_text('{"iters_per_shots": 1}')
+        for name, grid in BAD_GRIDS.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(grid))
         argv = [a.format(tmp=tmp_path, work=workdir) for a in argv]
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lorabench.data import (DEFAULT_CLASS_NAMES, Dataset, SyntheticDatasetSpec,
+from lorabench.data import (DEFAULT_CLASS_NAMES, SyntheticDatasetSpec,
                             check_prototypes, generate_dataset, load_dataset,
                             save_dataset)
 from lorabench.errors import DomainError, FormatError

@@ -1,13 +1,15 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package or a test file imports is used there."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lorabench"
+ROOT = Path(__file__).resolve().parents[1]
 # __init__.py imports names only to re-export them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in (ROOT / "src" / "lorabench").glob("*.py")
+                 if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -34,7 +36,8 @@ def _used(tree: ast.AST) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=[p.stem for p in MODULES + TESTS])
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     used = _used(tree)
@@ -45,3 +48,4 @@ def test_no_unused_imports(path):
 def test_scan_sees_every_module():
     assert {p.stem for p in MODULES} >= {"tensor", "model", "lora", "fewshot",
                                          "baselines", "bench", "cli"}
+    assert {p.stem for p in TESTS} >= {"conftest", "test_cli", "test_imports"}

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import small_model_for, tiny_config
+from conftest import small_model_for
 from lorabench.errors import DomainError, StateError
-from lorabench.fewshot import (FewShotTask, TrainConfig, finetune_lora,
-                               sample_support_set, zero_shot_logits)
-from lorabench.lora import (LoRAModule, PlacementConfig, init_lora, inject,
-                            merge, trainable_param_count, unmerge)
-from lorabench.model import DualEncoderModel, _lora_linear, tokenize_prompt
+from lorabench.fewshot import (TrainConfig, finetune_lora, sample_support_set,
+                               zero_shot_logits)
+from lorabench.lora import (PlacementConfig, init_lora, inject, merge,
+                            trainable_param_count, unmerge)
+from lorabench.model import _lora_linear, tokenize_prompt
 from lorabench.tensor import Tensor
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import analytic_grads, gradcheck, max_rel_err, numeric_grad
+from conftest import analytic_grads, gradcheck, numeric_grad
 from lorabench.errors import DomainError, ShapeError, StateError
 from lorabench.tensor import (Tape, Tensor, add, concat, div, dropout,
                               gather_per_row, gelu, l2_normalize, layer_norm,
