@@ -1,5 +1,5 @@
-"""Benchmark harness: per-seed runs for each method, the ablation grid over
-placement coordinates, and the pretrain step, all producing RunReport rows."""
+"""Benchmark harness: the one row plan every command runs, the ablation grid
+over placement coordinates, and the pretrain step."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .fewshot import (FewShotTask, PretrainConfig, TrainConfig, accuracy,
                       finetune_lora, sample_support_set, zero_shot_logits)
 from .lora import PlacementConfig, inject, merge, unmerge
 from .model import DualEncoderModel, ModelConfig, save_checkpoint
-from .report import RunReport, mean_report
+from .report import ABLATION_EXTRA, RunReport
 
 METHODS = ("zero-shot", "lora", "soft-prompt", "adapter", "bias-only")
 SHOT_GRID = (1, 2, 4, 8, 16)
@@ -53,22 +53,29 @@ def base_zero_shot_accuracies(model: DualEncoderModel, ds: Dataset,
     """Every task's zero-shot accuracy, read from one evaluation of `model`
     on the union of the tasks' query images (rows of `ds`)."""
     union = np.unique(np.concatenate([t.query_indices for t in tasks]))
-    pooled = FewShotTask(class_names=list(ds.class_names),
-                         support_images=ds.images[:0], support_labels=ds.labels[:0],
-                         query_images=ds.images[union], query_labels=ds.labels[union],
-                         query_indices=union)
+    pooled = replace(tasks[0], query_images=ds.images[union],
+                     query_labels=ds.labels[union], query_indices=union)
     _, logits = evaluate(model, pooled)
     return [accuracy(logits[np.searchsorted(union, t.query_indices)], t.query_labels)
             for t in tasks]
+
+
+class PlannedRow(NamedTuple):
+    """One row of a plan.  `cell` is its ablation coordinates (empty outside
+    `ablate`); a lora row saves its merged model to `merged_checkpoint`."""
+    method: str
+    seed: int
+    placement: Optional[PlacementConfig] = None
+    cell: tuple = ()
+    merged_checkpoint: Optional[str] = None
 
 
 def run_single(model_factory: ModelFactory, task: FewShotTask, method: str,
                seed: int, zs_acc: float, zs_seconds: float = 0.0,
                placement: Optional[PlacementConfig] = None,
                train_cfg: Optional[TrainConfig] = None,
-               record_seconds: bool = True,
                merged_checkpoint: Optional[str] = None) -> RunReport:
-    """One (method, shots, seed) row on a freshly loaded model.
+    """One (method, shots, seed) row on a model from `model_factory`.
 
     `zs_acc` is the base model's zero-shot accuracy on `task`, from the
     command's one zero-shot pass; `zs_seconds` is this row's share of that
@@ -98,25 +105,22 @@ def run_single(model_factory: ModelFactory, task: FewShotTask, method: str,
         if merged_checkpoint is not None:
             save_checkpoint(adapted.base, merged_checkpoint)
         unmerge(adapted)
-    elif method == "soft-prompt":
-        res = soft_prompt_finetune(model, task, cfg)
+    else:
+        if method == "soft-prompt":
+            res, config_digest = soft_prompt_finetune(model, task, cfg), "ctx4"
+        elif method == "adapter":
+            adapter = LinearAdapter(model.cfg.embed_dim, bottleneck=8, seed=seed,
+                                    dtype=model.cfg.np_dtype)
+            res = adapter_finetune(model, task, adapter, alpha=0.5, train_cfg=cfg)
+            config_digest = "mlp8-a0.5"
+        else:  # bias-only
+            res, config_digest = bias_only_finetune(model, task, cfg), "bias"
         acc, trainable = res.accuracy, res.trainable_count
-        config_digest = "ctx4"
-    elif method == "adapter":
-        adapter = LinearAdapter(model.cfg.embed_dim, bottleneck=8, seed=seed,
-                                dtype=model.cfg.np_dtype)
-        res = adapter_finetune(model, task, adapter, alpha=0.5, train_cfg=cfg)
-        acc, trainable = res.accuracy, res.trainable_count
-        config_digest = "mlp8-a0.5"
-    else:  # bias-only
-        res = bias_only_finetune(model, task, cfg)
-        acc, trainable = res.accuracy, res.trainable_count
-        config_digest = "bias"
 
     seconds = zs_seconds if method == "zero-shot" else time.perf_counter() - t0
     return RunReport(method=method, config=config_digest, shots=task.shots, seed=seed,
                      zs_acc=zs_acc, acc=acc, trainable=trainable, total=total,
-                     iters=iters, seconds=seconds if record_seconds else None)
+                     iters=iters, seconds=seconds)
 
 
 def _assert_merge_equivalence(adapted, task: FewShotTask,
@@ -135,38 +139,33 @@ def _assert_merge_equivalence(adapted, task: FewShotTask,
     # leave the model merged; callers unmerge when they need the modules back
 
 
-def _sample_tasks(ds: Dataset, shots: int, seeds: list[int]) -> list[FewShotTask]:
-    return [sample_support_set(ds.images, ds.labels, ds.class_names, shots, seed)
-            for seed in seeds]
-
-
-def run_method_over_seeds(model_factory: ModelFactory, ds: Dataset, method: str,
-                          shots: int, seeds: list[int],
-                          placement: Optional[PlacementConfig] = None,
-                          train_cfg: Optional[TrainConfig] = None,
-                          record_seconds: bool = True,
-                          merged_checkpoint_dir: Optional[str] = None
-                          ) -> list[RunReport]:
-    """Per-seed rows plus one aggregated 'mean' row.  Every seed's task is
-    sampled first, and one base zero-shot pass gives every row its zs_acc."""
-    tasks = _sample_tasks(ds, shots, seeds)
-    base = model_factory()
+def run_plan(model_factory: ModelFactory, base: DualEncoderModel, ds: Dataset,
+             plan: list[PlannedRow], shots: int, workers: int = 1,
+             train_cfg: Optional[TrainConfig] = None) -> list[RunReport]:
+    """One row per planned row, in plan order.  Every row's task is sampled,
+    and one zero-shot pass of `base` gives every row its zs_acc, before any
+    row runs.  Each row then takes its model from `model_factory`, serially
+    or on `workers` threads.  An error in a row propagates."""
+    if not plan:
+        return []
+    tasks = [sample_support_set(ds.images, ds.labels, ds.class_names, shots, row.seed)
+             for row in plan]
     t0 = time.perf_counter()
     zs_accs = base_zero_shot_accuracies(base, ds, tasks)
-    zs_seconds = (time.perf_counter() - t0) / len(tasks)
-    # a zero-shot row changes nothing, so it reuses the model of that pass
-    factory = (lambda: base) if method == "zero-shot" else model_factory
-    rows = []
-    for seed, task, zs_acc in zip(seeds, tasks, zs_accs):
-        merged = None
-        if merged_checkpoint_dir is not None and method == "lora":
-            merged = f"{merged_checkpoint_dir}/merged_seed{seed}"
-        rows.append(run_single(factory, task, method, seed, zs_acc, zs_seconds,
-                               placement=placement, train_cfg=train_cfg,
-                               record_seconds=record_seconds,
-                               merged_checkpoint=merged))
-    rows.append(mean_report(rows))
-    return rows
+    zs_seconds = (time.perf_counter() - t0) / len(plan)
+    del base  # each row loads its own model; keep one model per running row
+
+    def run_row(row: PlannedRow, task: FewShotTask, zs_acc: float) -> RunReport:
+        report = run_single(model_factory, task, row.method, row.seed, zs_acc,
+                            zs_seconds=zs_seconds, placement=row.placement,
+                            train_cfg=train_cfg, merged_checkpoint=row.merged_checkpoint)
+        report.extra = dict(zip(ABLATION_EXTRA, row.cell))
+        return report
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_row, plan, tasks, zs_accs))
+    return list(map(run_row, plan, tasks, zs_accs))
 
 
 def run_ablation(model_factory: ModelFactory, ds: Dataset,
@@ -177,37 +176,20 @@ def run_ablation(model_factory: ModelFactory, ds: Dataset,
     """One lora row per (placement, seed), ordered by placement then seed.
     A placement whose rank exceeds the base model's width is skipped before
     any model is loaded for it; the second return value lists it with the
-    reason.  Every row's task is sampled, and one base zero-shot pass gives
-    every row its zs_acc, before any row trains.  An error in a row
-    propagates."""
-    base = model_factory()
-    width = base.cfg.width
+    reason."""
+    loaded = [model_factory()]
+    width = loaded[0].cfg.width
     plan, skipped = [], []
     for pl in placements:
         cell = ("".join(pl.matrices), pl.rank, pl.layer_span, pl.encoders)
         if pl.rank > width:
             skipped.append((cell, f"rank {pl.rank} exceeds matrix dimension {width}"))
             continue
-        plan += [(cell, pl, derive_seed(master_seed, *cell, s)) for s in range(n_seeds)]
-    tasks = _sample_tasks(ds, shots, [seed for _, _, seed in plan])
-    zs_accs = base_zero_shot_accuracies(base, ds, tasks) if plan else []
-    del base  # each row loads its own model; keep one model per running row
-
-    def run_row(step) -> RunReport:
-        (cell, placement, seed), task, zs_acc = step
-        row = run_single(model_factory, task, "lora", seed, zs_acc,
-                         placement=placement, train_cfg=train_cfg,
-                         record_seconds=False)
-        row.extra = dict(zip(("group", "rank", "span", "encoders"), cell))
-        return row
-
-    steps = list(zip(plan, tasks, zs_accs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_row, steps))
-    else:
-        rows = list(map(run_row, steps))
-    return rows, skipped
+        plan += [PlannedRow("lora", derive_seed(master_seed, *cell, s), pl, cell)
+                 for s in range(n_seeds)]
+    # hand the runner the only reference, so it frees the model after its pass
+    return run_plan(model_factory, loaded.pop(), ds, plan, shots, workers,
+                    train_cfg), skipped
 
 
 def pretrain_model(ds: Dataset, cfg: PretrainConfig,

@@ -14,14 +14,15 @@ import sys
 from itertools import product
 from pathlib import Path
 
-from .bench import (DEFAULT_GROUPS, SHOT_GRID, METHODS, default_ablation_cells,
-                    pretrain_model, run_ablation, run_method_over_seeds)
+from .bench import (DEFAULT_GROUPS, SHOT_GRID, METHODS, PlannedRow,
+                    default_ablation_cells, pretrain_model, run_ablation, run_plan)
 from .data import SyntheticDatasetSpec, generate_dataset, load_dataset, save_dataset
 from .errors import DomainError, LorabenchError
 from .fewshot import PretrainConfig, TrainConfig
 from .lora import PlacementConfig
 from .model import load_checkpoint, save_checkpoint
-from .report import format_summary, read_report_csv, summarize, write_report_csv
+from .report import (format_summary, mean_report, read_report_csv, summarize,
+                     write_report_csv)
 
 
 class UsageError(Exception):
@@ -31,14 +32,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
-
-
-def _str_list(text: str) -> list[str]:
-    return [x for x in text.split(",") if x != ""]
 
 
 # CLI keys whose config dataclass field has another name
@@ -51,9 +44,54 @@ def _defaults(cls, *keys) -> dict:
     return {key: fields[_FIELD_NAMES.get(key, key)] for key in keys}
 
 
-def _apply_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
+# Per command, every key a flag (see _flag) or a --config file sets, and its default
+_KEYS = {
+    "gen": _defaults(SyntheticDatasetSpec, "classes", "images_per_class", "noise",
+                     "shift", "seed"),
+    "pretrain": _defaults(PretrainConfig, "epochs", "batch_size", "lr", "seed"),
+    "zeroshot": {"shots": 4, **_defaults(TrainConfig, "seed")},
+    "finetune": {"method": "lora", "shots": 4, "seeds": [0, 1, 2], "merged_out": None,
+                 **_defaults(TrainConfig, "lr", "iters_per_shot", "batch_size"),
+                 **_defaults(PlacementConfig, "rank", "dropout")},
+    "ablate": {"groups": list(DEFAULT_GROUPS), "ranks": [2], "spans": ["all"],
+               "encoders": ["both"], "shots": 4, "n_seeds": 3, "master_seed": 0,
+               "workers": 1, **_defaults(TrainConfig, "iters_per_shot")},
+}
+_HELP = {"shift": "cyclic pixel roll; same seed + shift gives a shifted rendering "
+                  "of the same classes",
+         "shots": "support images per class, left out of the query split",
+         "method": f"one of {', '.join(METHODS[1:])}",
+         "seeds": "comma-separated seed list", "n_seeds": "seeds per cell",
+         "merged_out": "directory for merged checkpoints (lora only)",
+         "groups": "e.g. q,v,qkv"}
+
+
+def _flag(key: str) -> str:
+    return "--seeds" if key == "n_seeds" else "--" + key.replace("_", "-")
+
+
+def _flag_type(default):
+    """A flag's value parses as its default's type; a list default takes a
+    comma-separated list."""
+    if isinstance(default, list):
+        return lambda text: [type(default[0])(x) for x in text.split(",") if x != ""]
+    return str if default is None else type(default)
+
+
+def _type_ok(value, default) -> bool:
+    """Whether a config-file value has the JSON type of its default: a bool
+    is not a number, an int may stand for a float, a list's items are checked
+    and a null default takes a string."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_type_ok(v, default[0]) for v in value)
+    types = {float: (int, float), type(None): (str, type(None))}.get(type(default), type(default))
+    return isinstance(value, types) and isinstance(value, bool) == isinstance(default, bool)
+
+
+def _apply_config(args: argparse.Namespace, defaults: dict) -> None:
     """Resolution order: explicit flag > config-file key > default.  The
-    config file may only set keys of `defaults`."""
+    config file may only set keys of `defaults`, each to a value of its
+    default's type."""
     file_cfg = {}
     if getattr(args, "config", None):
         try:
@@ -66,17 +104,26 @@ def _apply_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespac
         if unknown:
             raise UsageError(f"--config {args.config}: unknown key(s) "
                              f"{', '.join(unknown)}")
+        for key, value in file_cfg.items():
+            if not _type_ok(value, defaults[key]):
+                raise UsageError(f"--config {args.config}: {key} has the wrong type "
+                                 f"({json.dumps(value)}; default {json.dumps(defaults[key])})")
     for key, default in defaults.items():
         if getattr(args, key, None) is None:
             setattr(args, key, file_cfg.get(key, default))
-    return args
 
 
 def _require_positive(args: argparse.Namespace, *keys) -> None:
     for key in keys:
         if not getattr(args, key) > 0:
-            raise UsageError(f"--{key.replace('_', '-')} must be > 0, "
-                             f"got {getattr(args, key)}")
+            raise UsageError(f"{_flag(key)} must be > 0, got {getattr(args, key)}")
+
+
+def _reject_repeats(label: str, values: list) -> None:
+    """A repeated value would train an identical row twice."""
+    repeats = [value for i, value in enumerate(values) if value in values[:i]]
+    if repeats:
+        raise UsageError(f"{label} {repeats[0]} is repeated")
 
 
 def _placement(label: str, **fields) -> PlacementConfig:
@@ -94,64 +141,26 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("gen", help="generate a synthetic dataset directory")
     g.add_argument("--out", required=True)
-    g.add_argument("--config")
-    g.add_argument("--classes", type=int)
-    g.add_argument("--images-per-class", dest="images_per_class", type=int)
-    g.add_argument("--noise", type=float)
-    g.add_argument("--shift", type=int,
-                   help="cyclic pixel roll; same seed + shift gives a shifted "
-                        "rendering of the same classes")
-    g.add_argument("--seed", type=int)
 
     t = sub.add_parser("pretrain", help="contrastive-pretrain a dual encoder")
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--config")
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--batch-size", dest="batch_size", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--seed", type=int)
 
     z = sub.add_parser("zeroshot", help="zero-shot evaluation on the query split")
-    z.add_argument("--checkpoint", required=True)
-    z.add_argument("--dataset", required=True)
-    z.add_argument("--out", help="CSV path for the report row")
-    z.add_argument("--config")
-    z.add_argument("--shots", type=int, help="support size excluded from the query split")
-    z.add_argument("--seed", type=int)
-
     f = sub.add_parser("finetune", help="few-shot fine-tune and evaluate one method")
-    f.add_argument("--checkpoint", required=True)
-    f.add_argument("--dataset", required=True)
-    f.add_argument("--method", choices=METHODS[1:])
-    f.add_argument("--out", required=True, help="CSV path for report rows")
-    f.add_argument("--config")
-    f.add_argument("--shots", type=int)
-    f.add_argument("--seeds", type=_int_list, help="comma-separated seed list")
-    f.add_argument("--merged-out", dest="merged_out",
-                   help="directory for merged checkpoints (lora only)")
-    f.add_argument("--lr", type=float)
-    f.add_argument("--iters-per-shot", dest="iters_per_shot", type=int)
-    f.add_argument("--batch-size", dest="batch_size", type=int)
-    f.add_argument("--rank", type=int)
-    f.add_argument("--dropout", type=float)
-
     a = sub.add_parser("ablate", help="run the placement/rank ablation grid")
-    a.add_argument("--checkpoint", required=True)
-    a.add_argument("--dataset", required=True)
-    a.add_argument("--out", required=True)
-    a.add_argument("--config")
-    a.add_argument("--groups", type=_str_list, help="e.g. q,v,qkv")
-    a.add_argument("--ranks", type=_int_list)
-    a.add_argument("--spans", type=_str_list)
-    a.add_argument("--encoders", type=_str_list)
-    a.add_argument("--shots", type=int)
-    a.add_argument("--seeds", dest="n_seeds", type=int, help="seeds per cell")
-    a.add_argument("--master-seed", dest="master_seed", type=int)
-    a.add_argument("--workers", type=int)
+    for sp in (z, f, a):
+        sp.add_argument("--checkpoint", required=True)
+        sp.add_argument("--dataset", required=True)
+        sp.add_argument("--out", required=sp is not z, help="CSV path for report rows")
     a.add_argument("--default-grid", action="store_true",
                    help="use the documented 49-cell default grid")
-    a.add_argument("--iters-per-shot", dest="iters_per_shot", type=int)
+    for command, keys in _KEYS.items():
+        sp = sub.choices[command]
+        sp.add_argument("--config")
+        for key, default in keys.items():
+            sp.add_argument(_flag(key), dest=key, type=_flag_type(default),
+                            help=_HELP.get(key))
 
     r = sub.add_parser("report", help="summarize report rows as a table + JSON")
     r.add_argument("--rows", required=True, nargs="+",
@@ -162,8 +171,6 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
-    _apply_config(args, _defaults(SyntheticDatasetSpec, "classes",
-                                  "images_per_class", "noise", "shift", "seed"))
     _require_positive(args, "classes", "images_per_class")
     if args.noise < 0:
         raise UsageError(f"noise must be >= 0, got {args.noise}")
@@ -179,7 +186,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    _apply_config(args, _defaults(PretrainConfig, "epochs", "batch_size", "lr", "seed"))
     _require_positive(args, "epochs", "lr")
     if args.batch_size < 2:
         raise UsageError(f"--batch-size must be >= 2 (contrastive pairs), "
@@ -197,11 +203,12 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_zeroshot(args) -> int:
-    _apply_config(args, {"shots": 4, **_defaults(TrainConfig, "seed")})
     _require_positive(args, "shots")
     ds = load_dataset(args.dataset)
-    factory = lambda: load_checkpoint(args.checkpoint)
-    row = run_method_over_seeds(factory, ds, "zero-shot", args.shots, [args.seed])[0]
+    base = load_checkpoint(args.checkpoint)
+    # a zero-shot row trains nothing, so it scores the model of the shared pass
+    row = run_plan(lambda: base, base, ds, [PlannedRow("zero-shot", args.seed)],
+                   args.shots)[0]
     print(f"zero-shot accuracy: {row.acc:.4f} "
           f"({ds.images.shape[0]} images, {len(ds.class_names)} classes)")
     if args.out:
@@ -210,26 +217,25 @@ def cmd_zeroshot(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    _apply_config(args, {"method": "lora", "shots": 4, "seeds": [0, 1, 2],
-                         "merged_out": None,
-                         **_defaults(TrainConfig, "lr", "iters_per_shot", "batch_size"),
-                         **_defaults(PlacementConfig, "rank", "dropout")})
+    if args.method not in METHODS[1:]:
+        raise UsageError(f"method must be one of {METHODS[1:]}, got {args.method!r}")
     if args.shots not in SHOT_GRID:
         raise UsageError(f"shots must be one of {SHOT_GRID}, got {args.shots}")
     if not args.seeds:
         raise UsageError("--seeds needs at least one seed")
+    _reject_repeats("finetune: seed", args.seeds)
     _require_positive(args, "iters_per_shot", "batch_size", "lr")
     placement = _placement("finetune", rank=args.rank, dropout=args.dropout)
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
     train_cfg = TrainConfig(lr=args.lr, batch_size=args.batch_size,
                             iters_per_shot=args.iters_per_shot)
-    rows = run_method_over_seeds(factory, ds, args.method, args.shots,
-                                 args.seeds, placement=placement,
-                                 train_cfg=train_cfg,
-                                 merged_checkpoint_dir=args.merged_out)
-    write_report_csv(args.out, rows)
-    mean = rows[-1]
+    plan = [PlannedRow(args.method, seed, placement, merged_checkpoint=None
+                       if args.merged_out is None else f"{args.merged_out}/merged_seed{seed}")
+            for seed in args.seeds]
+    rows = run_plan(factory, factory(), ds, plan, args.shots, train_cfg=train_cfg)
+    mean = mean_report(rows)
+    write_report_csv(args.out, rows + [mean])
     print(f"{args.method} shots={args.shots}: mean acc {mean.acc:.4f} "
           f"(zero-shot {mean.zs_acc:.4f}), {mean.trainable} trainable / "
           f"{mean.total} total params")
@@ -237,13 +243,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    _apply_config(args, {"groups": list(DEFAULT_GROUPS), "ranks": [2],
-                         "spans": ["all"], "encoders": ["both"], "shots": 4,
-                         "n_seeds": 3, "master_seed": 0, "workers": 1,
-                         **_defaults(TrainConfig, "iters_per_shot")})
-    _require_positive(args, "shots", "iters_per_shot", "workers")
-    if args.n_seeds < 1:
-        raise UsageError(f"--seeds (seeds per cell) must be >= 1, got {args.n_seeds}")
+    _require_positive(args, "shots", "iters_per_shot", "workers", "n_seeds")
     cells = (default_ablation_cells() if args.default_grid else
              list(product(args.groups, args.ranks, args.spans, args.encoders)))
     if not cells:
@@ -253,6 +253,7 @@ def cmd_ablate(args) -> int:
                              matrices=tuple(group), rank=rank, layer_span=span,
                              encoders=encoders)
                   for group, rank, span, encoders in cells]
+    _reject_repeats("ablation cell", cells)
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
     train_cfg = TrainConfig(iters_per_shot=args.iters_per_shot)
@@ -284,6 +285,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command in _KEYS:
+            _apply_config(args, _KEYS[args.command])
         return _COMMANDS[args.command](args)
     except UsageError as e:
         print(str(e), file=sys.stderr)

@@ -322,7 +322,9 @@ def encode_images(model: DualEncoderModel, images: np.ndarray,
     The batch runs through the tower in blocks of IMAGE_BLOCK images, so a
     large evaluation batch never builds activations that overflow the cache.
     Images do not interact, so blocking changes no image's features.  A batch
-    of at most IMAGE_BLOCK images is one block.
+    of at most IMAGE_BLOCK images is one block, and no batch of two or more
+    ends in a block of one image: numpy would multiply that image with a
+    matrix-vector kernel, whose sums round differently.
     """
     cfg = model.cfg
     enc = model.visual
@@ -330,8 +332,11 @@ def encode_images(model: DualEncoderModel, images: np.ndarray,
     n = patches.shape[0]
     feats = []
     # an empty batch runs as one empty block and gives (0, embed_dim)
-    for start in range(0, max(n, 1), IMAGE_BLOCK):
-        block = Tensor(patches[start:start + IMAGE_BLOCK])
+    bounds = [*range(0, max(n, 1), IMAGE_BLOCK), n]
+    if n > 1 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1
+    for start, stop in zip(bounds, bounds[1:]):
+        block = Tensor(patches[start:stop])
         b = block.shape[0]
         x = add(matmul(block, enc.patch_w), enc.patch_b)
         cls_rows = add(reshape(enc.cls_token, (1, 1, cfg.width)),
@@ -427,13 +432,18 @@ def read_tensor_blob(directory: Path) -> tuple[dict, dict[str, np.ndarray]]:
     blob = (directory / "weights.bin").read_bytes()
     arrays = {}
     for name, meta in tensors.items():
+        if not isinstance(meta, dict) or not {"shape", "dtype", "offset", "nbytes"} <= set(meta):
+            raise FormatError(f"tensor {name}: manifest entry needs shape, dtype, offset, nbytes")
+        dims = meta["shape"] if isinstance(meta["shape"], list) else [None]
+        if not all(type(c) is int and c >= 0 for c in [meta["offset"], meta["nbytes"], *dims]):
+            raise FormatError(f"tensor {name}: offset, nbytes and shape must be integers >= 0")
         dt = _blob_dtype(meta["dtype"])
         end = meta["offset"] + meta["nbytes"]
         if end > len(blob):
             raise FormatError(f"weights blob truncated: tensor {name} needs bytes up to {end}, "
                               f"blob has {len(blob)}")
-        n_elem = meta["nbytes"] // dt.itemsize
-        if n_elem != int(np.prod(meta["shape"], dtype=np.int64)):
+        n_elem = int(np.prod(meta["shape"], dtype=np.int64))
+        if n_elem * dt.itemsize != meta["nbytes"]:
             raise FormatError(f"manifest shape {meta['shape']} inconsistent with byte count "
                               f"for tensor {name}")
         arr = np.frombuffer(blob, dtype=dt, count=n_elem, offset=meta["offset"])

@@ -27,12 +27,14 @@ class RunReport:
     seconds: Optional[float] = None
     extra: dict = field(default_factory=dict)   # ablation coordinates
 
-    def to_row(self, with_extra: bool = False) -> list[str]:
+    def to_row(self, ablation: bool = False) -> list[str]:
+        """The CSV fields.  An ablation row leaves `seconds` blank, so that
+        the grid's CSV is the same bytes on every run, serial or threaded."""
         row = [self.method, self.config, str(self.shots), str(self.seed),
                f"{self.zs_acc:.6f}", f"{self.acc:.6f}", str(self.trainable),
                str(self.total), str(self.iters),
-               "" if self.seconds is None else f"{self.seconds:.3f}"]
-        if with_extra:
+               "" if self.seconds is None or ablation else f"{self.seconds:.3f}"]
+        if ablation:
             row += [str(self.extra.get(k, "")) for k in ABLATION_EXTRA]
         return row
 
@@ -56,7 +58,7 @@ def write_report_csv(path, rows: Sequence[RunReport], ablation: bool = False) ->
         w = csv.writer(f)
         w.writerow(header)
         for r in rows:
-            w.writerow(r.to_row(with_extra=ablation))
+            w.writerow(r.to_row(ablation))
 
 
 def read_report_csv(path) -> list[dict]:
@@ -78,8 +80,10 @@ def read_report_csv(path) -> list[dict]:
             row = dict(zip(header, raw))
             try:
                 row["shots"] = int(row["shots"])
-                row["zs_acc"] = float(row["zs_acc"])
-                row["acc"] = float(row["acc"])
+                for key in ("zs_acc", "acc"):
+                    row[key] = float(row[key])
+                    if not 0.0 <= row[key] <= 1.0:  # also false for nan
+                        raise ValueError(f"{key} {row[key]} is not an accuracy in [0, 1]")
             except ValueError as e:
                 raise FormatError(f"{path}:{lineno}: {e}") from None
             rows.append(row)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from conftest import small_model_for
-from lorabench.bench import base_zero_shot_accuracies, run_method_over_seeds
+from lorabench.bench import PlannedRow, base_zero_shot_accuracies, run_plan
 from lorabench.data import SyntheticDatasetSpec, generate_dataset
 from lorabench.fewshot import evaluate, sample_support_set
 
@@ -33,9 +33,10 @@ def test_shared_pass_gives_each_task_its_own_zero_shot_accuracy():
              for seed in seeds]
     shared = base_zero_shot_accuracies(factory(), ds, tasks)
     assert shared == [evaluate(factory(), task)[0] for task in tasks]
-    rows = run_method_over_seeds(factory, ds, "zero-shot", 4, list(seeds))
-    assert [r.zs_acc for r in rows[:-1]] == shared
-    assert [r.acc for r in rows[:-1]] == shared
+    plan = [PlannedRow("zero-shot", seed) for seed in seeds]
+    rows = run_plan(factory, factory(), ds, plan, 4)
+    assert [r.zs_acc for r in rows] == shared
+    assert [r.acc for r in rows] == shared
     assert len(set(shared)) == len(seeds)
 
 

@@ -223,21 +223,45 @@ class TestAblate:
         assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
 
 
+class TestCheckpointLoads:
+    """The zero-shot pass loads the base model once; each trained row loads
+    its own; a zero-shot row scores the model of the pass."""
+
+    @pytest.mark.parametrize("argv,loads", [
+        (["zeroshot"], 1),
+        (["finetune", "--method", "lora", "--seeds", "0,1"], 3),
+        (["ablate", "--groups", "q,v", "--ranks", "1", "--seeds", "1"], 3),
+    ], ids=["zeroshot", "finetune-2-seeds", "ablate-2-rows"])
+    def test_load_count(self, argv, loads, workdir, tmp_path, monkeypatch):
+        loaded = []
+        monkeypatch.setattr("lorabench.cli.load_checkpoint",
+                            lambda path: loaded.append(path) or load_checkpoint(path))
+        trained = [] if argv[0] == "zeroshot" else ["--iters-per-shot", "1"]
+        assert main([*argv, *trained, "--checkpoint", str(workdir / "ckpt"),
+                     "--dataset", str(workdir / "ds"), "--shots", "1",
+                     "--out", str(tmp_path / "rows.csv")]) == 0
+        assert len(loaded) == loads
+
+
 def _stub_row(model_factory, task, method, seed, zs_acc, placement, **kwargs):
     return RunReport(method=method, config=placement.digest(), shots=task.shots,
                      seed=seed, zs_acc=zs_acc, acc=zs_acc, trainable=0, total=0,
                      iters=0)
 
 
-def _valid_cell_value(group, rank, span, encoders) -> bool:
-    return (len(set(group)) == len(group) and set(group) <= set(MATRICES)
-            and rank >= 1 and span in LAYER_SPANS and encoders in ENCODER_CHOICES)
+def _valid_grid(cells) -> bool:
+    """A grid runs when it has a cell, every cell is valid and none repeats."""
+    return bool(cells) and len(set(cells)) == len(cells) and all(
+        len(set(group)) == len(group) and set(group) <= set(MATRICES)
+        and rank >= 1 and span in LAYER_SPANS and encoders in ENCODER_CHOICES
+        for group, rank, span, encoders in cells)
 
 
 class TestGridFuzz:
     """Any --groups/--ranks/--spans/--encoders either exits 1 with one line
-    (some cell invalid, or no cell) or writes one row per seed of every cell
-    whose rank fits the model width.  Rows are stubbed; only planning runs."""
+    (some cell invalid or repeated, or no cell) or writes one row per seed of
+    every cell whose rank fits the model width.  Rows are stubbed; only
+    planning runs."""
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -263,7 +287,7 @@ class TestGridFuzz:
                          f"--encoders={','.join(encoders)}"])
             captured = capsys.readouterr()
             assert "Traceback" not in captured.err + captured.out
-            if not cells or not all(_valid_cell_value(*c) for c in cells):
+            if not _valid_grid(cells):
                 assert code == 1 and captured.err.count("\n") == 1
                 assert not out.exists()
                 return
@@ -346,11 +370,23 @@ class TestExitCodes:
         manifest2 = json.loads((tmp_path / "d2" / "manifest.json").read_text())
         assert manifest2["n_images"] == 32
 
+    def test_config_int_stands_for_float(self, tmp_path):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"classes": 2, "images_per_class": 2, "noise": 1}))
+        assert main(["gen", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 0
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert manifest["spec"]["noise"] == 1
+
 
 # ablate --config files, by name, whose grid has an invalid cell or no cell
 BAD_GRIDS = {"groups": {"groups": ["qq"]}, "spans": {"spans": ["middle"]},
              "encoders": {"encoders": ["audio"]}, "ranks": {"ranks": [0]},
              "empty": {"groups": []}}
+# name -> (command, its --config file) where a value has the wrong JSON type
+BAD_TYPES = {"str-rank": ("ablate", {"ranks": ["2"]}),
+             "bool-shots": ("zeroshot", {"shots": True}),
+             "str-lr": ("finetune", {"lr": "1e-3"}),
+             "int-seeds": ("finetune", {"seeds": 0})}
 
 
 class TestUsageErrors:
@@ -406,6 +442,15 @@ class TestUsageErrors:
         *[["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
            "--config", f"{{tmp}}/{name}.json", "--out", "{tmp}/x.csv"]
           for name in BAD_GRIDS],
+        ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--groups", "q,q", "--out", "{tmp}/x.csv"],
+        ["ablate", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--ranks", "2,2", "--out", "{tmp}/x.csv"],
+        ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--seeds", "0,0", "--out", "{tmp}/x.csv"],
+        *[[cmd, "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+           "--config", f"{{tmp}}/{name}.json", "--out", "{tmp}/x.csv"]
+          for name, (cmd, _) in BAD_TYPES.items()],
     ], ids=["malformed-config-json", "finetune-empty-seeds", "ablate-zero-shots",
             "ablate-zero-seeds", "gen-negative-noise", "gen-zero-classes",
             "gen-zero-images-per-class", "unknown-config-key", "pretrain-zero-epochs",
@@ -418,18 +463,41 @@ class TestUsageErrors:
             "ablate-unknown-encoder", "ablate-zero-rank", "ablate-empty-grid",
             "ablate-config-duplicate-group", "ablate-config-unknown-span",
             "ablate-config-unknown-encoder", "ablate-config-zero-rank",
-            "ablate-config-empty-grid"])
+            "ablate-config-empty-grid", "ablate-repeated-group",
+            "ablate-repeated-rank", "finetune-repeated-seed",
+            *[f"{cmd}-config-{name}" for name, (cmd, _) in BAD_TYPES.items()]])
     def test_exit_1_with_one_line(self, argv, workdir, tmp_path, capsys):
         (tmp_path / "bad.json").write_text('{"classes": 4,')
         (tmp_path / "typo.json").write_text('{"iters_per_shots": 1}')
         for name, grid in BAD_GRIDS.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(grid))
+        for name, (_, cfg) in BAD_TYPES.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
         argv = [a.format(tmp=tmp_path, work=workdir) for a in argv]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1 and captured.err.strip()
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "x.csv").exists() and not (tmp_path / "d").exists()
+
+
+class TestUsageErrorNames:
+    """A repeated row, a config value of the wrong type or a config method
+    that is not a trained method is a usage error that names it."""
+
+    @pytest.mark.parametrize("argv,named", [
+        (["ablate", "--groups", "q,q", "--ranks", "2"], "('q', 2, 'all', 'both')"),
+        (["finetune", "--seeds", "1,0,1"], "seed 1"),
+        (["ablate", "--config", "{tmp}/r.json"], "ranks"),
+        (["finetune", "--config", "{tmp}/m.json"], "'zero-shot'"),
+    ], ids=["repeated-cell", "repeated-seed", "config-type", "config-method"])
+    def test_error_names_it(self, argv, named, workdir, tmp_path, capsys):
+        (tmp_path / "r.json").write_text(json.dumps({"ranks": ["2"]}))
+        (tmp_path / "m.json").write_text(json.dumps({"method": "zero-shot"}))
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main([*argv, "--checkpoint", str(workdir / "ckpt"), "--dataset",
+                     str(workdir / "ds"), "--out", str(tmp_path / "x.csv")]) == 1
+        assert named in capsys.readouterr().err
 
 
 class TestReadme:

@@ -1,6 +1,9 @@
-"""Every name a module of the package or a test file imports is used there."""
+"""Every name a module of the package or a test file imports is used there,
+and every entry point the benchmark's span recorder wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,18 @@ def test_scan_sees_every_module():
     assert {p.stem for p in MODULES} >= {"tensor", "model", "lora", "fewshot",
                                          "baselines", "bench", "cli"}
     assert {p.stem for p in TESTS} >= {"conftest", "test_cli", "test_imports"}
+
+
+def test_traced_entry_points_exist():
+    # perfbench/tracer.py wraps these names; a rename must fail here too
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{mod}.{attr}" for mod, attr in tracer.FUNCTIONS
+               if not hasattr(importlib.import_module(f"lorabench.{mod}"), attr)]
+    missing += [f"{mod}.{cls}.{attr}" for mod, cls, attr in tracer.METHODS
+                if not hasattr(getattr(importlib.import_module(f"lorabench.{mod}"),
+                                       cls, None), attr)]
+    assert len(tracer.FUNCTIONS) >= 20 and tracer.METHODS
+    assert not missing, f"traced names missing from lorabench: {missing}"

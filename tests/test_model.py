@@ -186,20 +186,35 @@ class TestEncodeImage:
         assert np.array_equal(patches[1], img[:4, 4:].reshape(-1))
         assert np.array_equal(patches[2], img[4:, :4].reshape(-1))
 
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_blocked_forward_matches_small_batches(self, dtype):
-        # 150 images run as blocks of 64, 64 and 22.  The reference encodes
-        # two images at a time: numpy multiplies a lone row by a matrix with
-        # a matrix-vector kernel, whose sums round differently.
-        n = 150
-        assert n % IMAGE_BLOCK and n > 2 * IMAGE_BLOCK
+    @staticmethod
+    def _blocked_and_paired(dtype, n):
+        """Features of n images encoded as one batch, and the reference that
+        encodes two at a time, an odd last image beside its neighbour: numpy
+        multiplies a lone row by a matrix with a matrix-vector kernel, whose
+        sums round differently."""
         model = DualEncoderModel(tiny_config(dtype=dtype, width=64, heads=4,
                                              depth=2, embed_dim=32), seed=0)
         imgs = np.random.default_rng(7).standard_normal((n, 8, 8))
-        got = encode_images(model, imgs).data
-        want = np.concatenate([encode_images(model, imgs[i:i + 2]).data
-                               for i in range(0, n, 2)])
+        want = [encode_images(model, imgs[i:i + 2]).data for i in range(0, n - 1, 2)]
+        if n % 2:
+            want.append(encode_images(model, imgs[-2:]).data[1:])
+        return encode_images(model, imgs).data, np.concatenate(want)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_blocked_forward_matches_small_batches(self, dtype):
+        # 150 images run as blocks of 64, 64 and 22
+        n = 150
+        assert n % IMAGE_BLOCK and n > 2 * IMAGE_BLOCK
+        got, want = self._blocked_and_paired(dtype, n)
         assert got.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_no_block_of_one_image(self, dtype, n):
+        # one image past whole blocks: the last block takes two images
+        assert n % IMAGE_BLOCK == 1
+        got, want = self._blocked_and_paired(dtype, n)
         assert np.array_equal(got, want)
 
 
@@ -323,7 +338,19 @@ class TestCheckpoints:
         (lambda m: m["config"].update(colour="red"), "colour"),
         (lambda m: m.pop("config"), "config"),
         (lambda m: m.update(kind="lora"), "not a model checkpoint"),
-    ], ids=["no-tensors", "unknown-config-key", "no-config", "wrong-kind"])
+        (lambda m: m["tensors"].update({"visual.proj": [1, 2]}), "visual.proj"),
+        *[(lambda m, k=key: m["tensors"]["visual.proj"].pop(k), "needs")
+          for key in ("shape", "dtype", "offset", "nbytes")],
+        *[(lambda m, k=key, v=value: m["tensors"]["visual.proj"].update({k: v}),
+           "integers >= 0")
+          for key in ("offset", "nbytes") for value in (-4, 1.5, "8", True)],
+        (lambda m: m["tensors"]["visual.proj"].update(
+            shape=[-d for d in m["tensors"]["visual.proj"]["shape"]]), "integers >= 0"),
+    ], ids=["no-tensors", "unknown-config-key", "no-config", "wrong-kind",
+            "entry-not-object", "no-shape", "no-dtype", "no-offset", "no-nbytes",
+            *[f"{key}-{label}" for key in ("offset", "nbytes")
+              for label in ("negative", "float", "string", "bool")],
+            "negative-shape"])
     def test_malformed_manifest_rejected(self, small_dataset, tmp_path, edit, match):
         import json
         save_checkpoint(small_model_for(small_dataset), tmp_path / "ckpt")

@@ -74,6 +74,17 @@ class TestCsv:
         with pytest.raises(FormatError, match=":2"):
             read_report_csv(tmp_path / "r.csv")
 
+    @pytest.mark.parametrize("key", ["acc", "zs"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, 1.5])
+    def test_accuracy_outside_unit_interval_rejected(self, tmp_path, key, value):
+        write_report_csv(tmp_path / "r.csv", [row(), row(**{key: value})])
+        with pytest.raises(FormatError, match=r"r\.csv:3: (zs_)?acc .* \[0, 1\]"):
+            read_report_csv(tmp_path / "r.csv")
+
+    def test_ablation_rows_leave_seconds_blank(self, tmp_path):
+        write_report_csv(tmp_path / "a.csv", [row(seconds=1.5)], ablation=True)
+        assert read_report_csv(tmp_path / "a.csv")[0]["seconds"] == ""
+
     def test_empty_file(self, tmp_path):
         (tmp_path / "e.csv").write_text("")
         with pytest.raises(FormatError, match="empty"):
@@ -82,12 +93,12 @@ class TestCsv:
 
 class TestSummary:
     def test_single_method_three_shot_table(self, tmp_path):
-        rows = [row(shots=s, acc=0.1 * s) for s in (1, 4, 16)]
+        rows = [row(shots=s, acc=0.05 * s) for s in (1, 4, 16)]
         write_report_csv(tmp_path / "r.csv", rows)
         summary = summarize(read_report_csv(tmp_path / "r.csv"))
         assert summary["methods"] == ["lora"]
         assert summary["shots"] == [1, 4, 16]
-        assert summary["cells"]["lora"]["4"] == pytest.approx(0.4)
+        assert summary["cells"]["lora"]["4"] == pytest.approx(0.2)
 
     def test_mean_rows_take_precedence(self, tmp_path):
         rows = [row(seed=0, acc=0.2), row(seed=1, acc=0.4),
