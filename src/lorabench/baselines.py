@@ -46,7 +46,7 @@ def _soft_prompt_features(model: DualEncoderModel, context: Tensor,
     ctx = add(reshape(context, (1, m, d)),
               Tensor(np.zeros((k, m, d), dtype=model.cfg.np_dtype)))
     emb = concat([prefix, ctx, suffix], axis=1)
-    return encode_tokens(model, tokens, eos, embeddings=emb)
+    return encode_tokens(model, tokens, eos, x=add(emb, model.textual.pos_embed))
 
 
 def soft_prompt_finetune(model: DualEncoderModel, task: FewShotTask,
@@ -64,11 +64,9 @@ def soft_prompt_finetune(model: DualEncoderModel, task: FewShotTask,
     m = len(PROMPT_TEMPLATE)
     context = Tensor(model.textual.token_embed.data[tokens[0, 1:1 + m]].copy(),
                      requires_grad=True)
-    encode_text_fn = lambda training, rng: _soft_prompt_features(
-        model, context, tokens, eos)
+    encode_text_fn = lambda: _soft_prompt_features(model, context, tokens, eos)
 
-    train_rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 0x50F7]))
-    history = train_on_support(model, [context], task, train_cfg, train_rng,
+    history = train_on_support(model, [context], task, train_cfg,
                                encode_text_fn=encode_text_fn)
     acc, _ = evaluate(model, task, _soft_prompt_features(model, context, tokens, eos))
     return BaselineResult(accuracy=acc, trainable_count=context.size,
@@ -162,8 +160,7 @@ def bias_only_finetune(model: DualEncoderModel, task: FewShotTask,
     params = bias_parameters(model)
     for p in params:
         p.requires_grad = True
-    train_rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 0xB1A5]))
-    history = train_on_support(model, params, task, train_cfg, train_rng)
+    history = train_on_support(model, params, task, train_cfg)
     for p in params:
         p.requires_grad = False
     acc, _ = evaluate(model, task)

@@ -219,6 +219,8 @@ def cmd_zeroshot(args) -> int:
 def cmd_finetune(args) -> int:
     if args.method not in METHODS[1:]:
         raise UsageError(f"method must be one of {METHODS[1:]}, got {args.method!r}")
+    if args.merged_out is not None and args.method != "lora":
+        raise UsageError(f"--merged-out needs --method lora, got {args.method!r}")
     if args.shots not in SHOT_GRID:
         raise UsageError(f"shots must be one of {SHOT_GRID}, got {args.shots}")
     if not args.seeds:

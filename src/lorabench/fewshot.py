@@ -5,7 +5,7 @@ The fine-tuning loop keeps every hyper-parameter fixed across tasks:
 lr 2e-4 with cosine annealing, batch size 32, 500 * shots iterations,
 rank-2 adapters with dropout 0.25 on query/key/value of every layer of both
 encoders.  Class prompts are re-encoded through the (adapting) text encoder
-at every step; a frozen tower is encoded once per run instead.
+at every step; the frozen leading blocks of each tower run once per run.
 """
 
 from __future__ import annotations
@@ -215,36 +215,33 @@ def run_training_loop(params, loss_fn: Callable[[np.ndarray], Tensor],
 
 
 def train_on_support(model: DualEncoderModel, params, task: FewShotTask,
-                     cfg: TrainConfig, train_rng: np.random.Generator,
-                     encode_text_fn=None) -> TrainingHistory:
+                     cfg: TrainConfig, encode_text_fn=None) -> TrainingHistory:
     """CE training on the support set, shared by the adapter-module method
     and the trainable-subset baselines: each step encodes a support batch and
     the class prompts and scores them against the labels.
 
-    A frozen tower (see `_Encoder.frozen`) is encoded once, outside the tape:
-    the vision tower over the whole support set, which each step indexes, and
-    the text tower over the class prompts.  Neither draws from `train_rng`,
-    so the losses are those of encoding it at every step.
+    The first k blocks of each tower (`_Encoder.frozen_prefix`) run once,
+    outside the tape, over the whole support set or the class prompts; each
+    step runs the rest from there.  They draw no dropout mask, so the losses
+    are those of running every block at every step.
     """
+    # adapter dropout is the only draw from this stream
+    train_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD209]))
+    kv = model.visual.frozen_prefix()
+    support = (task.support_images if kv == 0 else
+               encode_images(model, task.support_images, stop=kv).data)
     if encode_text_fn is None:
         prompts = class_prompts(model, task.class_names)
-        if model.textual.frozen():
-            frozen_text = encode_prompts(model, prompts)
-            encode_text_fn = lambda training, rng: frozen_text
-        else:
-            encode_text_fn = lambda training, rng: encode_prompts(
-                model, prompts, training=training, rng=rng)
-    if model.visual.frozen():
-        support_feats = encode_images(model, task.support_images).data
-        encode_batch = lambda idx: Tensor(support_feats[idx])
-    else:
-        encode_batch = lambda idx: encode_images(
-            model, task.support_images[idx], training=True, rng=train_rng)
+        kt = model.textual.frozen_prefix()
+        prefix = None if kt == 0 else encode_prompts(model, prompts, stop=kt)
+        encode_text_fn = lambda: encode_prompts(model, prompts, training=True,
+                                                rng=train_rng, start=kt, x=prefix)
     tau = model.tau
 
     def loss_fn(idx):
-        feats = encode_batch(idx)
-        text_feats = encode_text_fn(training=True, rng=train_rng)
+        feats = encode_images(model, support[idx], training=True, rng=train_rng,
+                              start=kv)
+        text_feats = encode_text_fn()
         logits = matmul(feats, transpose(text_feats, (1, 0)))
         return cross_entropy_loss(logits, task.support_labels[idx], tau)
 
@@ -257,9 +254,7 @@ def train_on_support(model: DualEncoderModel, params, task: FewShotTask,
 def finetune_lora(adapted: AdaptedModel, task: FewShotTask,
                   cfg: TrainConfig) -> TrainingHistory:
     """Fine-tune only the adapter tensors on the support set."""
-    train_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD209]))
-    return train_on_support(adapted.base, adapted.trainable_parameters(), task,
-                            cfg, train_rng)
+    return train_on_support(adapted.base, adapted.trainable_parameters(), task, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -214,23 +214,24 @@ class _Encoder:
         self.ln_f_b = Tensor(np.zeros(cfg.width, dtype=dt))
         self.proj = Tensor((rng.standard_normal((cfg.width, cfg.embed_dim)) * 0.02).astype(dt))
 
-    def _own_params(self):
+    def named_parameters(self):
+        yield from self.embedding_parameters()
         yield "ln_f_g", self.ln_f_g
         yield "ln_f_b", self.ln_f_b
         yield "proj", self.proj
-
-    def named_parameters(self):
-        yield from self._own_params()
         for i, blk in enumerate(self.blocks):
             for n, p in blk.named_parameters():
                 yield f"blocks.{i}.{n}", p
 
-    def frozen(self) -> bool:
-        """No parameter trains and no block carries an adapter.  Dropout
-        lives only in adapters, so a frozen tower's training forward equals
-        its eval forward and its outputs can be computed once."""
-        return (not any(blk.lora for blk in self.blocks)
-                and not any(p.requires_grad for _, p in self.named_parameters()))
+    def frozen_prefix(self) -> int:
+        """k: how many leading blocks carry no adapter and see no trainable
+        tensor, the embedding's included.  Dropout lives only in adapters, so
+        their training forward is their eval forward and can run once."""
+        if any(p.requires_grad for _, p in self.embedding_parameters()):
+            return 0
+        live = (i for i, blk in enumerate(self.blocks)
+                if blk.lora or any(p.requires_grad for _, p in blk.named_parameters()))
+        return next(live, len(self.blocks))
 
 
 class VisionEncoder(_Encoder):
@@ -242,12 +243,11 @@ class VisionEncoder(_Encoder):
         self.cls_token = Tensor((rng.standard_normal(cfg.width) * 0.02).astype(dt))
         self.pos_embed = Tensor((rng.standard_normal((cfg.n_patches + 1, cfg.width)) * 0.01).astype(dt))
 
-    def named_parameters(self):
+    def embedding_parameters(self):
         yield "patch_w", self.patch_w
         yield "patch_b", self.patch_b
         yield "cls_token", self.cls_token
         yield "pos_embed", self.pos_embed
-        yield from super().named_parameters()
 
 
 class TextEncoder(_Encoder):
@@ -258,10 +258,9 @@ class TextEncoder(_Encoder):
         self.token_embed = Tensor((rng.standard_normal((vocab_size, cfg.width)) * 0.02).astype(dt))
         self.pos_embed = Tensor((rng.standard_normal((cfg.max_text_len, cfg.width)) * 0.01).astype(dt))
 
-    def named_parameters(self):
+    def embedding_parameters(self):
         yield "token_embed", self.token_embed
         yield "pos_embed", self.pos_embed
-        yield from super().named_parameters()
 
 
 class DualEncoderModel:
@@ -316,7 +315,8 @@ def patchify(images: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 
 
 def encode_images(model: DualEncoderModel, images: np.ndarray,
-                  training: bool = False, rng=None) -> Tensor:
+                  training: bool = False, rng=None, start: int = 0,
+                  stop: Optional[int] = None) -> Tensor:
     """Encode a (batch, H, W) pixel array to (batch, embed_dim) unit vectors.
 
     The batch runs through the tower in blocks of IMAGE_BLOCK images, so a
@@ -325,63 +325,69 @@ def encode_images(model: DualEncoderModel, images: np.ndarray,
     of at most IMAGE_BLOCK images is one block, and no batch of two or more
     ends in a block of one image: numpy would multiply that image with a
     matrix-vector kernel, whose sums round differently.
+
+    For start > 0, `images` is the hidden state entering block `start`; given
+    `stop`, the hidden state leaving block stop-1 replaces the features.
     """
     cfg = model.cfg
     enc = model.visual
-    patches = patchify(np.asarray(images), cfg).astype(cfg.np_dtype)
-    n = patches.shape[0]
+    inputs = np.asarray(images)
+    n = inputs.shape[0]
     feats = []
     # an empty batch runs as one empty block and gives (0, embed_dim)
     bounds = [*range(0, max(n, 1), IMAGE_BLOCK), n]
     if n > 1 and bounds[-1] - bounds[-2] == 1:
         bounds[-2] -= 1
-    for start, stop in zip(bounds, bounds[1:]):
-        block = Tensor(patches[start:stop])
-        b = block.shape[0]
-        x = add(matmul(block, enc.patch_w), enc.patch_b)
-        cls_rows = add(reshape(enc.cls_token, (1, 1, cfg.width)),
-                       Tensor(np.zeros((b, 1, cfg.width), dtype=cfg.np_dtype)))
-        x = add(concat([cls_rows, x], axis=1), enc.pos_embed)
-        for blk in enc.blocks:
+    for lo, hi in zip(bounds, bounds[1:]):
+        x = Tensor(patchify(inputs[lo:hi], cfg).astype(cfg.np_dtype) if start == 0
+                   else inputs[lo:hi])
+        b = x.shape[0]
+        if start == 0:
+            x = add(matmul(x, enc.patch_w), enc.patch_b)
+            cls_rows = add(reshape(enc.cls_token, (1, 1, cfg.width)),
+                           Tensor(np.zeros((b, 1, cfg.width), dtype=cfg.np_dtype)))
+            x = add(concat([cls_rows, x], axis=1), enc.pos_embed)
+        for blk in enc.blocks[start:stop]:
             x = block_forward(blk, x, mask=None, training=training, rng=rng)
-        x = layer_norm(x, enc.ln_f_g, enc.ln_f_b)
-        pooled = select_positions(x, np.zeros(b, dtype=np.int64))
-        feats.append(l2_normalize(matmul(pooled, enc.proj)))
+        if stop is None:
+            x = layer_norm(x, enc.ln_f_g, enc.ln_f_b)
+            pooled = select_positions(x, np.zeros(b, dtype=np.int64))
+            x = l2_normalize(matmul(pooled, enc.proj))
+        feats.append(x)
     return feats[0] if len(feats) == 1 else concat(feats, axis=0)
 
 
 def encode_tokens(model: DualEncoderModel, tokens: np.ndarray,
                   eos_indices: np.ndarray, training: bool = False, rng=None,
-                  embeddings: Optional[Tensor] = None) -> Tensor:
+                  start: int = 0, stop: Optional[int] = None,
+                  x: Optional[Tensor] = None) -> Tensor:
     """Encode (batch, max_len) token ids to (batch, embed_dim) unit vectors.
 
-    `embeddings` optionally overrides the token-embedding lookup with an
-    explicit (batch, max_len, width) tensor (soft prompts).
+    `x`, the hidden state entering block `start`, replaces the embeddings
+    (soft prompts, frozen prefixes); `start` and `stop` as in encode_images.
     """
-    cfg = model.cfg
     enc = model.textual
     tokens = np.asarray(tokens)
     if tokens.min() < 0 or tokens.max() >= enc.token_embed.shape[0]:
         raise InputError(f"token id out of range [0, {enc.token_embed.shape[0]})")
-    if embeddings is None:
-        x = take_rows(enc.token_embed, tokens)
-    else:
-        x = embeddings
-    x = add(x, enc.pos_embed)
+    if x is None:
+        x = add(take_rows(enc.token_embed, tokens), enc.pos_embed)
     pad = (tokens == PAD_ID)
     mask = np.where(pad[:, None, None, :], _MASK_NEG, 0.0)
-    for blk in enc.blocks:
+    for blk in enc.blocks[start:stop]:
         x = block_forward(blk, x, mask, training=training, rng=rng)
+    if stop is not None:
+        return x
     x = layer_norm(x, enc.ln_f_g, enc.ln_f_b)
     pooled = select_positions(x, np.asarray(eos_indices, dtype=np.int64))
     return l2_normalize(matmul(pooled, enc.proj))
 
 
 def encode_prompts(model: DualEncoderModel, prompts: list[ClassPrompt],
-                   training: bool = False, rng=None) -> Tensor:
+                   **kwargs) -> Tensor:
     tokens = np.stack([p.tokens for p in prompts])
     eos = np.asarray([p.eos_index for p in prompts])
-    return encode_tokens(model, tokens, eos, training=training, rng=rng)
+    return encode_tokens(model, tokens, eos, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,10 @@ class TestUsageErrors:
          "--ranks", "2,2", "--out", "{tmp}/x.csv"],
         ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
          "--seeds", "0,0", "--out", "{tmp}/x.csv"],
+        ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--method", "bias-only", "--merged-out", "{tmp}/d", "--out", "{tmp}/x.csv"],
+        ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--config", "{tmp}/merged.json", "--out", "{tmp}/x.csv"],
         *[[cmd, "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
            "--config", f"{{tmp}}/{name}.json", "--out", "{tmp}/x.csv"]
           for name, (cmd, _) in BAD_TYPES.items()],
@@ -465,10 +469,13 @@ class TestUsageErrors:
             "ablate-config-unknown-encoder", "ablate-config-zero-rank",
             "ablate-config-empty-grid", "ablate-repeated-group",
             "ablate-repeated-rank", "finetune-repeated-seed",
+            "finetune-merged-out-not-lora", "finetune-config-merged-out-not-lora",
             *[f"{cmd}-config-{name}" for name, (cmd, _) in BAD_TYPES.items()]])
     def test_exit_1_with_one_line(self, argv, workdir, tmp_path, capsys):
         (tmp_path / "bad.json").write_text('{"classes": 4,')
         (tmp_path / "typo.json").write_text('{"iters_per_shots": 1}')
+        (tmp_path / "merged.json").write_text(json.dumps(
+            {"method": "adapter", "merged_out": str(tmp_path / "d")}))
         for name, grid in BAD_GRIDS.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(grid))
         for name, (_, cfg) in BAD_TYPES.items():

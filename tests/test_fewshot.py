@@ -9,15 +9,19 @@ import numpy as np
 import pytest
 
 from conftest import small_model_for
-from lorabench.baselines import soft_prompt_finetune
+from lorabench import model as model_module
+from lorabench.baselines import (bias_only_finetune, bias_parameters,
+                                 soft_prompt_finetune)
 from lorabench.errors import DomainError, LorabenchError, ShapeError
 from lorabench.fewshot import (FewShotTask, PretrainConfig, TrainConfig,
-                               class_prompts, contrastive_pretrain,
+                               _BatchSampler, class_prompts, contrastive_pretrain,
                                cross_entropy_loss, evaluate, finetune_lora,
-                               predict, sample_support_set, zero_shot_logits)
-from lorabench.lora import PlacementConfig, inject
-from lorabench.model import encode_images, encode_prompts, tokenize_prompt
-from lorabench.tensor import Tape, Tensor, row_softmax
+                               predict, run_training_loop, sample_support_set,
+                               zero_shot_logits)
+from lorabench.lora import ENCODER_CHOICES, LAYER_SPANS, PlacementConfig, inject
+from lorabench.model import (block_forward, encode_images, encode_prompts,
+                             tokenize_prompt)
+from lorabench.tensor import Tape, Tensor, matmul, row_softmax, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -285,20 +289,51 @@ class TestFinetune:
 
 
 # ---------------------------------------------------------------------------
-# frozen towers: encoded once per training run
+# frozen prefixes: the leading frozen blocks of each tower run once per run
+
+# every layer_span-encoders placement
+GRID = {f"{span}-{enc}": PlacementConfig(layer_span=span, encoders=enc)
+        for span in LAYER_SPANS for enc in ENCODER_CHOICES}
+# run -> the placement of its adapters; bias-only and soft-prompt carry none
+PLACEMENTS = {"default": GRID["all-both"], "up": GRID["up-both"],
+              "bottom": GRID["bottom-both"], "text": GRID["all-text"],
+              "vision": GRID["all-vision"], **GRID}
 
 
-def _frozen_run_model(ds, run):
+def _frozen_run_model(ds, run, depth=2):
     """The model as the training loop of `run` sees it, and its adapters
-    (None for soft-prompt)."""
-    model = small_model_for(ds, dtype="float64")
-    if run == "soft-prompt":
-        model.set_trainable(False)
-        return model, None
-    return model, inject(model, PlacementConfig(encoders=run), seed=0)
+    (None for the baselines)."""
+    model = small_model_for(ds, dtype="float64", depth=depth)
+    if run in PLACEMENTS:
+        return model, inject(model, PLACEMENTS[run], seed=0)
+    model.set_trainable(False)
+    if run == "bias-only":
+        for p in bias_parameters(model):
+            p.requires_grad = True
+    return model, None
 
 
-# loss histories of these runs before frozen towers were cached (float64)
+def _reference_losses(model, params, task, cfg):
+    """The loss history of `train_on_support` with both towers encoded in
+    full at every step, from the same dropout and batch streams."""
+    train_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD209]))
+    prompts = class_prompts(model, task.class_names)
+
+    def loss_fn(idx):
+        feats = encode_images(model, task.support_images[idx], training=True,
+                              rng=train_rng)
+        texts = encode_prompts(model, prompts, training=True, rng=train_rng)
+        return cross_entropy_loss(matmul(feats, transpose(texts, (1, 0))),
+                                  task.support_labels[idx], model.tau)
+
+    sampler = _BatchSampler(task.support_images.shape[0], cfg.batch_size,
+                            cfg.seed, 0xBA7C)
+    return run_training_loop(params, loss_fn, sampler, cfg.iterations(task.shots),
+                             cfg.lr, cfg.weight_decay).losses
+
+
+# loss histories of these runs (float64), recorded while each of them still
+# encoded every block of both towers at every step
 FROZEN_RUN_LOSSES = {
     "text": [1.439372275603373, 1.420765343166474, 1.3866871188267003,
              1.3783080445362716, 1.3886373558563059, 1.4137931719368078,
@@ -312,30 +347,82 @@ FROZEN_RUN_LOSSES = {
                     1.377891241348753, 1.3896767150682692, 1.4153519986426533,
                     1.4566492062852148, 1.4291439769682819, 1.447143331450134,
                     1.3825899466968252],
+    "up": [1.439372275603373, 1.4207176629752236, 1.3868145209197305,
+           1.3795467457885864, 1.3901853316130781, 1.4142068373134913,
+           1.4576882068412291, 1.4273500339011096, 1.4446982378703093,
+           1.3826604364451045],
+    "bias-only": [1.439372275603373, 1.4185615646595857, 1.3835160637744524,
+                  1.375343394198667, 1.382231326857359, 1.4063617663750136,
+                  1.4323038454042765, 1.4139833962514516, 1.4285640928211785,
+                  1.3727014291256423],
 }
 
 
 class TestFrozenTowers:
-    @pytest.mark.parametrize("run,frozen,live", [
-        ("text", "visual", "textual"),       # adapters on the text tower only
-        ("vision", "textual", "visual"),
-        ("soft-prompt", "visual", None),     # the context is not in a tower
+    # the vision and text k of each run at depth 3
+    @pytest.mark.parametrize("run,kv,kt", [
+        ("default", 0, 0), ("up", 2, 2), ("bottom", 0, 0),
+        ("text", 3, 0),                  # adapters on the text tower only
+        ("vision", 0, 3), ("bias-only", 0, 0),
+        ("soft-prompt", 3, 3),           # the context is not in a tower
+        ("embedding", 0, 0),             # no block trains, the embeddings do
     ])
     def test_frozen_forward_is_untaped_eval_forward(self, small_dataset, run,
-                                                   frozen, live):
-        model, _ = _frozen_run_model(small_dataset, run)
-        assert getattr(model, frozen).frozen()
-        if live is not None:
-            assert not getattr(model, live).frozen()
-        if frozen == "visual":
-            encode = lambda **kw: encode_images(model, small_dataset.images, **kw)
+                                                   kv, kt):
+        if run == "embedding":
+            model, _ = _frozen_run_model(small_dataset, "soft-prompt", depth=3)
+            model.visual.pos_embed.requires_grad = True
+            model.textual.token_embed.requires_grad = True
         else:
-            prompts = class_prompts(model, small_dataset.class_names)
-            encode = lambda **kw: encode_prompts(model, prompts, **kw)
-        with Tape() as tape:
-            taped = encode(training=True, rng=np.random.default_rng(0))
-        assert len(tape) == 0 and not taped.requires_grad
-        assert np.array_equal(taped.data, encode().data)
+            model, _ = _frozen_run_model(small_dataset, run, depth=3)
+        assert model.visual.frozen_prefix() == kv
+        assert model.textual.frozen_prefix() == kt
+        prompts = class_prompts(model, small_dataset.class_names)
+        prefixes = [(kv, lambda **kw: encode_images(model, small_dataset.images,
+                                                    stop=kv, **kw)),
+                    (kt, lambda **kw: encode_prompts(model, prompts, stop=kt, **kw))]
+        for k, encode in prefixes:
+            if k == 0:
+                continue
+            with Tape() as tape:
+                taped = encode(training=True, rng=np.random.default_rng(0))
+            assert len(tape) == 0 and not taped.requires_grad
+            assert np.array_equal(taped.data, encode().data)
+
+    def test_prefix_runs_once_per_run(self, small_dataset, monkeypatch):
+        # span=up at depth 3: blocks 0 and 1 of each tower run once for the
+        # whole support set or the class prompts, block 2 at every step
+        calls = {}
+
+        def spy(block, *args, **kwargs):
+            calls[id(block)] = calls.get(id(block), 0) + 1
+            return block_forward(block, *args, **kwargs)
+
+        model, adapted = _frozen_run_model(small_dataset, "up", depth=3)
+        task = sample_support_set(small_dataset.images, small_dataset.labels,
+                                  small_dataset.class_names, 2, seed=0)
+        monkeypatch.setattr(model_module, "block_forward", spy)
+        hist = finetune_lora(adapted, task, TrainConfig(iters_per_shot=3, seed=0))
+        steps = len(hist.steps)
+        assert steps == 6
+        for enc in (model.visual, model.textual):
+            assert [calls.get(id(blk), 0) for blk in enc.blocks] == [1, 1, steps]
+
+    @pytest.mark.parametrize("run", [*GRID, "bias-only"])
+    def test_losses_equal_full_forward_every_step(self, small_dataset, run):
+        task = sample_support_set(small_dataset.images, small_dataset.labels,
+                                  small_dataset.class_names, 2, seed=0)
+        cfg = TrainConfig(iters_per_shot=5, seed=0)
+        model, adapted = _frozen_run_model(small_dataset, run, depth=3)
+        if run == "bias-only":
+            hist = bias_only_finetune(model, task, train_cfg=cfg).history
+        else:
+            hist = finetune_lora(adapted, task, cfg)
+        ref, ref_adapted = _frozen_run_model(small_dataset, run, depth=3)
+        params = (bias_parameters(ref) if ref_adapted is None
+                  else ref_adapted.trainable_parameters())
+        np.testing.assert_array_equal(hist.losses,
+                                      _reference_losses(ref, params, task, cfg))
 
     @pytest.mark.parametrize("run", sorted(FROZEN_RUN_LOSSES))
     def test_loss_history_unchanged(self, small_dataset, run):
@@ -345,6 +432,8 @@ class TestFrozenTowers:
         cfg = TrainConfig(iters_per_shot=5, seed=0)
         if run == "soft-prompt":
             hist = soft_prompt_finetune(model, task, train_cfg=cfg).history
+        elif run == "bias-only":
+            hist = bias_only_finetune(model, task, train_cfg=cfg).history
         else:
             hist = finetune_lora(adapted, task, cfg)
         np.testing.assert_allclose(hist.losses, FROZEN_RUN_LOSSES[run],

@@ -4,6 +4,7 @@ and every entry point the benchmark's span recorder wraps exists."""
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,6 @@ def test_traced_entry_points_exist():
                                        cls, None), attr)]
     assert tracer.FUNCTIONS and tracer.METHODS
     assert not missing, f"traced names missing from lorabench: {missing}"
+    # the recorder reads encode_images' image count from args[1] or kwargs["images"]
+    encode_images = importlib.import_module("lorabench.model").encode_images
+    assert list(inspect.signature(encode_images).parameters)[1] == "images"
