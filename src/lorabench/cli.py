@@ -10,13 +10,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from itertools import product
 from pathlib import Path
 
 from .bench import (DEFAULT_GROUPS, SHOT_GRID, METHODS, PlannedRow,
                     default_ablation_cells, pretrain_model, run_ablation, run_plan)
-from .data import SyntheticDatasetSpec, generate_dataset, load_dataset, save_dataset
+from .data import (DEFAULT_CLASS_NAMES, SyntheticDatasetSpec, generate_dataset,
+                   load_dataset, save_dataset)
 from .errors import DomainError, LorabenchError
 from .fewshot import PretrainConfig, TrainConfig
 from .lora import PlacementConfig
@@ -115,8 +117,8 @@ def _apply_config(args: argparse.Namespace, defaults: dict) -> None:
 
 def _require_positive(args: argparse.Namespace, *keys) -> None:
     for key in keys:
-        if not getattr(args, key) > 0:
-            raise UsageError(f"{_flag(key)} must be > 0, got {getattr(args, key)}")
+        if not 0 < getattr(args, key) < math.inf:
+            raise UsageError(f"{_flag(key)} must be > 0 and finite, got {getattr(args, key)}")
 
 
 def _reject_repeats(label: str, values: list) -> None:
@@ -171,9 +173,12 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
-    _require_positive(args, "classes", "images_per_class")
-    if args.noise < 0:
-        raise UsageError(f"noise must be >= 0, got {args.noise}")
+    _require_positive(args, "images_per_class")
+    if not 1 <= args.classes <= len(DEFAULT_CLASS_NAMES):
+        raise UsageError(f"--classes must be in [1, {len(DEFAULT_CLASS_NAMES)}], "
+                         f"got {args.classes}")
+    if not 0 <= args.noise < math.inf:
+        raise UsageError(f"--noise must be >= 0 and finite, got {args.noise}")
     spec = SyntheticDatasetSpec(n_classes=args.classes,
                                 images_per_class=args.images_per_class,
                                 noise=args.noise, pixel_shift=args.shift,

@@ -1,8 +1,8 @@
 """Low-rank adaptation engine: create, place, merge and count adapter modules.
 
-A module holds the factored update delta = B @ A for one attention projection.
-The host weight is stored input-major (d_in x d_out), i.e. transposed relative
-to the column-vector convention, so merging folds in (B @ A) transposed.
+A module holds the factored update delta = A @ B for one attention projection,
+in the layout of the weight it adapts: input-major, A (d_in x rank) and
+B (rank x d_out), so delta is (d_in x d_out) like the host weight.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class PlacementConfig:
     layer_span: str = "all"
     encoders: str = "both"
     rank: int = 2
-    scale: float = 1.0
     dropout: float = 0.25
 
     def __post_init__(self):
@@ -74,33 +73,32 @@ class PlacementConfig:
 
 
 class LoRAModule:
-    """One factored update: A is (rank, d_in) Kaiming-uniform, B is (d_out, rank) zeros."""
+    """One factored update: A is (d_in, rank) Kaiming-uniform, B is (rank, d_out) zeros."""
 
-    def __init__(self, A: Tensor, B: Tensor, scale: float, dropout: float):
+    def __init__(self, A: Tensor, B: Tensor, dropout: float):
         self.A = A
         self.B = B
-        self.scale = scale
         self.dropout = dropout
 
     def delta(self) -> np.ndarray:
-        """Materialized dense update (d_out x d_in), i.e. B @ A."""
-        return self.B.data @ self.A.data
+        """Materialized dense update (d_in x d_out), i.e. A @ B."""
+        return self.A.data @ self.B.data
 
     def param_count(self) -> int:
         return self.A.size + self.B.size
 
 
-def init_lora(d_out: int, d_in: int, rank: int, scale: float = 1.0,
-              dropout: float = 0.0, seed: int = 0, dtype=np.float32) -> LoRAModule:
-    """Seeded module init: A ~ U(-sqrt(6/d_in), +sqrt(6/d_in)), B = 0."""
+def init_lora(d_out: int, d_in: int, rank: int, dropout: float = 0.0,
+              seed: int = 0, dtype=np.float32) -> LoRAModule:
+    """Seeded module init: A ~ U(-sqrt(6/d_in), +sqrt(6/d_in)), drawn as A^T, B = 0."""
     if rank < 1 or rank > min(d_out, d_in):
         raise DomainError(f"rank {rank} outside [1, min({d_out}, {d_in})]")
     rng = np.random.default_rng(seed)
     bound = np.sqrt(6.0 / d_in)
-    A = Tensor(rng.uniform(-bound, bound, size=(rank, d_in)).astype(dtype),
+    A = Tensor(rng.uniform(-bound, bound, size=(rank, d_in)).T.astype(dtype, order="C"),
                requires_grad=True)
-    B = Tensor(np.zeros((d_out, rank), dtype=dtype), requires_grad=True)
-    return LoRAModule(A, B, scale, dropout)
+    B = Tensor(np.zeros((rank, d_out), dtype=dtype), requires_grad=True)
+    return LoRAModule(A, B, dropout)
 
 
 class AdaptedModel:
@@ -142,15 +140,14 @@ def inject(model: DualEncoderModel, cfg: PlacementConfig, seed: int = 0) -> Adap
     targets = cfg.targets(model.cfg.depth)
     for child, target in zip(ss.spawn(len(targets)), targets):
         enc, layer, mat = target
-        module = init_lora(d, d, cfg.rank, cfg.scale, cfg.dropout,
-                           seed=child, dtype=model.cfg.np_dtype)
+        module = init_lora(d, d, cfg.rank, cfg.dropout, seed=child, dtype=model.cfg.np_dtype)
         _encoder_of(model, enc).blocks[layer].lora[mat] = module
         modules[target] = module
     return AdaptedModel(model, cfg, modules)
 
 
 def merge(adapted: AdaptedModel) -> DualEncoderModel:
-    """Fold scale * B @ A into each host weight; detach modules for inference."""
+    """Fold A @ B into each host weight; detach modules for inference."""
     if adapted.merged:
         raise StateError("adapter modules already merged")
     snapshots = {}
@@ -158,8 +155,7 @@ def merge(adapted: AdaptedModel) -> DualEncoderModel:
         enc, layer, mat = target
         w = _encoder_of(adapted.base, enc).blocks[layer].weight(mat)
         snapshots[target] = w.data.copy()
-        # stored weights are input-major, delta() is output-major
-        w.data = w.data + (module.scale * module.delta()).T.astype(w.data.dtype)
+        w.data = w.data + module.delta().astype(w.data.dtype)
         _encoder_of(adapted.base, enc).blocks[layer].lora.pop(mat)
     adapted._snapshots = snapshots
     adapted.merged = True

@@ -3,7 +3,7 @@ projecting into one unit-hypersphere embedding space with a temperature.
 
 Both encoders are stacks of pre-norm residual blocks around multi-head
 attention and a GELU MLP.  Attention projections can carry low-rank adapter
-modules (see lora.py); the block only needs objects exposing A/B/scale/dropout.
+modules (see lora.py); the block needs A (d_in x rank), B (rank x d_out) and dropout.
 """
 
 from __future__ import annotations
@@ -163,13 +163,11 @@ class AttentionBlock:
 
 def _lora_linear(x: Tensor, w: Tensor, b: Tensor, module,
                  training: bool, rng) -> Tensor:
-    """x @ w + b, plus the scaled low-rank delta when a module is attached."""
+    """x @ w + b, plus the low-rank delta drop(x) @ A @ B when a module is attached."""
     out = add(matmul(x, w), b)
     if module is not None:
         xd = dropout(x, module.dropout, training, rng)
-        delta = matmul(matmul(xd, transpose(module.A, (1, 0))),
-                       transpose(module.B, (1, 0)))
-        out = add(out, delta * module.scale)
+        out = add(out, matmul(matmul(xd, module.A), module.B))
     return out
 
 

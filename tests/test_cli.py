@@ -455,6 +455,14 @@ class TestUsageErrors:
         *[[cmd, "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
            "--config", f"{{tmp}}/{name}.json", "--out", "{tmp}/x.csv"]
           for name, (cmd, _) in BAD_TYPES.items()],
+        ["gen", "--out", "{tmp}/d", "--noise", "nan"],
+        ["gen", "--out", "{tmp}/d", "--noise", "inf"],
+        ["pretrain", "--dataset", "{work}/ds", "--out", "{tmp}/d", "--lr", "inf"],
+        ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--lr", "inf", "--out", "{tmp}/x.csv"],
+        ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--config", "{tmp}/inf-lr.json", "--out", "{tmp}/x.csv"],
+        ["gen", "--out", "{tmp}/d", "--classes", "17"],
     ], ids=["malformed-config-json", "finetune-empty-seeds", "ablate-zero-shots",
             "ablate-zero-seeds", "gen-negative-noise", "gen-zero-classes",
             "gen-zero-images-per-class", "unknown-config-key", "pretrain-zero-epochs",
@@ -470,12 +478,15 @@ class TestUsageErrors:
             "ablate-config-empty-grid", "ablate-repeated-group",
             "ablate-repeated-rank", "finetune-repeated-seed",
             "finetune-merged-out-not-lora", "finetune-config-merged-out-not-lora",
-            *[f"{cmd}-config-{name}" for name, (cmd, _) in BAD_TYPES.items()]])
+            *[f"{cmd}-config-{name}" for name, (cmd, _) in BAD_TYPES.items()],
+            "gen-nan-noise", "gen-inf-noise", "pretrain-inf-lr", "finetune-inf-lr",
+            "finetune-config-inf-lr", "gen-17-classes"])
     def test_exit_1_with_one_line(self, argv, workdir, tmp_path, capsys):
         (tmp_path / "bad.json").write_text('{"classes": 4,')
         (tmp_path / "typo.json").write_text('{"iters_per_shots": 1}')
         (tmp_path / "merged.json").write_text(json.dumps(
             {"method": "adapter", "merged_out": str(tmp_path / "d")}))
+        (tmp_path / "inf-lr.json").write_text('{"lr": Infinity}')
         for name, grid in BAD_GRIDS.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(grid))
         for name, (_, cfg) in BAD_TYPES.items():

@@ -9,6 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import tiny_config
+from lorabench.lora import PlacementConfig, inject
+from lorabench.model import DualEncoderModel
+from lorabench.optim import AdamW
+
 ROOT = Path(__file__).resolve().parents[1]
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in (ROOT / "src" / "lorabench").glob("*.py")
@@ -71,3 +76,8 @@ def test_traced_entry_points_exist():
     # the recorder reads encode_images' image count from args[1] or kwargs["images"]
     encode_images = importlib.import_module("lorabench.model").encode_images
     assert list(inspect.signature(encode_images).parameters)[1] == "images"
+    # ...counts lora.inject's trainable tensors with .trainable_count() and
+    # AdamW's from its .params
+    adapted = inject(DualEncoderModel(tiny_config(), seed=0), PlacementConfig())
+    opt = AdamW(adapted.trainable_parameters())
+    assert adapted.trainable_count() == sum(p.size for p in opt.params) > 0

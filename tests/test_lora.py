@@ -10,7 +10,7 @@ from lorabench.fewshot import (TrainConfig, finetune_lora, sample_support_set,
 from lorabench.lora import (PlacementConfig, init_lora, inject, merge,
                             trainable_param_count, unmerge)
 from lorabench.model import _lora_linear, tokenize_prompt
-from lorabench.tensor import Tensor
+from lorabench.tensor import Tape, Tensor
 
 
 def _task(ds, shots=1, seed=0):
@@ -34,9 +34,11 @@ def _randomize_modules(adapted, scale=0.05, seed=0):
 
 class TestInit:
     def test_b_zero_delta_zero(self):
-        m = init_lora(8, 8, 2, seed=0)
-        assert np.array_equal(m.B.data, np.zeros((8, 2)))
-        assert np.array_equal(m.delta(), np.zeros((8, 8)))
+        # input-major like the host weight: A (d_in, r), B (r, d_out)
+        m = init_lora(8, 6, 2, seed=0)
+        assert m.A.shape == (6, 2)
+        assert np.array_equal(m.B.data, np.zeros((2, 8)))
+        assert np.array_equal(m.delta(), np.zeros((6, 8)))
 
     def test_same_seed_bitwise(self):
         a = init_lora(8, 8, 2, seed=5)
@@ -67,7 +69,7 @@ def _linear(rng, d=4):
 
 class TestLoraForward:
     """The adapted projection of every attention block, `model._lora_linear`:
-    x @ W + b + scale * drop(x) @ A^T @ B^T on rows x."""
+    x @ W + b + drop(x) @ A @ B on rows x."""
 
     def test_b_zero_is_plain_linear(self):
         rng = np.random.default_rng(0)
@@ -77,22 +79,13 @@ class TestLoraForward:
         out = _lora_linear(Tensor(x), W, b, m, training=False, rng=None)
         assert np.array_equal(out.data, x @ W.data + b.data)
 
-    def test_zero_scale_is_plain_linear(self):
-        rng = np.random.default_rng(1)
-        W, b = _linear(rng)
-        x = rng.standard_normal((3, 4))
-        m = init_lora(4, 4, 2, scale=0.0, seed=1, dtype=np.float64)
-        m.B.data = rng.standard_normal((4, 2))
-        out = _lora_linear(Tensor(x), W, b, m, training=False, rng=None)
-        assert np.abs(out.data - (x @ W.data + b.data)).max() == 0.0
-
     def test_dense_materialization_oracle(self):
         rng = np.random.default_rng(2)
         W, b = _linear(rng)
         x = rng.standard_normal((3, 4))
-        m = init_lora(4, 4, 2, scale=0.7, seed=3, dtype=np.float64)
-        m.B.data = rng.standard_normal((4, 2))
-        want = x @ (W.data + 0.7 * (m.B.data @ m.A.data).T) + b.data
+        m = init_lora(4, 4, 2, seed=3, dtype=np.float64)
+        m.B.data = rng.standard_normal((2, 4))
+        want = x @ (W.data + m.A.data @ m.B.data) + b.data
         out = _lora_linear(Tensor(x), W, b, m, training=False, rng=None)
         assert np.abs(out.data - want).max() < 1e-12
 
@@ -101,11 +94,23 @@ class TestLoraForward:
         W, b = _linear(rng)
         xb = rng.standard_normal((5, 4))
         m = init_lora(4, 4, 2, seed=4, dtype=np.float64)
-        m.B.data = rng.standard_normal((4, 2))
+        m.B.data = rng.standard_normal((2, 4))
         batch = _lora_linear(Tensor(xb), W, b, m, training=False, rng=None).data
         for i in range(5):
             single = _lora_linear(Tensor(xb[i]), W, b, m, training=False, rng=None).data
             assert np.abs(batch[i] - single).max() < 1e-12
+
+    def test_records_no_transpose_or_mul(self):
+        # the factors share the host weight's input-major layout, so the
+        # low-rank path is dropout and two plain matmuls
+        rng = np.random.default_rng(4)
+        W, b = _linear(rng)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        m = init_lora(4, 4, 2, dropout=0.5, seed=5, dtype=np.float64)
+        with Tape() as tape:
+            _lora_linear(x, W, b, m, training=True, rng=rng)
+        ops = [backward.__qualname__.split(".", 1)[0] for _, _, backward in tape._nodes]
+        assert ops == ["matmul", "add", "dropout", "matmul", "matmul", "add"]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +121,7 @@ class TestPlacement:
         cfg = PlacementConfig()
         assert cfg.matrices == ("q", "k", "v")
         assert (cfg.layer_span, cfg.encoders) == ("all", "both")
-        assert (cfg.rank, cfg.scale, cfg.dropout) == (2, 1.0, 0.25)
+        assert (cfg.rank, cfg.dropout) == (2, 0.25)
 
     def test_validation(self):
         with pytest.raises(DomainError):

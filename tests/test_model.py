@@ -7,6 +7,7 @@ import pytest
 from conftest import gradcheck, small_model_for, tiny_config
 from lorabench.errors import FormatError, InputError, ShapeError
 from lorabench.fewshot import cross_entropy_loss
+from lorabench.lora import PlacementConfig, inject
 from lorabench.model import (BOS_ID, EOS_ID, IMAGE_BLOCK, PAD_ID,
                              DualEncoderModel, ModelConfig, Vocabulary,
                              attention_forward, encode_images, encode_prompts,
@@ -268,17 +269,12 @@ class TestEncodeText:
 # full-stack gradients
 
 class TestFullStackGradients:
-    def test_base_parameters_pass_fd_check(self, tiny_model, small_dataset):
-        model = tiny_model
-        imgs = small_dataset.images[:2, :8, :8].astype(np.float64)
+    @staticmethod
+    def _loss_fn(model, ds):
+        """CE of two images against the prompts "dog" and "cat", through both towers."""
+        imgs = ds.images[:2, :8, :8].astype(np.float64)
         prompts = [tokenize_prompt(n, model.vocab, 8) for n in ("dog", "cat")]
         labels = np.array([0, 1])
-        params = [model.visual.patch_w, model.visual.cls_token,
-                  model.visual.blocks[0].wq, model.visual.blocks[0].ln1_g,
-                  model.visual.proj, model.textual.token_embed,
-                  model.textual.blocks[0].w1, model.textual.blocks[0].b2]
-        for p in params:
-            p.requires_grad = True
 
         def loss_fn():
             feats = encode_images(model, imgs)
@@ -286,7 +282,25 @@ class TestFullStackGradients:
             logits = matmul(feats, transpose(texts, (1, 0)))
             return cross_entropy_loss(logits, labels, model.tau)
 
-        gradcheck(loss_fn, params, h=1e-5, tol=1e-4)
+        return loss_fn
+
+    def test_base_parameters_pass_fd_check(self, tiny_model, small_dataset):
+        model = tiny_model
+        params = [model.visual.patch_w, model.visual.cls_token,
+                  model.visual.blocks[0].wq, model.visual.blocks[0].ln1_g,
+                  model.visual.proj, model.textual.token_embed,
+                  model.textual.blocks[0].w1, model.textual.blocks[0].b2]
+        for p in params:
+            p.requires_grad = True
+        gradcheck(self._loss_fn(model, small_dataset), params, h=1e-5, tol=1e-4)
+
+    def test_adapter_factors_pass_fd_check(self, tiny_model, small_dataset):
+        adapted = inject(tiny_model, PlacementConfig(matrices=("q", "v", "o"), dropout=0.0))
+        rng = np.random.default_rng(0)
+        for m in adapted.modules.values():
+            m.B.data = rng.standard_normal(m.B.shape)
+        gradcheck(self._loss_fn(tiny_model, small_dataset),
+                  adapted.trainable_parameters(), h=1e-5, tol=1e-4)
 
 
 # ---------------------------------------------------------------------------
