@@ -34,7 +34,7 @@ class BaselineResult:
 
 
 def _soft_prompt_features(model: DualEncoderModel, context: Tensor,
-                          tokens: np.ndarray, eos: np.ndarray):
+                          tokens: np.ndarray):
     """Text features of the class prompts `tokens` with the embeddings of
     their template words, rows 1..m, replaced by the shared trainable
     context."""
@@ -46,7 +46,7 @@ def _soft_prompt_features(model: DualEncoderModel, context: Tensor,
     ctx = add(reshape(context, (1, m, d)),
               Tensor(np.zeros((k, m, d), dtype=model.cfg.np_dtype)))
     emb = concat([prefix, ctx, suffix], axis=1)
-    return encode_tokens(model, tokens, eos, x=add(emb, model.textual.pos_embed))
+    return encode_tokens(model, tokens, x=add(emb, model.textual.pos_embed))
 
 
 def soft_prompt_finetune(model: DualEncoderModel, task: FewShotTask,
@@ -58,17 +58,15 @@ def soft_prompt_finetune(model: DualEncoderModel, task: FewShotTask,
     predictions match template zero-shot predictions exactly.
     """
     model.set_trainable(False)
-    prompts = class_prompts(model, task.class_names)
-    tokens = np.stack([p.tokens for p in prompts])
-    eos = np.asarray([p.eos_index for p in prompts])
+    tokens = np.stack(class_prompts(model, task.class_names))
     m = len(PROMPT_TEMPLATE)
     context = Tensor(model.textual.token_embed.data[tokens[0, 1:1 + m]].copy(),
                      requires_grad=True)
-    encode_text_fn = lambda: _soft_prompt_features(model, context, tokens, eos)
+    encode_text_fn = lambda: _soft_prompt_features(model, context, tokens)
 
     history = train_on_support(model, [context], task, train_cfg,
                                encode_text_fn=encode_text_fn)
-    acc, _ = evaluate(model, task, _soft_prompt_features(model, context, tokens, eos))
+    acc, _ = evaluate(model, task, _soft_prompt_features(model, context, tokens))
     return BaselineResult(accuracy=acc, trainable_count=context.size,
                           history=history)
 

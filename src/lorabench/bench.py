@@ -192,11 +192,8 @@ def run_ablation(model_factory: ModelFactory, ds: Dataset,
                     train_cfg), skipped
 
 
-def pretrain_model(ds: Dataset, cfg: PretrainConfig,
-                   model_cfg: Optional[ModelConfig] = None
+def pretrain_model(ds: Dataset, cfg: PretrainConfig
                    ) -> tuple[DualEncoderModel, "TrainingHistory"]:
-    if model_cfg is None:
-        model_cfg = ModelConfig(vocab_words=ds.vocab_words)
-    model = DualEncoderModel(model_cfg, seed=cfg.seed)
+    model = DualEncoderModel(ModelConfig(vocab_words=ds.vocab_words), seed=cfg.seed)
     history = contrastive_pretrain(model, ds.images, ds.captions, cfg)
     return model, history

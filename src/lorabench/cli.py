@@ -296,11 +296,12 @@ def main(argv=None) -> int:
             _apply_config(args, _KEYS[args.command])
         return _COMMANDS[args.command](args)
     except UsageError as e:
-        print(str(e), file=sys.stderr)
-        return 1
+        message, code = str(e), 1
     except (LorabenchError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        message, code = f"error: {e}", 2
+    # one line, whatever key or path the message quotes
+    print(" ".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

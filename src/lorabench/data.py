@@ -178,16 +178,22 @@ def load_dataset(directory) -> Dataset:
         manifest = json.loads((directory / "manifest.json").read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise FormatError(f"cannot read dataset manifest: {e}") from None
-    if manifest.get("kind") != "synthetic_dataset":
+    if not isinstance(manifest, dict) or manifest.get("kind") != "synthetic_dataset":
         raise FormatError(f"not a dataset directory: {directory}")
     try:
         spec = SyntheticDatasetSpec(**dict(
             manifest["spec"], class_names=tuple(manifest["spec"]["class_names"])))
         n, size = manifest["n_images"], manifest["image_size"]
-        class_names = list(manifest["class_names"])
+        class_names = manifest["class_names"]
         vocab_words = list(manifest["vocab_words"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise FormatError(f"malformed dataset manifest ({type(e).__name__}: {e})") from None
+    if not all(type(v) is int and v >= 0 for v in (n, size)):
+        raise FormatError(f"n_images and image_size must be integers >= 0, "
+                          f"got {n!r} and {size!r}")
+    if (not isinstance(class_names, list) or not all(isinstance(c, str) for c in class_names)
+            or len(set(class_names)) != len(class_names)):
+        raise FormatError(f"class_names must be a list of distinct strings, got {class_names!r}")
     raw = (directory / "images.bin").read_bytes()
     expect = n * size * size * 4
     if len(raw) != expect:

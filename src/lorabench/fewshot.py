@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import DomainError, LorabenchError, ShapeError
 from .lora import AdaptedModel
-from .model import (ClassPrompt, DualEncoderModel, encode_images,
-                    encode_prompts, encode_tokens, tokenize_prompt)
+from .model import (DualEncoderModel, encode_images, encode_prompts,
+                    encode_tokens, tokenize_prompt)
 from .optim import AdamW, cosine_lr
-from .tensor import (Tape, Tensor, div, gather_per_row, log_softmax, matmul,
-                     mean, transpose)
+from .tensor import (Tape, Tensor, div, log_softmax, matmul, mean,
+                     select_positions, transpose)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def sample_support_set(images: np.ndarray, labels: np.ndarray,
 
 
 def zero_shot_logits(model: DualEncoderModel, images: np.ndarray,
-                     prompts: list[ClassPrompt]) -> Tensor:
+                     prompts: list[np.ndarray]) -> Tensor:
     """Cosine-similarity logits (n_images x K) between unit embeddings."""
     if len(prompts) < 2:
         raise DomainError(f"need at least 2 classes, got {len(prompts)}")
@@ -99,8 +99,8 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def class_prompts(model: DualEncoderModel,
-                  class_names: Sequence[str]) -> list[ClassPrompt]:
-    """The template prompt of every class."""
+                  class_names: Sequence[str]) -> list[np.ndarray]:
+    """The template prompt tokens of every class."""
     return [tokenize_prompt(n, model.vocab, model.cfg.max_text_len)
             for n in class_names]
 
@@ -111,7 +111,7 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray, tau: float) -> Tensor
     if logits.data.shape[0] != labels.shape[0]:
         raise ShapeError(f"{logits.data.shape[0]} logit rows vs {labels.shape[0]} labels")
     logp = log_softmax(logits, temperature=tau)
-    return -mean(gather_per_row(logp, labels))
+    return -mean(select_positions(logp, labels))
 
 
 def evaluate(model: DualEncoderModel, task: FewShotTask,
@@ -234,13 +234,12 @@ def train_on_support(model: DualEncoderModel, params, task: FewShotTask,
         prompts = class_prompts(model, task.class_names)
         kt = model.textual.frozen_prefix()
         prefix = None if kt == 0 else encode_prompts(model, prompts, stop=kt)
-        encode_text_fn = lambda: encode_prompts(model, prompts, training=True,
-                                                rng=train_rng, start=kt, x=prefix)
+        encode_text_fn = lambda: encode_prompts(model, prompts, rng=train_rng,
+                                                start=kt, x=prefix)
     tau = model.tau
 
     def loss_fn(idx):
-        feats = encode_images(model, support[idx], training=True, rng=train_rng,
-                              start=kv)
+        feats = encode_images(model, support[idx], rng=train_rng, start=kv)
         text_feats = encode_text_fn()
         logits = matmul(feats, transpose(text_feats, (1, 0)))
         return cross_entropy_loss(logits, task.support_labels[idx], tau)
@@ -285,15 +284,13 @@ def contrastive_pretrain(model: DualEncoderModel, images: np.ndarray,
     if n < cfg.batch_size:
         raise DomainError(f"pretraining needs at least batch size {cfg.batch_size} "
                           f"images, got {n}")
-    prompts = [tokenize_prompt(c, model.vocab, model.cfg.max_text_len, template=())
-               for c in captions]
-    tokens = np.stack([p.tokens for p in prompts])
-    eos = np.asarray([p.eos_index for p in prompts])
+    tokens = np.stack([tokenize_prompt(c, model.vocab, model.cfg.max_text_len,
+                                       template=()) for c in captions])
     targets = np.arange(cfg.batch_size)
 
     def loss_fn(idx):
         f = encode_images(model, images[idx])
-        t = encode_tokens(model, tokens[idx], eos[idx])
+        t = encode_tokens(model, tokens[idx])
         # divide by the temperature tensor so tau receives gradient
         scaled = div(matmul(f, transpose(t, (1, 0))), model.temperature)
         li = cross_entropy_loss(scaled, targets, tau=1.0)

@@ -4,6 +4,8 @@ projecting into one unit-hypersphere embedding space with a temperature.
 Both encoders are stacks of pre-norm residual blocks around multi-head
 attention and a GELU MLP.  Attention projections can carry low-rank adapter
 modules (see lora.py); the block needs A (d_in x rank), B (rank x d_out) and dropout.
+A forward given an rng draws the adapters' dropout masks from it; without
+one, dropout is off.  The text tower pools each prompt at its first EOS token.
 """
 
 from __future__ import annotations
@@ -56,16 +58,9 @@ class Vocabulary:
         return [self.id_of(w) for w in words]
 
 
-@dataclass
-class ClassPrompt:
-    class_name: str
-    tokens: np.ndarray  # (max_len,) int64, PAD-padded
-    eos_index: int
-
-
 def tokenize_prompt(class_name: str, vocab: Vocabulary, max_len: int,
-                    template: tuple[str, ...] = PROMPT_TEMPLATE) -> ClassPrompt:
-    """Build [BOS, <template>, <class words>, EOS, PAD...] token ids."""
+                    template: tuple[str, ...] = PROMPT_TEMPLATE) -> np.ndarray:
+    """Build the (max_len,) int64 row [BOS, <template>, <class words>, EOS, PAD...]."""
     words = class_name.strip().split()
     if not words:
         raise InputError("empty class name")
@@ -75,7 +70,7 @@ def tokenize_prompt(class_name: str, vocab: Vocabulary, max_len: int,
             f"prompt for {class_name!r} needs {len(seq)} tokens, max is {max_len}")
     tokens = np.full(max_len, PAD_ID, dtype=np.int64)
     tokens[:len(seq)] = seq
-    return ClassPrompt(class_name=class_name, tokens=tokens, eos_index=len(seq) - 1)
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +91,23 @@ class ModelConfig:
     init_temperature: float = 0.07
 
     def __post_init__(self):
+        sizes = (self.width, self.heads, self.depth, self.embed_dim, self.image_size,
+                 self.patch_size, self.max_text_len)
+        if not all(type(v) is int and v >= 1 for v in sizes):
+            raise DomainError(f"model sizes must be integers >= 1, got {sizes}")
         if self.width % self.heads != 0:
             raise ShapeError(f"width {self.width} not divisible by heads {self.heads}")
         if self.image_size % self.patch_size != 0:
             raise ShapeError("image size not divisible by patch size")
-        if self.depth < 1 or self.embed_dim > self.width:
-            raise DomainError("need depth >= 1 and embed_dim <= width")
+        if self.embed_dim > self.width:
+            raise DomainError("need embed_dim <= width")
         if self.init_temperature <= 0:
             raise DomainError("temperature must be > 0")
+        if self.dtype not in ("float32", "float64"):
+            raise DomainError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        if not (isinstance(self.vocab_words, list)
+                and all(isinstance(w, str) for w in self.vocab_words)):
+            raise DomainError("vocab_words must be a list of strings")
 
     @property
     def n_patches(self) -> int:
@@ -161,20 +165,19 @@ class AttentionBlock:
             yield name, getattr(self, name)
 
 
-def _lora_linear(x: Tensor, w: Tensor, b: Tensor, module,
-                 training: bool, rng) -> Tensor:
+def _lora_linear(x: Tensor, w: Tensor, b: Tensor, module, rng) -> Tensor:
     """x @ w + b, plus the low-rank delta drop(x) @ A @ B when a module is attached."""
     out = add(matmul(x, w), b)
     if module is not None:
-        xd = dropout(x, module.dropout, training, rng)
+        xd = dropout(x, module.dropout, rng)
         out = add(out, matmul(matmul(xd, module.A), module.B))
     return out
 
 
 def block_forward(block: AttentionBlock, x: Tensor, mask: Optional[np.ndarray],
-                  training: bool = False, rng=None) -> Tensor:
+                  rng=None) -> Tensor:
     h = add(x, attention_forward(block, layer_norm(x, block.ln1_g, block.ln1_b),
-                                 mask, training, rng))
+                                 mask, rng))
     z = layer_norm(h, block.ln2_g, block.ln2_b)
     z = gelu(add(matmul(z, block.w1), block.b1))
     z = add(matmul(z, block.w2), block.b2)
@@ -182,7 +185,7 @@ def block_forward(block: AttentionBlock, x: Tensor, mask: Optional[np.ndarray],
 
 
 def attention_forward(block: AttentionBlock, x: Tensor, mask: Optional[np.ndarray],
-                      training: bool = False, rng=None) -> Tensor:
+                      rng=None) -> Tensor:
     """Batched multi-head self-attention on x of shape (batch, seq, width)."""
     bsz, seq, d = x.shape
     H, dh = block.heads, block.head_dim
@@ -190,9 +193,9 @@ def attention_forward(block: AttentionBlock, x: Tensor, mask: Optional[np.ndarra
     def split_heads(t):
         return transpose(reshape(t, (bsz, seq, H, dh)), (0, 2, 1, 3))
 
-    q = split_heads(_lora_linear(x, block.wq, block.bq, block.lora.get("q"), training, rng))
-    k = split_heads(_lora_linear(x, block.wk, block.bk, block.lora.get("k"), training, rng))
-    v = split_heads(_lora_linear(x, block.wv, block.bv, block.lora.get("v"), training, rng))
+    q = split_heads(_lora_linear(x, block.wq, block.bq, block.lora.get("q"), rng))
+    k = split_heads(_lora_linear(x, block.wk, block.bk, block.lora.get("k"), rng))
+    v = split_heads(_lora_linear(x, block.wv, block.bv, block.lora.get("v"), rng))
 
     scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
     if mask is not None:
@@ -200,7 +203,7 @@ def attention_forward(block: AttentionBlock, x: Tensor, mask: Optional[np.ndarra
     weights = row_softmax(scores)
     ctx = matmul(weights, v)
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (bsz, seq, d))
-    return _lora_linear(ctx, block.wo, block.bo, block.lora.get("o"), training, rng)
+    return _lora_linear(ctx, block.wo, block.bo, block.lora.get("o"), rng)
 
 
 class _Encoder:
@@ -312,9 +315,8 @@ def patchify(images: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return x.reshape(b, g * g, p * p)
 
 
-def encode_images(model: DualEncoderModel, images: np.ndarray,
-                  training: bool = False, rng=None, start: int = 0,
-                  stop: Optional[int] = None) -> Tensor:
+def encode_images(model: DualEncoderModel, images: np.ndarray, rng=None,
+                  start: int = 0, stop: Optional[int] = None) -> Tensor:
     """Encode a (batch, H, W) pixel array to (batch, embed_dim) unit vectors.
 
     The batch runs through the tower in blocks of IMAGE_BLOCK images, so a
@@ -346,7 +348,7 @@ def encode_images(model: DualEncoderModel, images: np.ndarray,
                            Tensor(np.zeros((b, 1, cfg.width), dtype=cfg.np_dtype)))
             x = add(concat([cls_rows, x], axis=1), enc.pos_embed)
         for blk in enc.blocks[start:stop]:
-            x = block_forward(blk, x, mask=None, training=training, rng=rng)
+            x = block_forward(blk, x, mask=None, rng=rng)
         if stop is None:
             x = layer_norm(x, enc.ln_f_g, enc.ln_f_b)
             pooled = select_positions(x, np.zeros(b, dtype=np.int64))
@@ -355,11 +357,11 @@ def encode_images(model: DualEncoderModel, images: np.ndarray,
     return feats[0] if len(feats) == 1 else concat(feats, axis=0)
 
 
-def encode_tokens(model: DualEncoderModel, tokens: np.ndarray,
-                  eos_indices: np.ndarray, training: bool = False, rng=None,
+def encode_tokens(model: DualEncoderModel, tokens: np.ndarray, rng=None,
                   start: int = 0, stop: Optional[int] = None,
                   x: Optional[Tensor] = None) -> Tensor:
-    """Encode (batch, max_len) token ids to (batch, embed_dim) unit vectors.
+    """Encode (batch, max_len) token ids to (batch, embed_dim) unit vectors,
+    each row pooled at its first EOS token.
 
     `x`, the hidden state entering block `start`, replaces the embeddings
     (soft prompts, frozen prefixes); `start` and `stop` as in encode_images.
@@ -368,24 +370,25 @@ def encode_tokens(model: DualEncoderModel, tokens: np.ndarray,
     tokens = np.asarray(tokens)
     if tokens.min() < 0 or tokens.max() >= enc.token_embed.shape[0]:
         raise InputError(f"token id out of range [0, {enc.token_embed.shape[0]})")
+    is_eos = tokens == EOS_ID
+    if not is_eos.any(axis=1).all():
+        raise InputError("token row without an EOS token")
     if x is None:
         x = add(take_rows(enc.token_embed, tokens), enc.pos_embed)
     pad = (tokens == PAD_ID)
     mask = np.where(pad[:, None, None, :], _MASK_NEG, 0.0)
     for blk in enc.blocks[start:stop]:
-        x = block_forward(blk, x, mask, training=training, rng=rng)
+        x = block_forward(blk, x, mask, rng=rng)
     if stop is not None:
         return x
     x = layer_norm(x, enc.ln_f_g, enc.ln_f_b)
-    pooled = select_positions(x, np.asarray(eos_indices, dtype=np.int64))
+    pooled = select_positions(x, is_eos.argmax(axis=1))
     return l2_normalize(matmul(pooled, enc.proj))
 
 
-def encode_prompts(model: DualEncoderModel, prompts: list[ClassPrompt],
+def encode_prompts(model: DualEncoderModel, prompts: list[np.ndarray],
                    **kwargs) -> Tensor:
-    tokens = np.stack([p.tokens for p in prompts])
-    eos = np.asarray([p.eos_index for p in prompts])
-    return encode_tokens(model, tokens, eos, **kwargs)
+    return encode_tokens(model, np.stack(prompts), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +431,8 @@ def read_tensor_blob(directory: Path) -> tuple[dict, dict[str, np.ndarray]]:
         manifest = json.loads((directory / "manifest.json").read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise FormatError(f"cannot read checkpoint manifest: {e}") from None
+    if not isinstance(manifest, dict):
+        raise FormatError("checkpoint manifest is not a JSON object")
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {manifest.get('version')!r}")
     tensors = manifest.get("tensors")

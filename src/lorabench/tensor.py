@@ -314,7 +314,9 @@ def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def select_positions(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick one sequence position per batch row: out[i] = a[i, idx[i], :]."""
+    """Pick one entry along axis 1 per batch row: out[i] = a[i, idx[i]], a
+    sequence position of a (batch, seq, width) tensor or a class of
+    (batch, classes) log-probabilities."""
     idx = np.asarray(idx)
     batch = np.arange(a.data.shape[0])
     out = Tensor(a.data[batch, idx])
@@ -322,20 +324,6 @@ def select_positions(a: Tensor, idx: np.ndarray) -> Tensor:
     def backward(g):
         ga = np.zeros_like(a.data)
         ga[batch, idx] = g
-        return (ga,)
-
-    return _record(out, (a,), backward)
-
-
-def gather_per_row(a: Tensor, idx: np.ndarray) -> Tensor:
-    """out[i] = a[i, idx[i]] for a 2-D tensor (log-prob of the true class)."""
-    idx = np.asarray(idx)
-    rows = np.arange(a.data.shape[0])
-    out = Tensor(a.data[rows, idx])
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[rows, idx] = g
         return (ga,)
 
     return _record(out, (a,), backward)
@@ -406,14 +394,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _record(out, (x, gain, bias), backward)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout; identity in eval mode or at p=0."""
+def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Inverted dropout with a mask drawn from `rng`: an rng switches it on,
+    so it is the identity without one or at p=0."""
     if not (0.0 <= p < 1.0):
         raise DomainError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return x
-    if rng is None:
-        raise DomainError("training-mode dropout needs a seeded rng")
     dt = x.data.dtype
     keep = (rng.random(x.data.shape, dtype=dt if dt == np.float32 else np.float64) >= p)
     mask = keep.astype(dt)

@@ -55,18 +55,18 @@ def analytic_grads(loss_fn, params):
 
 
 def numeric_grad(loss_fn, param, h=1e-5):
-    """Central finite differences of a scalar-valued closure wrt one tensor."""
+    """Central finite differences of a scalar-valued closure wrt one tensor.
+    Each entry is perturbed in `param.data` itself, so any memory layout
+    (a transposed view, say) is checked."""
     g = np.zeros_like(param.data)
-    flat = param.data.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
+    for i in np.ndindex(param.data.shape):
+        orig = param.data[i]
+        param.data[i] = orig + h
         fp = loss_fn().item()
-        flat[i] = orig - h
+        param.data[i] = orig - h
         fm = loss_fn().item()
-        flat[i] = orig
-        gf[i] = (fp - fm) / (2.0 * h)
+        param.data[i] = orig
+        g[i] = (fp - fm) / (2.0 * h)
     return g
 
 

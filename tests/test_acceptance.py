@@ -207,9 +207,8 @@ def test_criterion_09_baseline_contracts(small_dataset):
     ids = np.asarray(model.vocab.encode_words(PROMPT_TEMPLATE))
     context = Tensor(model.textual.token_embed.data[ids].copy(),
                      requires_grad=True)
-    tokens = np.stack([p.tokens for p in prompts])
-    eos = np.asarray([p.eos_index for p in prompts])
-    texts = _soft_prompt_features(model, context, tokens, eos)
+    tokens = np.stack(prompts)
+    texts = _soft_prompt_features(model, context, tokens)
     feats = encode_images(model, task.query_images)
     soft = matmul(feats, transpose(texts, (1, 0))).data
     soft_ok = np.array_equal(soft, want)

@@ -52,9 +52,8 @@ class TestSoftPrompt:
         want = zero_shot_logits(model, task.query_images, prompts).data
 
         context = _template_context(model)
-        tokens = np.stack([p.tokens for p in prompts])
-        eos = np.asarray([p.eos_index for p in prompts])
-        texts = _soft_prompt_features(model, context, tokens, eos)
+        tokens = np.stack(prompts)
+        texts = _soft_prompt_features(model, context, tokens)
         feats = encode_images(model, task.query_images)
         got = matmul(feats, transpose(texts, (1, 0))).data
         assert np.array_equal(got, want)

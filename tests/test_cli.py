@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import shlex
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -299,6 +300,49 @@ class TestGridFuzz:
             assert captured.err.count("skipped cell") == len(cells) - len(kept)
 
 
+def _zeroshot_with_manifest(workdir, artifact, manifest, tmp: Path) -> int:
+    """Run zeroshot on a copy of the workdir's `artifact` ("ds" or "ckpt")
+    whose manifest.json holds `manifest`."""
+    hostile = tmp / artifact
+    shutil.copytree(workdir / artifact, hostile)
+    (hostile / "manifest.json").write_text(json.dumps(manifest))
+    paths = {"ds": workdir / "ds", "ckpt": workdir / "ckpt", artifact: hostile}
+    return main(["zeroshot", "--checkpoint", str(paths["ckpt"]),
+                 "--dataset", str(paths["ds"]), "--shots", "1"])
+
+
+# any JSON value: scalars, and lists and objects of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+class TestManifestFuzz:
+    """A dataset or checkpoint whose manifest.json is replaced, whole or in
+    one top-level field, by any JSON value: zeroshot either scores it (exit
+    0) or exits 2 with one stderr line, never with a traceback."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(artifact=st.sampled_from(["ds", "ckpt"]), value=JSON_VALUES, data=st.data())
+    def test_zeroshot(self, workdir, capsys, artifact, value, data):
+        manifest = json.loads((workdir / artifact / "manifest.json").read_text())
+        key = data.draw(st.sampled_from([None, *sorted(manifest)]), label="key")
+        if key is None:
+            manifest = value
+        else:
+            manifest[key] = value
+        capsys.readouterr()
+        with tempfile.TemporaryDirectory() as tmp:
+            code = _zeroshot_with_manifest(workdir, artifact, manifest, Path(tmp))
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        assert code in (0, 2) and captured.err.count("\n") <= 1
+
+
 class TestReportCmd:
     def test_several_row_files(self, workdir, tmp_path, capsys):
         zs, ft = tmp_path / "zs.csv", tmp_path / "ft.csv"
@@ -331,6 +375,30 @@ class TestReportCmd:
         assert summary["methods"] == ["lora"]
 
 
+def _config(**fields):
+    """An edit of a checkpoint manifest that sets fields of its model config."""
+    return lambda m: {**m, "config": {**m["config"], **fields}}
+
+
+# name -> (artifact, edit of its manifest) that zeroshot must reject with exit 2
+HOSTILE_MANIFESTS = {
+    "dataset-not-object": ("ds", lambda m: [1, 2]),
+    "checkpoint-not-object": ("ckpt", lambda m: [1, 2]),
+    "dataset-float-n-images": ("ds", lambda m: {**m, "n_images": float(m["n_images"])}),
+    "checkpoint-unknown-dtype": ("ckpt", _config(dtype="banana")),
+    "dataset-int-class-names": ("ds", lambda m: {**m, "class_names": [1, 2, 3, 4]}),
+    "dataset-repeated-class-names": ("ds", lambda m: {**m, "class_names": ["a"] * 4}),
+    "dataset-string-class-names": ("ds", lambda m: {**m, "class_names": "aaaa"}),
+    "checkpoint-zero-heads": ("ckpt", _config(heads=0)),
+    "checkpoint-float-depth": ("ckpt", _config(depth=1.5)),
+    "checkpoint-list-vocab-word": ("ckpt", _config(vocab_words=[["a"]])),
+    "checkpoint-null-vocab": ("ckpt", _config(vocab_words=None)),
+    "checkpoint-newline-config-key": ("ckpt", lambda m: {**m, "config": {"\n": 1}}),
+    "dataset-zero-prototype-grid": ("ds", lambda m: {
+        **m, "spec": {**m["spec"], "prototype_grid": 0}}),
+}
+
+
 class TestExitCodes:
     def test_missing_dataset_is_runtime_error(self, workdir, tmp_path, capsys):
         code = main(["zeroshot", "--checkpoint", str(workdir / "ckpt"),
@@ -351,6 +419,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and "tensors" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("artifact,edit", HOSTILE_MANIFESTS.values(),
+                             ids=HOSTILE_MANIFESTS.keys())
+    def test_hostile_manifest_is_runtime_error(self, artifact, edit, workdir,
+                                               tmp_path, capsys):
+        manifest = json.loads((workdir / artifact / "manifest.json").read_text())
+        code = _zeroshot_with_manifest(workdir, artifact, edit(manifest), tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and err.startswith("error: ")
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -320,9 +320,8 @@ def _reference_losses(model, params, task, cfg):
     prompts = class_prompts(model, task.class_names)
 
     def loss_fn(idx):
-        feats = encode_images(model, task.support_images[idx], training=True,
-                              rng=train_rng)
-        texts = encode_prompts(model, prompts, training=True, rng=train_rng)
+        feats = encode_images(model, task.support_images[idx], rng=train_rng)
+        texts = encode_prompts(model, prompts, rng=train_rng)
         return cross_entropy_loss(matmul(feats, transpose(texts, (1, 0))),
                                   task.support_labels[idx], model.tau)
 
@@ -385,7 +384,7 @@ class TestFrozenTowers:
             if k == 0:
                 continue
             with Tape() as tape:
-                taped = encode(training=True, rng=np.random.default_rng(0))
+                taped = encode(rng=np.random.default_rng(0))
             assert len(tape) == 0 and not taped.requires_grad
             assert np.array_equal(taped.data, encode().data)
 

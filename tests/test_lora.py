@@ -76,7 +76,7 @@ class TestLoraForward:
         W, b = _linear(rng)
         x = rng.standard_normal((3, 4))
         m = init_lora(4, 4, 2, seed=1, dtype=np.float64)
-        out = _lora_linear(Tensor(x), W, b, m, training=False, rng=None)
+        out = _lora_linear(Tensor(x), W, b, m, rng=None)
         assert np.array_equal(out.data, x @ W.data + b.data)
 
     def test_dense_materialization_oracle(self):
@@ -86,7 +86,7 @@ class TestLoraForward:
         m = init_lora(4, 4, 2, seed=3, dtype=np.float64)
         m.B.data = rng.standard_normal((2, 4))
         want = x @ (W.data + m.A.data @ m.B.data) + b.data
-        out = _lora_linear(Tensor(x), W, b, m, training=False, rng=None)
+        out = _lora_linear(Tensor(x), W, b, m, rng=None)
         assert np.abs(out.data - want).max() < 1e-12
 
     def test_batch_matches_vector_path(self):
@@ -95,9 +95,9 @@ class TestLoraForward:
         xb = rng.standard_normal((5, 4))
         m = init_lora(4, 4, 2, seed=4, dtype=np.float64)
         m.B.data = rng.standard_normal((2, 4))
-        batch = _lora_linear(Tensor(xb), W, b, m, training=False, rng=None).data
+        batch = _lora_linear(Tensor(xb), W, b, m, rng=None).data
         for i in range(5):
-            single = _lora_linear(Tensor(xb[i]), W, b, m, training=False, rng=None).data
+            single = _lora_linear(Tensor(xb[i]), W, b, m, rng=None).data
             assert np.abs(batch[i] - single).max() < 1e-12
 
     def test_records_no_transpose_or_mul(self):
@@ -108,7 +108,7 @@ class TestLoraForward:
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         m = init_lora(4, 4, 2, dropout=0.5, seed=5, dtype=np.float64)
         with Tape() as tape:
-            _lora_linear(x, W, b, m, training=True, rng=rng)
+            _lora_linear(x, W, b, m, rng=rng)
         ops = [backward.__qualname__.split(".", 1)[0] for _, _, backward in tape._nodes]
         assert ops == ["matmul", "add", "dropout", "matmul", "matmul", "add"]
 

@@ -85,8 +85,7 @@ class TestTokenize:
         p = tokenize_prompt("dog", v, 8)
         want = [BOS_ID, v.id_of("a"), v.id_of("photo"), v.id_of("of"),
                 v.id_of("a"), v.id_of("dog"), EOS_ID, PAD_ID]
-        assert p.tokens.tolist() == want
-        assert p.eos_index == 6
+        assert p.tolist() == want
 
     def test_empty_name(self, tiny_model):
         with pytest.raises(InputError):
@@ -101,17 +100,17 @@ class TestTokenize:
             tokenize_prompt("dog cat bird", tiny_model.vocab, 8)
 
     def test_distinct_classes_differ_only_in_class_slot(self, tiny_model):
-        a = tokenize_prompt("dog", tiny_model.vocab, 8).tokens
-        b = tokenize_prompt("cat", tiny_model.vocab, 8).tokens
+        a = tokenize_prompt("dog", tiny_model.vocab, 8)
+        b = tokenize_prompt("cat", tiny_model.vocab, 8)
         diff = np.flatnonzero(a != b)
         assert diff.tolist() == [5]
 
     def test_caption_has_no_template(self, tiny_model):
         v = tiny_model.vocab
         p = tokenize_prompt("a photo of a dog", v, 8, template=())
-        assert p.tokens.tolist()[:7] == [BOS_ID, v.id_of("a"), v.id_of("photo"),
-                                         v.id_of("of"), v.id_of("a"),
-                                         v.id_of("dog"), EOS_ID]
+        assert p.tolist()[:7] == [BOS_ID, v.id_of("a"), v.id_of("photo"),
+                                  v.id_of("of"), v.id_of("a"),
+                                  v.id_of("dog"), EOS_ID]
 
     def test_duplicate_vocab_words(self):
         with pytest.raises(InputError):
@@ -233,8 +232,8 @@ class TestEncodeText:
         prompts = [tokenize_prompt(n, tiny_model.vocab, 8) for n in ("dog", "cat")]
         got = encode_prompts(tiny_model, prompts).data
         for row, p in zip(got, prompts):
-            assert (p.tokens == PAD_ID).sum() == 1
-            want = naive_encode_trimmed_text(tiny_model, p.tokens, p.eos_index)
+            assert (p == PAD_ID).sum() == 1
+            want = naive_encode_trimmed_text(tiny_model, p, p.tolist().index(EOS_ID))
             assert np.abs(row - want).max() < 1e-10
 
     def test_more_padding_same_embedding(self):
@@ -245,16 +244,23 @@ class TestEncodeText:
         long = tokenize_prompt("dog", model.vocab, 8)
         # encode the 7-token layout through the 8-position model by padding
         padded = np.full(8, PAD_ID, dtype=np.int64)
-        padded[:7] = short.tokens
-        a = encode_tokens(model, padded[None], np.asarray([short.eos_index])).data
-        b = encode_tokens(model, long.tokens[None], np.asarray([long.eos_index])).data
+        padded[:7] = short
+        a = encode_tokens(model, padded[None]).data
+        b = encode_tokens(model, long[None]).data
         assert np.abs(a - b).max() < 1e-10
 
     def test_token_out_of_range(self, tiny_model):
         bad = np.zeros((1, 8), dtype=np.int64)
         bad[0, 0] = 10_000
-        with pytest.raises(InputError):
-            encode_tokens(tiny_model, bad, np.asarray([1]))
+        with pytest.raises(InputError, match="out of range"):
+            encode_tokens(tiny_model, bad)
+
+    def test_row_without_eos(self, tiny_model):
+        # the text tower pools at a row's EOS token, so a row must have one
+        rows = np.stack([tokenize_prompt(n, tiny_model.vocab, 8) for n in ("dog", "cat")])
+        rows[1][rows[1] == EOS_ID] = PAD_ID
+        with pytest.raises(InputError, match="EOS"):
+            encode_tokens(tiny_model, rows)
 
     def test_batch_row_independence(self, tiny_model):
         # a prompt's row does not depend on the other prompts of its batch

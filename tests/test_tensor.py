@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import analytic_grads, gradcheck, numeric_grad
 from lorabench.errors import DomainError, ShapeError, StateError
-from lorabench.tensor import (Tape, Tensor, add, concat, div, dropout,
-                              gather_per_row, gelu, l2_normalize, layer_norm,
-                              log_softmax, matmul, mean, mul, reshape,
-                              row_softmax, select_positions, sqrt, take_rows,
-                              transpose, tsum)
+from lorabench.tensor import (Tape, Tensor, add, concat, div, dropout, gelu,
+                              l2_normalize, layer_norm, log_softmax, matmul,
+                              mean, mul, reshape, row_softmax, select_positions,
+                              sqrt, take_rows, transpose, tsum)
 
 
 def t64(a, rg=False):
@@ -67,6 +66,16 @@ class TestMatmul:
         b = t64(rng.standard_normal((4, 2)), rg=True)
         c = t64(rng.standard_normal((2, 3, 2)))
         gradcheck(lambda: tsum(mul(matmul(a, b), c)), [a, b])
+
+    def test_grad_transposed_weight(self):
+        # a weight stored as a transposed view is not C-contiguous; the
+        # finite differences must still perturb its own entries
+        rng = np.random.default_rng(5)
+        x = t64(rng.standard_normal((2, 3)))
+        w = t64(rng.standard_normal((4, 3)).T, rg=True)
+        assert not w.data.flags.c_contiguous
+        c = t64(rng.standard_normal((2, 4)))
+        gradcheck(lambda: tsum(mul(matmul(x, w), c)), [w])
 
     def test_grad_4d_by_4d(self):
         rng = np.random.default_rng(4)
@@ -189,26 +198,20 @@ class TestGelu:
 class TestDropout:
     def test_p_zero_identity(self):
         x = t64([[1.0, 2.0]])
-        assert dropout(x, 0.0, training=True,
-                       rng=np.random.default_rng(0)) is x
+        assert dropout(x, 0.0, rng=np.random.default_rng(0)) is x
 
     def test_eval_identity(self):
         x = t64([[1.0, 2.0]])
-        assert dropout(x, 0.9, training=False) is x
+        assert dropout(x, 0.9, rng=None) is x
 
     def test_out_of_range_p(self):
         for p in (-0.1, 1.0, 1.5):
             with pytest.raises(DomainError):
-                dropout(t64([1.0]), p, training=True,
-                        rng=np.random.default_rng(0))
-
-    def test_missing_rng(self):
-        with pytest.raises(DomainError):
-            dropout(t64([1.0]), 0.5, training=True)
+                dropout(t64([1.0]), p, rng=np.random.default_rng(0))
 
     def test_monte_carlo_drop_rate(self):
         x = Tensor(np.ones((1000, 1000), dtype=np.float32))
-        out = dropout(x, 0.25, training=True, rng=np.random.default_rng(11))
+        out = dropout(x, 0.25, rng=np.random.default_rng(11))
         frac = float((out.data == 0).mean())
         assert abs(frac - 0.25) < 0.005
         kept = out.data[out.data != 0]
@@ -216,14 +219,14 @@ class TestDropout:
 
     def test_deterministic_masks(self):
         x = Tensor(np.ones((64, 64), dtype=np.float32))
-        a = dropout(x, 0.25, training=True, rng=np.random.default_rng(5)).data
-        b = dropout(x, 0.25, training=True, rng=np.random.default_rng(5)).data
+        a = dropout(x, 0.25, rng=np.random.default_rng(5)).data
+        b = dropout(x, 0.25, rng=np.random.default_rng(5)).data
         assert np.array_equal(a, b)
 
     def test_grad_is_mask(self):
         x = t64(np.ones((8, 8)), rg=True)
         with Tape() as tape:
-            out = dropout(x, 0.5, training=True, rng=np.random.default_rng(3))
+            out = dropout(x, 0.5, rng=np.random.default_rng(3))
             tape.backward(tsum(out))
         assert np.array_equal(x.grad, out.data)
 
@@ -361,11 +364,12 @@ class TestIndexingOps:
         c = t64(rng.standard_normal((3, 2)))
         gradcheck(lambda: tsum(mul(select_positions(a, idx), c)), [a])
 
-    def test_gather_per_row(self):
+    def test_select_positions_2d(self):
+        # one class per row of (batch, classes) log-probabilities
         a = t64([[1.0, 2.0], [3.0, 4.0]], rg=True)
         idx = np.array([1, 0])
         with Tape() as tape:
-            out = gather_per_row(a, idx)
+            out = select_positions(a, idx)
             tape.backward(tsum(out))
         assert np.array_equal(out.data, [2.0, 3.0])
         assert np.array_equal(a.grad, [[0, 1], [1, 0]])
