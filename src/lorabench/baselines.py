@@ -57,11 +57,9 @@ def soft_prompt_finetune(model: DualEncoderModel, task: FewShotTask,
     The context starts as the embeddings of those words, so step-0
     predictions match template zero-shot predictions exactly.
     """
-    model.set_trainable(False)
     tokens = np.stack(class_prompts(model, task.class_names))
     m = len(PROMPT_TEMPLATE)
-    context = Tensor(model.textual.token_embed.data[tokens[0, 1:1 + m]].copy(),
-                     requires_grad=True)
+    context = Tensor(model.textual.token_embed.data[tokens[0, 1:1 + m]].copy())
     encode_text_fn = lambda: _soft_prompt_features(model, context, tokens)
 
     history = train_on_support(model, [context], task, train_cfg,
@@ -84,13 +82,11 @@ class LinearAdapter:
             raise DomainError(f"bottleneck {bottleneck} must be < width {embed_dim}")
         rng = np.random.default_rng(seed)
         bound = np.sqrt(6.0 / embed_dim)
-        self.w1 = Tensor(rng.uniform(-bound, bound, (embed_dim, bottleneck)).astype(dtype),
-                         requires_grad=True)
-        self.b1 = Tensor(np.zeros(bottleneck, dtype=dtype), requires_grad=True)
+        self.w1 = Tensor(rng.uniform(-bound, bound, (embed_dim, bottleneck)).astype(dtype))
+        self.b1 = Tensor(np.zeros(bottleneck, dtype=dtype))
         # zero-output init: adapted features start as the plain features
-        self.w2 = Tensor(np.zeros((bottleneck, embed_dim), dtype=dtype),
-                         requires_grad=True)
-        self.b2 = Tensor(np.zeros(embed_dim, dtype=dtype), requires_grad=True)
+        self.w2 = Tensor(np.zeros((bottleneck, embed_dim), dtype=dtype))
+        self.b2 = Tensor(np.zeros(embed_dim, dtype=dtype))
 
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -118,7 +114,6 @@ def adapter_finetune(model: DualEncoderModel, task: FewShotTask,
     """Train only the adapter on frozen, precomputed embeddings (Eq.5-style)."""
     if not (0.0 <= alpha <= 1.0):
         raise DomainError(f"alpha must be in [0, 1], got {alpha}")
-    model.set_trainable(False)
     sup_feats = encode_images(model, task.support_images).data
     qry_feats = encode_images(model, task.query_images)
     texts = encode_prompts(model, class_prompts(model, task.class_names))
@@ -154,13 +149,8 @@ def bias_parameters(model: DualEncoderModel) -> list[Tensor]:
 def bias_only_finetune(model: DualEncoderModel, task: FewShotTask,
                        train_cfg: TrainConfig = TrainConfig()) -> BaselineResult:
     """Train only attention/MLP bias vectors; all weight matrices stay frozen."""
-    model.set_trainable(False)
     params = bias_parameters(model)
-    for p in params:
-        p.requires_grad = True
     history = train_on_support(model, params, task, train_cfg)
-    for p in params:
-        p.requires_grad = False
     acc, _ = evaluate(model, task)
     return BaselineResult(accuracy=acc, trainable_count=sum(p.size for p in params),
                           history=history)

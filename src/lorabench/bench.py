@@ -18,7 +18,7 @@ from .errors import DomainError, LorabenchError
 from .fewshot import (FewShotTask, PretrainConfig, TrainConfig, accuracy,
                       class_prompts, contrastive_pretrain, evaluate,
                       finetune_lora, sample_support_set, zero_shot_logits)
-from .lora import PlacementConfig, inject, merge, unmerge
+from .lora import PlacementConfig, inject, merge
 from .model import DualEncoderModel, ModelConfig, save_checkpoint
 from .report import ABLATION_EXTRA, RunReport
 
@@ -87,7 +87,6 @@ def run_single(model_factory: ModelFactory, task: FewShotTask, method: str,
     model = model_factory()
     cfg = replace(train_cfg or TrainConfig(), seed=seed)
     t0 = time.perf_counter()
-    model.set_trainable(False)
     total = model.param_count()
     iters = cfg.iterations(task.shots)
     config_digest = "-"
@@ -104,7 +103,6 @@ def run_single(model_factory: ModelFactory, task: FewShotTask, method: str,
         _assert_merge_equivalence(adapted, task, logits)
         if merged_checkpoint is not None:
             save_checkpoint(adapted.base, merged_checkpoint)
-        unmerge(adapted)
     else:
         if method == "soft-prompt":
             res, config_digest = soft_prompt_finetune(model, task, cfg), "ctx4"
@@ -134,9 +132,7 @@ def _assert_merge_equivalence(adapted, task: FewShotTask,
                               class_prompts(model, task.class_names)).data
     diff = float(np.abs(logits[:n] - merged).max())
     if diff >= MERGE_TOLERANCE:
-        unmerge(adapted)
         raise LorabenchError(f"merge equivalence violated: max logit diff {diff:.3e}")
-    # leave the model merged; callers unmerge when they need the modules back
 
 
 def run_plan(model_factory: ModelFactory, base: DualEncoderModel, ds: Dataset,

@@ -121,6 +121,14 @@ def _require_positive(args: argparse.Namespace, *keys) -> None:
             raise UsageError(f"{_flag(key)} must be > 0 and finite, got {getattr(args, key)}")
 
 
+def _require_seeds(args: argparse.Namespace, key: str) -> None:
+    """numpy seeds its generators from integers >= 0 only."""
+    seeds = getattr(args, key)
+    for seed in seeds if isinstance(seeds, list) else [seeds]:
+        if seed < 0:
+            raise UsageError(f"{_flag(key)} must be >= 0, got {seed}")
+
+
 def _reject_repeats(label: str, values: list) -> None:
     """A repeated value would train an identical row twice."""
     repeats = [value for i, value in enumerate(values) if value in values[:i]]
@@ -174,6 +182,7 @@ def build_parser() -> _Parser:
 
 def cmd_gen(args) -> int:
     _require_positive(args, "images_per_class")
+    _require_seeds(args, "seed")
     if not 1 <= args.classes <= len(DEFAULT_CLASS_NAMES):
         raise UsageError(f"--classes must be in [1, {len(DEFAULT_CLASS_NAMES)}], "
                          f"got {args.classes}")
@@ -192,6 +201,7 @@ def cmd_gen(args) -> int:
 
 def cmd_pretrain(args) -> int:
     _require_positive(args, "epochs", "lr")
+    _require_seeds(args, "seed")
     if args.batch_size < 2:
         raise UsageError(f"--batch-size must be >= 2 (contrastive pairs), "
                          f"got {args.batch_size}")
@@ -209,6 +219,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_zeroshot(args) -> int:
     _require_positive(args, "shots")
+    _require_seeds(args, "seed")
     ds = load_dataset(args.dataset)
     base = load_checkpoint(args.checkpoint)
     # a zero-shot row trains nothing, so it scores the model of the shared pass
@@ -231,6 +242,7 @@ def cmd_finetune(args) -> int:
     if not args.seeds:
         raise UsageError("--seeds needs at least one seed")
     _reject_repeats("finetune: seed", args.seeds)
+    _require_seeds(args, "seeds")
     _require_positive(args, "iters_per_shot", "batch_size", "lr")
     placement = _placement("finetune", rank=args.rank, dropout=args.dropout)
     ds = load_dataset(args.dataset)

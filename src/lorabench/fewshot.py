@@ -192,25 +192,35 @@ def run_training_loop(params, loss_fn: Callable[[np.ndarray], Tensor],
                       ) -> TrainingHistory:
     """The one training loop: each step draws a batch of indices, records
     `loss_fn(idx)` on a tape, backpropagates and steps AdamW under cosine lr;
-    `after_step` runs after every update."""
+    `after_step` runs after every update.
+
+    `params` alone says what trains: the loop marks exactly those tensors as
+    requiring grad for its steps, and unmarks them when it returns or raises.
+    """
     opt = AdamW(params, lr=lr, weight_decay=weight_decay)
     history = TrainingHistory()
-    for step in range(iterations):
-        step_lr = cosine_lr(step, iterations, lr)
-        idx = sampler.next()
-        with Tape() as tape:
-            loss = loss_fn(idx)
-            loss_val = loss.item()
-            if not np.isfinite(loss_val):
-                last = history.steps[-1] if history.steps else None
-                raise LorabenchError(f"non-finite loss at step {step}; "
-                                     f"last good step: {last}")
-            tape.backward(loss)
-        opt.step(lr=step_lr)
-        opt.zero_grad()
-        if after_step is not None:
-            after_step()
-        history.append(step, step_lr, loss_val)
+    for p in opt.params:
+        p.requires_grad = True
+    try:
+        for step in range(iterations):
+            step_lr = cosine_lr(step, iterations, lr)
+            idx = sampler.next()
+            with Tape() as tape:
+                loss = loss_fn(idx)
+                loss_val = loss.item()
+                if not np.isfinite(loss_val):
+                    last = history.steps[-1] if history.steps else None
+                    raise LorabenchError(f"non-finite loss at step {step}; "
+                                         f"last good step: {last}")
+                tape.backward(loss)
+            opt.step(lr=step_lr)
+            opt.zero_grad()
+            if after_step is not None:
+                after_step()
+            history.append(step, step_lr, loss_val)
+    finally:
+        for p in opt.params:
+            p.requires_grad = False
     return history
 
 
@@ -227,12 +237,12 @@ def train_on_support(model: DualEncoderModel, params, task: FewShotTask,
     """
     # adapter dropout is the only draw from this stream
     train_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD209]))
-    kv = model.visual.frozen_prefix()
+    kv = model.visual.frozen_prefix(params)
     support = (task.support_images if kv == 0 else
                encode_images(model, task.support_images, stop=kv).data)
     if encode_text_fn is None:
         prompts = class_prompts(model, task.class_names)
-        kt = model.textual.frozen_prefix()
+        kt = model.textual.frozen_prefix(params)
         prefix = None if kt == 0 else encode_prompts(model, prompts, stop=kt)
         encode_text_fn = lambda: encode_prompts(model, prompts, rng=train_rng,
                                                 start=kt, x=prefix)
@@ -301,10 +311,7 @@ def contrastive_pretrain(model: DualEncoderModel, images: np.ndarray,
         if model.tau < cfg.min_tau:
             model.temperature.data = np.asarray(cfg.min_tau, dtype=model.cfg.np_dtype)
 
-    model.set_trainable(True)
     sampler = _BatchSampler(n, cfg.batch_size, cfg.seed, 0xC0DE)
-    history = run_training_loop(model.parameters(), loss_fn, sampler,
-                                cfg.epochs * (n // cfg.batch_size), cfg.lr,
-                                cfg.weight_decay, after_step=clamp_tau)
-    model.set_trainable(False)
-    return history
+    return run_training_loop(model.parameters(), loss_fn, sampler,
+                             cfg.epochs * (n // cfg.batch_size), cfg.lr,
+                             cfg.weight_decay, after_step=clamp_tau)

@@ -95,19 +95,17 @@ def init_lora(d_out: int, d_in: int, rank: int, dropout: float = 0.0,
         raise DomainError(f"rank {rank} outside [1, min({d_out}, {d_in})]")
     rng = np.random.default_rng(seed)
     bound = np.sqrt(6.0 / d_in)
-    A = Tensor(rng.uniform(-bound, bound, size=(rank, d_in)).T.astype(dtype, order="C"),
-               requires_grad=True)
-    B = Tensor(np.zeros((rank, d_out), dtype=dtype), requires_grad=True)
+    A = Tensor(rng.uniform(-bound, bound, size=(rank, d_in)).T.astype(dtype, order="C"))
+    B = Tensor(np.zeros((rank, d_out), dtype=dtype))
     return LoRAModule(A, B, dropout)
 
 
 class AdaptedModel:
     """A frozen base model plus the adapter modules selected by a placement."""
 
-    def __init__(self, base: DualEncoderModel, cfg: PlacementConfig,
+    def __init__(self, base: DualEncoderModel,
                  modules: dict[tuple[str, int, str], LoRAModule]):
         self.base = base
-        self.placement = cfg
         self.modules = modules
         self.merged = False
         self._snapshots: Optional[dict[tuple[str, int, str], np.ndarray]] = None
@@ -128,13 +126,12 @@ def _encoder_of(model: DualEncoderModel, name: str):
 
 
 def inject(model: DualEncoderModel, cfg: PlacementConfig, seed: int = 0) -> AdaptedModel:
-    """Freeze the base model and attach one fresh module per selected target."""
+    """Attach one fresh module per selected target."""
     if model.has_lora():
         raise StateError("model already carries adapter modules; inject once only")
     d = model.cfg.width
     if cfg.rank > d:
         raise DomainError(f"rank {cfg.rank} exceeds matrix dimension {d}")
-    model.set_trainable(False)
     ss = np.random.SeedSequence([seed, 0x10A7])
     modules: dict[tuple[str, int, str], LoRAModule] = {}
     targets = cfg.targets(model.cfg.depth)
@@ -143,7 +140,7 @@ def inject(model: DualEncoderModel, cfg: PlacementConfig, seed: int = 0) -> Adap
         module = init_lora(d, d, cfg.rank, cfg.dropout, seed=child, dtype=model.cfg.np_dtype)
         _encoder_of(model, enc).blocks[layer].lora[mat] = module
         modules[target] = module
-    return AdaptedModel(model, cfg, modules)
+    return AdaptedModel(model, modules)
 
 
 def merge(adapted: AdaptedModel) -> DualEncoderModel:

@@ -224,14 +224,16 @@ class _Encoder:
             for n, p in blk.named_parameters():
                 yield f"blocks.{i}.{n}", p
 
-    def frozen_prefix(self) -> int:
-        """k: how many leading blocks carry no adapter and see no trainable
-        tensor, the embedding's included.  Dropout lives only in adapters, so
-        their training forward is their eval forward and can run once."""
-        if any(p.requires_grad for _, p in self.embedding_parameters()):
+    def frozen_prefix(self, params) -> int:
+        """k: how many leading blocks carry no adapter and hold none of the
+        trained tensors `params`, the embedding's included.  Dropout lives
+        only in adapters, so their training forward is their eval forward and
+        can run once."""
+        trained = {id(p) for p in params}
+        if any(id(p) in trained for _, p in self.embedding_parameters()):
             return 0
         live = (i for i, blk in enumerate(self.blocks)
-                if blk.lora or any(p.requires_grad for _, p in blk.named_parameters()))
+                if blk.lora or any(id(p) in trained for _, p in blk.named_parameters()))
         return next(live, len(self.blocks))
 
 
@@ -291,10 +293,6 @@ class DualEncoderModel:
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    def set_trainable(self, flag: bool):
-        for p in self.parameters():
-            p.requires_grad = flag
 
     def has_lora(self) -> bool:
         return any(blk.lora for enc in (self.visual, self.textual) for blk in enc.blocks)

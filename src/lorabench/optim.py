@@ -19,16 +19,13 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a list of trainable tensors.
-
-    Tensors not marked requires_grad are never touched, even if passed in.
-    """
+    """Decoupled-weight-decay Adam over a list of trainable tensors."""
 
     def __init__(self, params, lr: float = 2e-4, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0):
         if lr <= 0:
             raise DomainError(f"learning rate must be > 0, got {lr}")
-        self.params = [p for p in params if p.requires_grad]
+        self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps

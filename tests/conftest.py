@@ -43,7 +43,10 @@ def small_model_for(ds, dtype="float32", depth=2, width=16, heads=2,
 
 
 def analytic_grads(loss_fn, params):
-    """Backward through one tape; returns copies of the gradients."""
+    """Backward through one tape with `params` marked as requiring grad, as
+    the training loop marks what it trains; returns copies of the gradients."""
+    for p in params:
+        p.requires_grad = True
     with Tape() as tape:
         loss = loss_fn()
         tape.backward(loss)

@@ -540,6 +540,14 @@ class TestUsageErrors:
         ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
          "--config", "{tmp}/inf-lr.json", "--out", "{tmp}/x.csv"],
         ["gen", "--out", "{tmp}/d", "--classes", "17"],
+        ["gen", "--out", "{tmp}/d", "--seed", "-1"],
+        ["pretrain", "--dataset", "{work}/ds", "--out", "{tmp}/d", "--seed", "-1"],
+        ["zeroshot", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--seed", "-1", "--out", "{tmp}/x.csv"],
+        ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--seeds", "0,-1", "--out", "{tmp}/x.csv"],
+        ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
+         "--config", "{tmp}/negative-seed.json", "--out", "{tmp}/x.csv"],
     ], ids=["malformed-config-json", "finetune-empty-seeds", "ablate-zero-shots",
             "ablate-zero-seeds", "gen-negative-noise", "gen-zero-classes",
             "gen-zero-images-per-class", "unknown-config-key", "pretrain-zero-epochs",
@@ -557,13 +565,16 @@ class TestUsageErrors:
             "finetune-merged-out-not-lora", "finetune-config-merged-out-not-lora",
             *[f"{cmd}-config-{name}" for name, (cmd, _) in BAD_TYPES.items()],
             "gen-nan-noise", "gen-inf-noise", "pretrain-inf-lr", "finetune-inf-lr",
-            "finetune-config-inf-lr", "gen-17-classes"])
+            "finetune-config-inf-lr", "gen-17-classes", "gen-negative-seed",
+            "pretrain-negative-seed", "zeroshot-negative-seed",
+            "finetune-negative-seed", "finetune-config-negative-seed"])
     def test_exit_1_with_one_line(self, argv, workdir, tmp_path, capsys):
         (tmp_path / "bad.json").write_text('{"classes": 4,')
         (tmp_path / "typo.json").write_text('{"iters_per_shots": 1}')
         (tmp_path / "merged.json").write_text(json.dumps(
             {"method": "adapter", "merged_out": str(tmp_path / "d")}))
         (tmp_path / "inf-lr.json").write_text('{"lr": Infinity}')
+        (tmp_path / "negative-seed.json").write_text('{"seeds": [-1]}')
         for name, grid in BAD_GRIDS.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(grid))
         for name, (_, cfg) in BAD_TYPES.items():

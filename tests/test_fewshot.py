@@ -21,7 +21,7 @@ from lorabench.fewshot import (FewShotTask, PretrainConfig, TrainConfig,
 from lorabench.lora import ENCODER_CHOICES, LAYER_SPANS, PlacementConfig, inject
 from lorabench.model import (block_forward, encode_images, encode_prompts,
                              tokenize_prompt)
-from lorabench.tensor import Tape, Tensor, matmul, row_softmax, transpose
+from lorabench.tensor import Tape, Tensor, matmul, mean, row_softmax, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +288,33 @@ class TestFinetune:
         assert threaded == serial
 
 
+class TestTrainingLoop:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_params_alone_decide_what_trains(self):
+        # the loop marks exactly the tensors it is given for its steps, and
+        # none of them stays marked once it returns or raises
+        unmarked = Tensor(np.ones(3))
+        marked = Tensor(np.ones(3), requires_grad=True)
+        sampler = _BatchSampler(4, 2, seed=0, stream=0)
+        seen = []
+
+        def loss_fn(idx):
+            seen.append((unmarked.requires_grad, marked.requires_grad))
+            return mean(unmarked * marked) * next(scales)
+
+        scales = iter([1.0, 1.0])
+        run_training_loop([unmarked, marked], loss_fn, sampler, 2, 0.1, 0.0)
+        assert seen == [(True, True)] * 2
+        assert not np.array_equal(unmarked.data, np.ones(3))
+        assert not unmarked.requires_grad and not marked.requires_grad
+
+        marked.requires_grad = True
+        scales = iter([1.0, np.inf])
+        with pytest.raises(LorabenchError, match="step 1"):
+            run_training_loop([unmarked, marked], loss_fn, sampler, 2, 0.1, 0.0)
+        assert not unmarked.requires_grad and not marked.requires_grad
+
+
 # ---------------------------------------------------------------------------
 # frozen prefixes: the leading frozen blocks of each tower run once per run
 
@@ -301,15 +328,10 @@ PLACEMENTS = {"default": GRID["all-both"], "up": GRID["up-both"],
 
 
 def _frozen_run_model(ds, run, depth=2):
-    """The model as the training loop of `run` sees it, and its adapters
-    (None for the baselines)."""
+    """The model `run` trains, and its adapters (None for the baselines)."""
     model = small_model_for(ds, dtype="float64", depth=depth)
     if run in PLACEMENTS:
         return model, inject(model, PLACEMENTS[run], seed=0)
-    model.set_trainable(False)
-    if run == "bias-only":
-        for p in bias_parameters(model):
-            p.requires_grad = True
     return model, None
 
 
@@ -368,14 +390,20 @@ class TestFrozenTowers:
     ])
     def test_frozen_forward_is_untaped_eval_forward(self, small_dataset, run,
                                                    kv, kt):
+        model, adapted = _frozen_run_model(
+            small_dataset, "soft-prompt" if run == "embedding" else run, depth=3)
         if run == "embedding":
-            model, _ = _frozen_run_model(small_dataset, "soft-prompt", depth=3)
-            model.visual.pos_embed.requires_grad = True
-            model.textual.token_embed.requires_grad = True
-        else:
-            model, _ = _frozen_run_model(small_dataset, run, depth=3)
-        assert model.visual.frozen_prefix() == kv
-        assert model.textual.frozen_prefix() == kt
+            params = [model.visual.pos_embed, model.textual.token_embed]
+        elif run == "bias-only":
+            params = bias_parameters(model)
+        else:   # soft prompt's context is no tensor of the model
+            params = [] if adapted is None else adapted.trainable_parameters()
+        # marked as the training loop marks them, so a prefix that ran a
+        # trained tensor would record onto the tape
+        for p in params:
+            p.requires_grad = True
+        assert model.visual.frozen_prefix(params) == kv
+        assert model.textual.frozen_prefix(params) == kt
         prompts = class_prompts(model, small_dataset.class_names)
         prefixes = [(kv, lambda **kw: encode_images(model, small_dataset.images,
                                                     stop=kv, **kw)),

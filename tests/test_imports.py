@@ -1,5 +1,6 @@
 """Every name a module of the package or a test file imports is used there,
-and every entry point the benchmark's span recorder wraps exists."""
+outside the tape only the training loop marks what trains, and every entry
+point the benchmark's span recorder wraps exists."""
 
 import ast
 import importlib
@@ -52,6 +53,35 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _sets_grad_flag(node: ast.AST) -> bool:
+    """Whether `node` sets a tensor's requires_grad: an attribute store, a
+    setattr or a constructor keyword."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "requires_grad" and isinstance(node.ctx, ast.Store)
+    if isinstance(node, ast.Call):
+        is_setattr = isinstance(node.func, ast.Name) and node.func.id == "setattr"
+        return (any(k.arg == "requires_grad" for k in node.keywords)
+                or is_setattr and any(isinstance(a, ast.Constant)
+                                      and a.value == "requires_grad" for a in node.args))
+    return False
+
+
+def test_only_the_training_loop_marks_what_trains():
+    # what trains is the list a method hands fewshot.run_training_loop, which
+    # marks it for the steps; tensor.py marks the outputs it records
+    writers = []
+    for path in MODULES:
+        if path.name == "tensor.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loop = [n for n in tree.body if path.name == "fewshot.py"
+                and isinstance(n, ast.FunctionDef) and n.name == "run_training_loop"]
+        inside = {i for n in loop for i in range(n.lineno, n.end_lineno + 1)}
+        writers += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                    if _sets_grad_flag(n) and n.lineno not in inside]
+    assert not writers, f"requires_grad set outside run_training_loop: {writers}"
 
 
 def test_scan_sees_every_module():

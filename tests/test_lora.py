@@ -180,11 +180,12 @@ class TestInject:
         with pytest.raises(StateError):
             inject(model, PlacementConfig(), seed=0)
 
-    def test_base_frozen_modules_trainable(self, small_dataset):
+    def test_base_and_modules_frozen_at_rest(self, small_dataset):
+        # only the training loop marks tensors, and only for its steps
         model = small_model_for(small_dataset)
         adapted = inject(model, PlacementConfig(), seed=0)
         assert all(not p.requires_grad for p in model.parameters())
-        assert all(p.requires_grad for p in adapted.trainable_parameters())
+        assert all(not p.requires_grad for p in adapted.trainable_parameters())
 
     def test_placement_exactness(self, small_dataset):
         model = small_model_for(small_dataset)

@@ -63,16 +63,6 @@ class TestAdamW:
         with pytest.raises(DomainError, match="NaN/Inf"):
             opt.step()
 
-    def test_frozen_tensor_never_updated(self):
-        frozen = Tensor(np.ones(2), requires_grad=False)
-        live = Tensor(np.ones(2), requires_grad=True)
-        frozen.grad = np.ones(2)
-        live.grad = np.ones(2)
-        opt = AdamW([frozen, live], lr=0.1)
-        opt.step()
-        assert np.array_equal(frozen.data, np.ones(2))
-        assert not np.array_equal(live.data, np.ones(2))
-
     def test_step_counter_increments(self):
         p = Tensor(np.zeros(1), requires_grad=True)
         opt = AdamW([p], lr=0.1)
