@@ -8,9 +8,11 @@ Flags override keys of an optional JSON config file.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
+import os
 import sys
 from itertools import product
 from pathlib import Path
@@ -296,11 +298,39 @@ def cmd_report(args) -> int:
     return 0
 
 
+# glibc's mallopt parameters and this process's values for them: a chunk of
+# up to 32 MiB (glibc's 64-bit maximum) comes from the heap, not a fresh
+# mmap, and the heap is trimmed only once 256 MiB at its top are free
+_MALLOC_POLICY = ((-3, 32 << 20),    # M_MMAP_THRESHOLD
+                  (-1, 256 << 20))   # M_TRIM_THRESHOLD
+
+
+def use_allocator_policy() -> bool:
+    """Make freed memory stay in this process for the next allocation.
+
+    A training step allocates and frees the same numpy temporaries, many
+    above glibc's default 128 KiB mmap threshold, so by default each step
+    faults in fresh pages for them.  On glibc this sets _MALLOC_POLICY and
+    returns whether both settings took; on any other libc it does nothing
+    and returns False.  It starts no process and may be called again."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (ValueError, OSError):
+        glibc = None
+    if not glibc:
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(param, value) == 1 for param, value in _MALLOC_POLICY])
+
+
 _COMMANDS = {"gen": cmd_gen, "pretrain": cmd_pretrain, "zeroshot": cmd_zeroshot,
              "finetune": cmd_finetune, "ablate": cmd_ablate, "report": cmd_report}
 
 
 def main(argv=None) -> int:
+    use_allocator_policy()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

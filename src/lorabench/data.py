@@ -5,7 +5,9 @@ template vocabulary.  Generation is fully determined by (spec, seed)."""
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -120,9 +122,28 @@ def generate_dataset(spec: SyntheticDatasetSpec,
 # on-disk layout: manifest.json, images.bin, labels.csv, captions.txt
 
 
-def save_dataset(ds: Dataset, directory) -> None:
-    directory = Path(directory)
+def replace_files(directory: Path, files: list[tuple[str, bytes]]) -> None:
+    """Write each (name, bytes) pair into `directory`, last file last.
+
+    Every file is first written in full to a temporary file beside its
+    target; only then do the temporaries replace their targets, in order.
+    So a write that fails or is cut off part-way leaves the old files as
+    they were, and once the last file (a manifest) is new, so is every file
+    before it."""
     directory.mkdir(parents=True, exist_ok=True)
+    staged = []
+    try:
+        for name, payload in files:
+            staged.append((directory / f".{name}.tmp", directory / name))
+            staged[-1][0].write_bytes(payload)
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+
+
+def save_dataset(ds: Dataset, directory) -> None:
     manifest = {
         "kind": "synthetic_dataset",
         "spec": asdict(ds.spec),
@@ -131,16 +152,16 @@ def save_dataset(ds: Dataset, directory) -> None:
         "class_names": ds.class_names,
         "vocab_words": ds.vocab_words,
     }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=1,
-                                                        sort_keys=True))
-    (directory / "images.bin").write_bytes(
-        np.ascontiguousarray(ds.images, dtype="<f4").tobytes())
-    with open(directory / "labels.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "label", "class_name"])
-        for i, lab in enumerate(ds.labels):
-            w.writerow([i, int(lab), ds.class_names[int(lab)]])
-    (directory / "captions.txt").write_text("\n".join(ds.captions) + "\n")
+    labels = io.StringIO()
+    w = csv.writer(labels)
+    w.writerow(["index", "label", "class_name"])
+    for i, lab in enumerate(ds.labels):
+        w.writerow([i, int(lab), ds.class_names[int(lab)]])
+    replace_files(Path(directory), [
+        ("images.bin", np.ascontiguousarray(ds.images, dtype="<f4").tobytes()),
+        ("labels.csv", labels.getvalue().encode()),
+        ("captions.txt", ("\n".join(ds.captions) + "\n").encode()),
+        ("manifest.json", json.dumps(manifest, indent=1, sort_keys=True).encode())])
 
 
 def _read_labels(path: Path, n: int, n_classes: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .data import replace_files
 from .errors import DomainError, FormatError, InputError, ShapeError
 from .tensor import (Tensor, add, concat, dropout, gelu, l2_normalize, layer_norm,
                      matmul, reshape, row_softmax, select_positions, take_rows,
@@ -403,9 +404,9 @@ def _blob_dtype(dtype_name: str):
 
 def write_tensor_blob(named: list[tuple[str, Tensor]], directory: Path,
                       extra_manifest: dict) -> None:
-    """Write manifest.json + weights.bin for an ordered list of named tensors."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    """Write weights.bin + manifest.json for an ordered list of named tensors;
+    the manifest goes last, so a new manifest always sits over the blob it
+    was written with."""
     tensors = {}
     offset = 0
     chunks = []
@@ -418,8 +419,9 @@ def write_tensor_blob(named: list[tuple[str, Tensor]], directory: Path,
         offset += len(raw)
     manifest = {"version": CHECKPOINT_VERSION, "tensors": tensors}
     manifest.update(extra_manifest)
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    (directory / "weights.bin").write_bytes(b"".join(chunks))
+    replace_files(Path(directory), [
+        ("weights.bin", b"".join(chunks)),
+        ("manifest.json", json.dumps(manifest, indent=1, sort_keys=True).encode())])
 
 
 def read_tensor_blob(directory: Path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -4,6 +4,11 @@ Tensors wrap row-major numpy arrays (float32 for training, float64 for
 gradient checks).  Operations executed while a Tape is active record a
 backward rule; Tape.backward replays the rules in reverse recording order,
 which is a valid topological order by construction.
+
+A backward rule computes the gradient of an input only if that input's
+`requires_grad` is set when the rule runs, and returns None for any other
+input: the gradient of a frozen weight, bias or layer-norm gain is never
+formed, since nothing would read it.
 """
 
 from __future__ import annotations
@@ -124,7 +129,11 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss: Tensor):
-        """Populate grad fields of every grad-requiring tensor reachable from loss."""
+        """Populate grad fields of every grad-requiring tensor reachable from loss.
+
+        Only leaves keep their gradient: a recorded node's output drops its
+        grad as soon as its backward rule has consumed it, so each
+        intermediate gradient is freed once it is used."""
         if self._consumed:
             raise StateError("tape already ran backward; build a fresh tape per step")
         if loss.data.ndim != 0 and loss.data.size != 1:
@@ -136,6 +145,7 @@ class Tape:
             if out.grad is None:
                 continue
             grads = backward_fn(out.grad)
+            out.zero_grad()
             for inp, g in zip(inputs, grads):
                 if g is not None and inp.requires_grad:
                     inp.accumulate_grad(g)
@@ -175,15 +185,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     out = Tensor(a.data + b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
-                                           _unbroadcast(g, b.data.shape)))
+    return _record(out, (a, b), lambda g: (
+        _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+        _unbroadcast(g, b.data.shape) if b.requires_grad else None))
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     out = Tensor(a.data * b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                                           _unbroadcast(g * a.data, b.data.shape)))
+    return _record(out, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+        _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None))
 
 
 def div(a: Tensor, b) -> Tensor:
@@ -191,8 +203,9 @@ def div(a: Tensor, b) -> Tensor:
     out = Tensor(a.data / b.data)
 
     def backward(g):
-        ga = _unbroadcast(g / b.data, a.data.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
+        gb = (_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+              if b.requires_grad else None)
         return ga, gb
 
     return _record(out, (a, b), backward)
@@ -210,15 +223,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def backward(g):
             g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
+            return ((g2 @ bd.T).reshape(ad.shape) if a.requires_grad else None,
+                    a2.T @ g2 if b.requires_grad else None)
 
         return _record(out, (a, b), backward)
 
     out = Tensor(np.matmul(ad, bd))
 
     def backward(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
+        ga = (_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
+              if a.requires_grad else None)
+        gb = (_unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
+              if b.requires_grad else None)
         return ga, gb
 
     return _record(out, (a, b), backward)
@@ -382,13 +398,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out = Tensor(xhat * gain.data + bias.data)
 
     def backward(g):
-        gxhat = g * gain.data
-        gx = inv * (gxhat
-                    - gxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+        gx = None
+        if x.requires_grad:
+            gxhat = g * gain.data
+            gx = inv * (gxhat
+                        - gxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
         axes = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=axes)
-        gbias = g.sum(axis=axes)
+        ggain = (g * xhat).sum(axis=axes) if gain.requires_grad else None
+        gbias = g.sum(axis=axes) if bias.requires_grad else None
         return gx, ggain, gbias
 
     return _record(out, (x, gain, bias), backward)

@@ -1,11 +1,18 @@
 """Shared fixtures and finite-difference helpers for the test suite."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from lorabench.cli import use_allocator_policy
 from lorabench.data import SyntheticDatasetSpec, generate_dataset
 from lorabench.model import DualEncoderModel, ModelConfig
 from lorabench.tensor import Tape
+
+# the suite runs under the allocator policy of every lorabench command; it
+# changes no number, only how often the training steps fault in fresh pages
+use_allocator_policy()
 
 TINY_WORDS = sorted({"a", "an", "photo", "picture", "image", "of", "small",
                      "dog", "cat", "bird", "fish"})
@@ -40,6 +47,20 @@ def small_model_for(ds, dtype="float32", depth=2, width=16, heads=2,
                       max_text_len=12, vocab_words=ds.vocab_words,
                       dtype=dtype, **kw)
     return DualEncoderModel(cfg, seed=seed)
+
+
+def fail_writes_part_way(monkeypatch, name):
+    """Make each Path.write_bytes to a file whose name contains `name` write
+    half its bytes and then raise OSError, as a full disk or a crash would."""
+    write_bytes = Path.write_bytes
+
+    def failing(path, data):
+        if name not in path.name:
+            return write_bytes(path, data)
+        write_bytes(path, data[:len(data) // 2])
+        raise OSError(f"write to {path.name} failed part-way")
+
+    monkeypatch.setattr(Path, "write_bytes", failing)
 
 
 def analytic_grads(loss_fn, params):

@@ -2,10 +2,13 @@
 
 import csv
 import json
+import os
 import re
 import shlex
 import shutil
+import subprocess
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lorabench import bench
+from lorabench import bench, cli
 from lorabench.cli import build_parser, main
 from lorabench.errors import DomainError
 from lorabench.lora import ENCODER_CHOICES, LAYER_SPANS, MATRICES
@@ -604,6 +607,57 @@ class TestUsageErrorNames:
         assert main([*argv, "--checkpoint", str(workdir / "ckpt"), "--dataset",
                      str(workdir / "ds"), "--out", str(tmp_path / "x.csv")]) == 1
         assert named in capsys.readouterr().err
+
+
+class TestAllocatorPolicy:
+    def test_sets_both_glibc_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(cli.ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert cli.use_allocator_policy() is True
+        # M_MMAP_THRESHOLD to glibc's 64-bit maximum, then M_TRIM_THRESHOLD
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_a_refused_setting_is_reported(self, monkeypatch):
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(
+            mallopt=lambda param, value: int(param == -1)))
+        assert cli.use_allocator_policy() is False
+
+    def test_other_libc_is_left_alone(self, monkeypatch):
+        def unknown_name(name):
+            raise ValueError("unrecognized configuration name")
+
+        monkeypatch.setattr(os, "confstr", unknown_name)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: pytest.fail("loaded libc"))
+        assert cli.use_allocator_policy() is False
+
+    def test_starts_no_process_and_may_repeat(self, monkeypatch):
+        try:
+            glibc = bool(os.confstr("CS_GNU_LIBC_VERSION"))
+        except (ValueError, OSError):
+            glibc = False
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("started a process")
+
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        assert cli.use_allocator_policy() is glibc
+        assert cli.use_allocator_policy() is glibc
+
+    def test_main_applies_it_before_parsing(self, monkeypatch, capsys):
+        order = []
+        parser = cli.build_parser
+        monkeypatch.setattr(cli, "use_allocator_policy", lambda: order.append("policy"))
+        monkeypatch.setattr(cli, "build_parser", lambda: order.append("parse") or parser())
+        assert main(["no-such-command"]) == 1
+        assert order == ["policy", "parse"]
 
 
 class TestReadme:

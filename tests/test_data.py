@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import fail_writes_part_way
 from lorabench.data import (DEFAULT_CLASS_NAMES, SyntheticDatasetSpec,
                             check_prototypes, generate_dataset, load_dataset,
                             save_dataset)
@@ -30,6 +31,27 @@ class TestGenerate:
         for name in ("manifest.json", "images.bin", "labels.csv", "captions.txt"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("failing", ["images.bin", "labels.csv", "captions.txt",
+                                         "manifest.json"])
+    def test_failed_overwrite_keeps_the_old_dataset(self, tmp_path, monkeypatch, failing):
+        old = generate_dataset(SyntheticDatasetSpec(n_classes=4, images_per_class=8,
+                                                    seed=7))
+        new = generate_dataset(SyntheticDatasetSpec(
+            n_classes=4, images_per_class=8, seed=8,
+            class_names=("ant", "bee", "cow", "doe")))
+        save_dataset(old, tmp_path / "ds")
+        fail_writes_part_way(monkeypatch, failing)
+        with pytest.raises(OSError, match="part-way"):
+            save_dataset(new, tmp_path / "ds")
+        monkeypatch.undo()
+        loaded = load_dataset(tmp_path / "ds")
+        assert (loaded.spec, loaded.class_names, loaded.vocab_words, loaded.captions) == \
+            (old.spec, old.class_names, old.vocab_words, old.captions)
+        assert np.array_equal(loaded.images, old.images)
+        assert np.array_equal(loaded.labels, old.labels)
+        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == \
+            ["captions.txt", "images.bin", "labels.csv", "manifest.json"]
 
     def test_equal_prototypes_rejected(self):
         spec = SyntheticDatasetSpec(n_classes=2, images_per_class=2, seed=0)

@@ -1,10 +1,12 @@
 """Dual-encoder model: tokenization, attention oracle, scripted forward
 oracles, padding masking, checkpoints and full-stack gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import gradcheck, small_model_for, tiny_config
+from conftest import fail_writes_part_way, gradcheck, small_model_for, tiny_config
 from lorabench.errors import FormatError, InputError, ShapeError
 from lorabench.fewshot import cross_entropy_loss
 from lorabench.lora import PlacementConfig, inject
@@ -322,6 +324,25 @@ class TestCheckpoints:
             assert na == nb
             assert np.array_equal(pa.data, pb.data), na
         assert loaded.cfg == model.cfg
+
+    @pytest.mark.parametrize("failing", ["weights.bin", "manifest.json"])
+    def test_failed_overwrite_keeps_the_old_checkpoint(self, small_dataset, tmp_path,
+                                                       monkeypatch, failing):
+        # same sizes, so a new manifest would also load over the old blob
+        old = small_model_for(small_dataset, seed=7)
+        new = DualEncoderModel(dataclasses.replace(
+            old.cfg, vocab_words=[w + "x" for w in old.cfg.vocab_words]), seed=8)
+        save_checkpoint(old, tmp_path / "ckpt")
+        fail_writes_part_way(monkeypatch, failing)
+        with pytest.raises(OSError, match="part-way"):
+            save_checkpoint(new, tmp_path / "ckpt")
+        monkeypatch.undo()
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert loaded.cfg == old.cfg
+        for (name, a), (_, b) in zip(old.named_parameters(), loaded.named_parameters()):
+            assert np.array_equal(a.data, b.data), name
+        assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == \
+            ["manifest.json", "weights.bin"]
 
     def test_truncated_blob(self, small_dataset, tmp_path):
         model = small_model_for(small_dataset)

@@ -1,12 +1,17 @@
 """Autodiff core: forward-value oracles and finite-difference gradient checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import analytic_grads, gradcheck, numeric_grad
+from conftest import analytic_grads, gradcheck, numeric_grad, small_model_for
 from lorabench.errors import DomainError, ShapeError, StateError
+from lorabench.fewshot import cross_entropy_loss
+from lorabench.lora import PlacementConfig, inject
+from lorabench.model import encode_images, encode_prompts, tokenize_prompt
 from lorabench.tensor import (Tape, Tensor, add, concat, div, dropout, gelu,
                               l2_normalize, layer_norm, log_softmax, matmul,
                               mean, mul, reshape, row_softmax, select_positions,
@@ -234,7 +239,75 @@ class TestDropout:
 # ---------------------------------------------------------------------------
 # tape mechanics
 
+# every op of more than one input that computes a gradient: the op and the
+# shapes of its inputs
+SKIP_CASES = {
+    "matmul-2d": (matmul, [(3, 4), (4, 2)]),
+    "matmul-linear": (matmul, [(2, 3, 4), (4, 5)]),
+    "matmul-4d": (matmul, [(2, 2, 3, 4), (2, 2, 4, 3)]),
+    "add-bias": (add, [(2, 3, 4), (4,)]),
+    "mul-scale": (mul, [(2, 3, 4), ()]),
+    "div": (div, [(3, 4), (3, 1)]),
+    "layer_norm": (layer_norm, [(2, 3, 4), (4,), (4,)]),
+}
+
+
+def adapted_loss(ds, dtype):
+    """A depth-2 model with random q,v,o adapters, its adapter factors and
+    a closure for its few-shot loss on six images, with adapter dropout."""
+    model = small_model_for(ds, dtype=dtype)
+    adapted = inject(model, PlacementConfig(matrices=("q", "v", "o")), seed=1)
+    rng = np.random.default_rng(2)
+    for m in adapted.modules.values():
+        m.B.data = rng.standard_normal(m.B.shape).astype(dtype)
+    prompts = [tokenize_prompt(n, model.vocab, model.cfg.max_text_len)
+               for n in ds.class_names]
+    images, labels = ds.images[::5][:6], ds.labels[::5][:6]
+
+    def loss_fn():
+        feats = encode_images(model, images, rng=np.random.default_rng(3))
+        texts = encode_prompts(model, prompts, rng=np.random.default_rng(4))
+        return cross_entropy_loss(matmul(feats, transpose(texts, (1, 0))), labels,
+                                  model.tau)
+
+    return model, adapted.trainable_parameters(), loss_fn
+
+
 class TestBackward:
+    @pytest.mark.parametrize("case", sorted(SKIP_CASES))
+    def test_no_gradient_for_an_input_that_needs_none(self, case):
+        op, shapes = SKIP_CASES[case]
+        rng = np.random.default_rng(13)
+        for flags in itertools.product([False, True], repeat=len(shapes)):
+            if not any(flags):
+                continue    # nothing is recorded
+            inputs = [t64(rng.standard_normal(s), rg=f) for s, f in zip(shapes, flags)]
+            with Tape() as tape:
+                out = op(*inputs)
+            (_, _, backward), = tape._nodes
+            grads = backward(np.ones_like(out.data))
+            assert [g is not None for g in grads] == list(flags), flags
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_skipped_gradients_change_no_adapter_gradient(self, small_dataset, dtype):
+        # oracle: the same backward with every base tensor's gradient formed too
+        model, factors, loss_fn = adapted_loss(small_dataset, dtype)
+        alone = analytic_grads(loss_fn, factors)
+        with_base = analytic_grads(loss_fn, factors + list(model.parameters()))
+        for a, b in zip(alone, with_base):
+            assert a is not None
+            np.testing.assert_array_equal(a, b)
+
+    def test_only_leaves_keep_gradients(self, small_dataset):
+        _, factors, loss_fn = adapted_loss(small_dataset, "float32")
+        for p in factors:
+            p.requires_grad = True
+        with Tape() as tape:
+            tape.backward(loss_fn())
+        assert len(tape) > 100
+        assert all(out.grad is None for out, _, _ in tape._nodes)
+        assert all(p.grad is not None for p in factors)
+
     def test_linear_grad_matches_fd(self):
         rng = np.random.default_rng(12)
         w = t64(rng.standard_normal((3, 4)), rg=True)
