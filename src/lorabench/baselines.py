@@ -17,9 +17,9 @@ from .fewshot import (FewShotTask, TrainConfig, TrainingHistory, _BatchSampler,
                       accuracy, class_prompts, cross_entropy_loss, evaluate,
                       run_training_loop, train_on_support)
 from .model import (DualEncoderModel, PROMPT_TEMPLATE, encode_images,
-                    encode_prompts, encode_tokens)
-from .tensor import (Tensor, add, concat, gelu, l2_normalize, matmul, reshape,
-                     take_rows, transpose)
+                    encode_tokens)
+from .tensor import (Tensor, add, concat, gelu, l2_normalize, matmul, take_rows,
+                     transpose)
 
 
 @dataclass
@@ -35,17 +35,15 @@ class BaselineResult:
 
 def _soft_prompt_features(model: DualEncoderModel, context: Tensor,
                           tokens: np.ndarray):
-    """Text features of the class prompts `tokens` with the embeddings of
-    their template words, rows 1..m, replaced by the shared trainable
-    context."""
-    k, t = tokens.shape
-    m, d = context.shape
+    """Text features of the class prompts `tokens` with their template words,
+    positions 1..m, embedded by the shared trainable context: the m context
+    rows extend the token table as ids V..V+m-1, and those positions look
+    them up."""
     table = model.textual.token_embed
-    prefix = take_rows(table, tokens[:, :1])
-    suffix = take_rows(table, tokens[:, 1 + m:])
-    ctx = add(reshape(context, (1, m, d)),
-              Tensor(np.zeros((k, m, d), dtype=model.cfg.np_dtype)))
-    emb = concat([prefix, ctx, suffix], axis=1)
+    m = context.shape[0]
+    ids = tokens.copy()
+    ids[:, 1:1 + m] = table.shape[0] + np.arange(m)
+    emb = take_rows(concat([table, context]), ids)
     return encode_tokens(model, tokens, x=add(emb, model.textual.pos_embed))
 
 
@@ -57,7 +55,7 @@ def soft_prompt_finetune(model: DualEncoderModel, task: FewShotTask,
     The context starts as the embeddings of those words, so step-0
     predictions match template zero-shot predictions exactly.
     """
-    tokens = np.stack(class_prompts(model, task.class_names))
+    tokens = class_prompts(model, task.class_names)
     m = len(PROMPT_TEMPLATE)
     context = Tensor(model.textual.token_embed.data[tokens[0, 1:1 + m]].copy())
     encode_text_fn = lambda: _soft_prompt_features(model, context, tokens)
@@ -116,7 +114,7 @@ def adapter_finetune(model: DualEncoderModel, task: FewShotTask,
         raise DomainError(f"alpha must be in [0, 1], got {alpha}")
     sup_feats = encode_images(model, task.support_images).data
     qry_feats = encode_images(model, task.query_images)
-    texts = encode_prompts(model, class_prompts(model, task.class_names))
+    texts = encode_tokens(model, class_prompts(model, task.class_names))
     tau = model.tau
 
     def loss_fn(idx):

@@ -206,7 +206,7 @@ def load_dataset(directory) -> Dataset:
             manifest["spec"], class_names=tuple(manifest["spec"]["class_names"])))
         n, size = manifest["n_images"], manifest["image_size"]
         class_names = manifest["class_names"]
-        vocab_words = list(manifest["vocab_words"])
+        vocab_words = manifest["vocab_words"]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise FormatError(f"malformed dataset manifest ({type(e).__name__}: {e})") from None
     if not all(type(v) is int and v >= 0 for v in (n, size)):
@@ -215,6 +215,8 @@ def load_dataset(directory) -> Dataset:
     if (not isinstance(class_names, list) or not all(isinstance(c, str) for c in class_names)
             or len(set(class_names)) != len(class_names)):
         raise FormatError(f"class_names must be a list of distinct strings, got {class_names!r}")
+    if not isinstance(vocab_words, list) or not all(isinstance(w, str) for w in vocab_words):
+        raise FormatError(f"vocab_words must be a list of strings, got {vocab_words!r}")
     raw = (directory / "images.bin").read_bytes()
     expect = n * size * size * 4
     if len(raw) != expect:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DomainError, LorabenchError, ShapeError
 from .lora import AdaptedModel
-from .model import (DualEncoderModel, encode_images, encode_prompts,
-                    encode_tokens, tokenize_prompt)
+from .model import (DualEncoderModel, encode_images, encode_tokens,
+                    tokenize_prompt)
 from .optim import AdamW, cosine_lr
 from .tensor import (Tape, Tensor, div, log_softmax, matmul, mean,
                      select_positions, transpose)
@@ -76,12 +76,13 @@ def sample_support_set(images: np.ndarray, labels: np.ndarray,
 
 
 def zero_shot_logits(model: DualEncoderModel, images: np.ndarray,
-                     prompts: list[np.ndarray]) -> Tensor:
-    """Cosine-similarity logits (n_images x K) between unit embeddings."""
+                     prompts: np.ndarray) -> Tensor:
+    """Cosine-similarity logits (n_images x K) between unit embeddings of
+    the images and of the (K, max_len) prompt tokens."""
     if len(prompts) < 2:
         raise DomainError(f"need at least 2 classes, got {len(prompts)}")
     feats = encode_images(model, images)
-    texts = encode_prompts(model, prompts)
+    texts = encode_tokens(model, prompts)
     return matmul(feats, transpose(texts, (1, 0)))
 
 
@@ -99,10 +100,10 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def class_prompts(model: DualEncoderModel,
-                  class_names: Sequence[str]) -> list[np.ndarray]:
-    """The template prompt tokens of every class."""
-    return [tokenize_prompt(n, model.vocab, model.cfg.max_text_len)
-            for n in class_names]
+                  class_names: Sequence[str]) -> np.ndarray:
+    """The (K, max_text_len) int64 template prompt tokens, one row per class."""
+    return np.stack([tokenize_prompt(n, model.vocab, model.cfg.max_text_len)
+                     for n in class_names])
 
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray, tau: float) -> Tensor:
@@ -124,7 +125,7 @@ def evaluate(model: DualEncoderModel, task: FewShotTask,
     if task.num_classes < 2:
         raise DomainError(f"need at least 2 classes, got {task.num_classes}")
     if text_feats is None:
-        text_feats = encode_prompts(model, class_prompts(model, task.class_names))
+        text_feats = encode_tokens(model, class_prompts(model, task.class_names))
     feats = encode_images(model, task.query_images)
     logits = matmul(feats, transpose(text_feats, (1, 0))).data
     return accuracy(logits, task.query_labels), logits
@@ -243,9 +244,9 @@ def train_on_support(model: DualEncoderModel, params, task: FewShotTask,
     if encode_text_fn is None:
         prompts = class_prompts(model, task.class_names)
         kt = model.textual.frozen_prefix(params)
-        prefix = None if kt == 0 else encode_prompts(model, prompts, stop=kt)
-        encode_text_fn = lambda: encode_prompts(model, prompts, rng=train_rng,
-                                                start=kt, x=prefix)
+        prefix = None if kt == 0 else encode_tokens(model, prompts, stop=kt)
+        encode_text_fn = lambda: encode_tokens(model, prompts, rng=train_rng,
+                                               start=kt, x=prefix)
     tau = model.tau
 
     def loss_fn(idx):

@@ -107,7 +107,6 @@ class AdaptedModel:
                  modules: dict[tuple[str, int, str], LoRAModule]):
         self.base = base
         self.modules = modules
-        self.merged = False
         self._snapshots: Optional[dict[tuple[str, int, str], np.ndarray]] = None
 
     def trainable_parameters(self) -> list[Tensor]:
@@ -145,23 +144,23 @@ def inject(model: DualEncoderModel, cfg: PlacementConfig, seed: int = 0) -> Adap
 
 def merge(adapted: AdaptedModel) -> DualEncoderModel:
     """Fold A @ B into each host weight; detach modules for inference."""
-    if adapted.merged:
+    if adapted._snapshots is not None:
         raise StateError("adapter modules already merged")
     snapshots = {}
     for target, module in adapted.modules.items():
         enc, layer, mat = target
         w = _encoder_of(adapted.base, enc).blocks[layer].weight(mat)
-        snapshots[target] = w.data.copy()
+        # the merged weight is a new array, so the old one stays unchanged
+        snapshots[target] = w.data
         w.data = w.data + module.delta().astype(w.data.dtype)
         _encoder_of(adapted.base, enc).blocks[layer].lora.pop(mat)
     adapted._snapshots = snapshots
-    adapted.merged = True
     return adapted.base
 
 
 def unmerge(adapted: AdaptedModel) -> AdaptedModel:
     """Restore pre-merge weights bitwise and re-attach the modules."""
-    if not adapted.merged or adapted._snapshots is None:
+    if adapted._snapshots is None:
         raise StateError("unmerge without a prior merge")
     for target, module in adapted.modules.items():
         enc, layer, mat = target
@@ -169,7 +168,6 @@ def unmerge(adapted: AdaptedModel) -> AdaptedModel:
         block.weight(mat).data = adapted._snapshots[target]
         block.lora[mat] = module
     adapted._snapshots = None
-    adapted.merged = False
     return adapted
 
 

@@ -385,11 +385,6 @@ def encode_tokens(model: DualEncoderModel, tokens: np.ndarray, rng=None,
     return l2_normalize(matmul(pooled, enc.proj))
 
 
-def encode_prompts(model: DualEncoderModel, prompts: list[np.ndarray],
-                   **kwargs) -> Tensor:
-    return encode_tokens(model, np.stack(prompts), **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints: JSON manifest + little-endian raw blob
 
@@ -474,12 +469,19 @@ def load_checkpoint(path) -> DualEncoderModel:
     except (KeyError, TypeError) as e:
         raise FormatError(f"malformed checkpoint config ({type(e).__name__}: {e})") from None
     model = DualEncoderModel(cfg, seed=0)
-    for name, p in model.named_parameters():
+    params = dict(model.named_parameters())
+    unknown = next((name for name in arrays if name not in params), None)
+    if unknown is not None:
+        raise FormatError(f"checkpoint tensor {unknown} is not a parameter of the model")
+    for name, p in params.items():
         if name not in arrays:
             raise FormatError(f"checkpoint missing tensor {name}")
         arr = arrays[name]
         if tuple(arr.shape) != tuple(p.data.shape):
             raise FormatError(f"tensor {name}: checkpoint shape {arr.shape} vs "
                               f"model shape {p.data.shape}")
-        p.data = arr.astype(cfg.np_dtype)
+        if arr.dtype != p.data.dtype:
+            raise FormatError(f"tensor {name}: checkpoint dtype {arr.dtype} vs "
+                              f"config dtype {cfg.dtype}")
+        p.data = arr
     return model

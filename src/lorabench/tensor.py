@@ -30,16 +30,15 @@ _LN_EPS = 1e-5
 class Tensor:
     """A dense array plus optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_grad_owned")
+    __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._grad_owned = False
 
     @property
     def shape(self):
@@ -58,19 +57,11 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-        self._grad_owned = False
 
     def accumulate_grad(self, g: np.ndarray):
-        # copy-on-write: a first contribution may alias an upstream buffer,
-        # so only accumulate in place once this tensor owns its grad array
-        if self.grad is None:
-            self.grad = g
-            self._grad_owned = False
-        elif not self._grad_owned:
-            self.grad = self.grad + g
-            self._grad_owned = True
-        else:
-            self.grad += g
+        # never in place: `add` hands one buffer to both of its inputs, so a
+        # gradient may alias another tensor's
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -140,7 +131,6 @@ class Tape:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         self._consumed = True
         loss.grad = np.ones_like(loss.data)
-        loss._grad_owned = True
         for out, inputs, backward_fn in reversed(self._nodes):
             if out.grad is None:
                 continue

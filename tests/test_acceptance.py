@@ -20,7 +20,7 @@ from lorabench.fewshot import (PretrainConfig, TrainConfig, cross_entropy_loss,
                                zero_shot_logits)
 from lorabench.lora import PlacementConfig, inject, merge, trainable_param_count
 from lorabench.model import (DualEncoderModel, ModelConfig, PROMPT_TEMPLATE,
-                             encode_images, encode_prompts, load_checkpoint,
+                             encode_images, encode_tokens, load_checkpoint,
                              save_checkpoint, tokenize_prompt)
 from lorabench.optim import cosine_lr
 from lorabench.report import write_report_csv
@@ -119,7 +119,7 @@ def test_criterion_03_gradient_correctness(small_dataset):
 
     def loss_fn():
         feats = encode_images(model, imgs)
-        texts = encode_prompts(model, prompts)
+        texts = encode_tokens(model, np.stack(prompts))
         return cross_entropy_loss(matmul(feats, transpose(texts, (1, 0))),
                                   labels, model.tau)
 
@@ -218,7 +218,7 @@ def test_criterion_09_baseline_contracts(small_dataset):
     adapter.w2.data = np.random.default_rng(2).standard_normal(
         adapter.w2.shape).astype(np.float32)
     adapted = adapter_logits(adapter, 0.0, feats,
-                             encode_prompts(model, prompts)).data
+                             encode_tokens(model, np.stack(prompts))).data
     adapter_ok = np.array_equal(adapted, want)
 
     # bias-only training keeps every weight matrix bitwise intact

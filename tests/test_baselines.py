@@ -16,9 +16,9 @@ from lorabench.errors import DomainError
 from lorabench.fewshot import (TrainConfig, class_prompts, evaluate,
                                sample_support_set, train_on_support,
                                zero_shot_logits)
-from lorabench.model import (PROMPT_TEMPLATE, encode_images, encode_prompts,
+from lorabench.model import (PROMPT_TEMPLATE, encode_images, encode_tokens,
                              tokenize_prompt)
-from lorabench.tensor import Tensor, matmul, transpose
+from lorabench.tensor import Tape, Tensor, matmul, transpose
 
 
 def _task(ds, shots=1, seed=0):
@@ -57,6 +57,16 @@ class TestSoftPrompt:
         feats = encode_images(model, task.query_images)
         got = matmul(feats, transpose(texts, (1, 0))).data
         assert np.array_equal(got, want)
+
+    def test_context_rows_are_looked_up_in_one_node(self, small_dataset):
+        # the context extends the token table, so the embedding is one lookup
+        model = small_model_for(small_dataset)
+        context = _template_context(model)
+        tokens = class_prompts(model, small_dataset.class_names)
+        with Tape() as tape:
+            _soft_prompt_features(model, context, tokens)
+        ops = [backward.__qualname__.split(".", 1)[0] for _, _, backward in tape._nodes]
+        assert ops[:ops.index("layer_norm")] == ["concat", "take_rows", "add"]
 
     def test_trainable_count_is_m_times_width(self, small_dataset):
         model = small_model_for(small_dataset, width=64, heads=4, embed_dim=32,
@@ -125,7 +135,7 @@ class TestAdapter:
         rng = np.random.default_rng(2)  # arbitrary weights, incl. nonzero w2
         adapter.w2.data = rng.standard_normal(adapter.w2.shape).astype(np.float32)
         feats = encode_images(model, task.query_images)
-        texts = encode_prompts(model, prompts)
+        texts = encode_tokens(model, np.stack(prompts))
         got = adapter_logits(adapter, 0.0, feats, texts).data
         assert np.array_equal(got, want)
 
@@ -134,7 +144,7 @@ class TestAdapter:
         task = _task(small_dataset)
         prompts = [tokenize_prompt(n, model.vocab, 12) for n in task.class_names]
         feats = encode_images(model, task.query_images)
-        texts = encode_prompts(model, prompts)
+        texts = encode_tokens(model, np.stack(prompts))
         want = matmul(feats, transpose(texts, (1, 0))).data
         adapter = LinearAdapter(model.cfg.embed_dim, bottleneck=4, seed=1)
         # w2 is zero-initialized, so the MLP output is zero for any alpha

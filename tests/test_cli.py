@@ -392,6 +392,9 @@ HOSTILE_MANIFESTS = {
     "dataset-int-class-names": ("ds", lambda m: {**m, "class_names": [1, 2, 3, 4]}),
     "dataset-repeated-class-names": ("ds", lambda m: {**m, "class_names": ["a"] * 4}),
     "dataset-string-class-names": ("ds", lambda m: {**m, "class_names": "aaaa"}),
+    "dataset-string-vocab": ("ds", lambda m: {**m, "vocab_words": "abc"}),
+    "dataset-object-vocab": ("ds", lambda m: {**m, "vocab_words": {"a": 1}}),
+    "dataset-int-vocab": ("ds", lambda m: {**m, "vocab_words": [1, 2]}),
     "checkpoint-zero-heads": ("ckpt", _config(heads=0)),
     "checkpoint-float-depth": ("ckpt", _config(depth=1.5)),
     "checkpoint-list-vocab-word": ("ckpt", _config(vocab_words=[["a"]])),

@@ -139,7 +139,11 @@ class TestDiskLayout:
         (lambda m: m.pop("spec"), "spec"),
         (lambda m: m["spec"].update(colour="red"), "colour"),
         (lambda m: m.pop("n_images"), "n_images"),
-    ], ids=["no-spec", "unknown-spec-key", "no-n-images"])
+        (lambda m: m.update(vocab_words="abc"), "vocab_words"),
+        (lambda m: m.update(vocab_words={"a": 1}), "vocab_words"),
+        (lambda m: m.update(vocab_words=[1, 2]), "vocab_words"),
+    ], ids=["no-spec", "unknown-spec-key", "no-n-images", "string-vocab",
+            "object-vocab", "int-vocab"])
     def test_malformed_manifest_rejected(self, tmp_path, edit, match):
         ds = generate_dataset(SyntheticDatasetSpec(n_classes=2,
                                                    images_per_class=2, seed=5))

@@ -19,7 +19,7 @@ from lorabench.fewshot import (FewShotTask, PretrainConfig, TrainConfig,
                                predict, run_training_loop, sample_support_set,
                                zero_shot_logits)
 from lorabench.lora import ENCODER_CHOICES, LAYER_SPANS, PlacementConfig, inject
-from lorabench.model import (block_forward, encode_images, encode_prompts,
+from lorabench.model import (block_forward, encode_images, encode_tokens,
                              tokenize_prompt)
 from lorabench.tensor import Tape, Tensor, matmul, mean, row_softmax, transpose
 
@@ -42,6 +42,15 @@ class TestPrediction:
         logits = f @ t.T
         assert abs(logits[0, 0] - 0.96) < 1e-12
         assert abs(logits[0, 1] - 1.0) < 1e-12
+
+    def test_class_prompts_are_one_token_array(self, small_dataset):
+        model = small_model_for(small_dataset)
+        names = small_dataset.class_names
+        prompts = class_prompts(model, names)
+        assert isinstance(prompts, np.ndarray) and prompts.dtype == np.int64
+        assert prompts.shape == (len(names), model.cfg.max_text_len)
+        assert np.array_equal(prompts[1], tokenize_prompt(names[1], model.vocab,
+                                                          model.cfg.max_text_len))
 
     def test_needs_two_classes(self, small_dataset):
         model = small_model_for(small_dataset)
@@ -177,7 +186,7 @@ class TestEvaluate:
         task = sample_support_set(small_dataset.images, small_dataset.labels,
                                   small_dataset.class_names, 1, seed=0)
         acc, logits = evaluate(model, task)
-        texts = encode_prompts(model, class_prompts(model, task.class_names))
+        texts = encode_tokens(model, class_prompts(model, task.class_names))
         assert np.array_equal(logits, zero_shot_logits(
             model, task.query_images, class_prompts(model, task.class_names)).data)
         acc2, logits2 = evaluate(model, task, texts)
@@ -343,7 +352,7 @@ def _reference_losses(model, params, task, cfg):
 
     def loss_fn(idx):
         feats = encode_images(model, task.support_images[idx], rng=train_rng)
-        texts = encode_prompts(model, prompts, rng=train_rng)
+        texts = encode_tokens(model, prompts, rng=train_rng)
         return cross_entropy_loss(matmul(feats, transpose(texts, (1, 0))),
                                   task.support_labels[idx], model.tau)
 
@@ -407,7 +416,7 @@ class TestFrozenTowers:
         prompts = class_prompts(model, small_dataset.class_names)
         prefixes = [(kv, lambda **kw: encode_images(model, small_dataset.images,
                                                     stop=kv, **kw)),
-                    (kt, lambda **kw: encode_prompts(model, prompts, stop=kt, **kw))]
+                    (kt, lambda **kw: encode_tokens(model, prompts, stop=kt, **kw))]
         for k, encode in prefixes:
             if k == 0:
                 continue

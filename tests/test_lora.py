@@ -7,8 +7,8 @@ from conftest import small_model_for
 from lorabench.errors import DomainError, StateError
 from lorabench.fewshot import (TrainConfig, finetune_lora, sample_support_set,
                                zero_shot_logits)
-from lorabench.lora import (PlacementConfig, init_lora, inject, merge,
-                            trainable_param_count, unmerge)
+from lorabench.lora import (PlacementConfig, _encoder_of, init_lora, inject,
+                            merge, trainable_param_count, unmerge)
 from lorabench.model import _lora_linear, tokenize_prompt
 from lorabench.tensor import Tape, Tensor
 
@@ -248,6 +248,17 @@ class TestMerge:
         for n, p in model.named_parameters():
             assert np.array_equal(p.data, before[n]), n
         assert model.has_lora()
+
+    def test_unmerge_restores_the_arrays_merge_replaced(self, small_dataset):
+        model = small_model_for(small_dataset)
+        adapted = inject(model, PlacementConfig(), seed=0)
+        _randomize_modules(adapted)
+        weights = [_encoder_of(model, enc).blocks[layer].weight(mat)
+                   for enc, layer, mat in adapted.modules]
+        before = [w.data for w in weights]
+        merge(adapted)
+        unmerge(adapted)
+        assert all(w.data is arr for w, arr in zip(weights, before))
 
     def test_merge_twice_same_weights(self, small_dataset):
         model = small_model_for(small_dataset)

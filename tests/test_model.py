@@ -12,9 +12,9 @@ from lorabench.fewshot import cross_entropy_loss
 from lorabench.lora import PlacementConfig, inject
 from lorabench.model import (BOS_ID, EOS_ID, IMAGE_BLOCK, PAD_ID,
                              DualEncoderModel, ModelConfig, Vocabulary,
-                             attention_forward, encode_images, encode_prompts,
-                             encode_tokens, load_checkpoint, patchify,
-                             save_checkpoint, tokenize_prompt)
+                             attention_forward, encode_images, encode_tokens,
+                             load_checkpoint, patchify, save_checkpoint,
+                             tokenize_prompt)
 from lorabench.tensor import Tensor, matmul, transpose
 
 
@@ -223,8 +223,8 @@ class TestEncodeImage:
 class TestEncodeText:
     def test_unit_norm_and_determinism(self, tiny_model):
         prompts = [tokenize_prompt(n, tiny_model.vocab, 8) for n in ("cat", "dog")]
-        a = encode_prompts(tiny_model, prompts).data
-        b = encode_prompts(tiny_model, prompts).data
+        a = encode_tokens(tiny_model, np.stack(prompts)).data
+        b = encode_tokens(tiny_model, np.stack(prompts)).data
         assert np.abs(np.linalg.norm(a, axis=-1) - 1.0).max() < 1e-6
         assert np.array_equal(a, b)
 
@@ -232,7 +232,7 @@ class TestEncodeText:
         # "dog" and "cat" leave one PAD slot at max_len 8; the masked padded
         # forward must match an oracle that never sees the padding at all
         prompts = [tokenize_prompt(n, tiny_model.vocab, 8) for n in ("dog", "cat")]
-        got = encode_prompts(tiny_model, prompts).data
+        got = encode_tokens(tiny_model, np.stack(prompts)).data
         for row, p in zip(got, prompts):
             assert (p == PAD_ID).sum() == 1
             want = naive_encode_trimmed_text(tiny_model, p, p.tolist().index(EOS_ID))
@@ -268,8 +268,8 @@ class TestEncodeText:
         # a prompt's row does not depend on the other prompts of its batch
         pa, pb, pc = (tokenize_prompt(n, tiny_model.vocab, 8)
                       for n in ("dog", "cat", "bird"))
-        with_b = encode_prompts(tiny_model, [pa, pb]).data
-        with_c = encode_prompts(tiny_model, [pc, pa]).data
+        with_b = encode_tokens(tiny_model, np.stack([pa, pb])).data
+        with_c = encode_tokens(tiny_model, np.stack([pc, pa])).data
         assert np.abs(with_b[0] - with_c[1]).max() < 1e-10
 
 
@@ -286,7 +286,7 @@ class TestFullStackGradients:
 
         def loss_fn():
             feats = encode_images(model, imgs)
-            texts = encode_prompts(model, prompts)
+            texts = encode_tokens(model, np.stack(prompts))
             logits = matmul(feats, transpose(texts, (1, 0)))
             return cross_entropy_loss(logits, labels, model.tau)
 
@@ -324,6 +324,13 @@ class TestCheckpoints:
             assert na == nb
             assert np.array_equal(pa.data, pb.data), na
         assert loaded.cfg == model.cfg
+
+    def test_float64_round_trip_keeps_dtype(self, small_dataset, tmp_path):
+        model = small_model_for(small_dataset, dtype="float64", seed=7)
+        save_checkpoint(model, tmp_path / "ckpt")
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        for (name, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert b.data.dtype == np.float64 and np.array_equal(a.data, b.data), name
 
     @pytest.mark.parametrize("failing", ["weights.bin", "manifest.json"])
     def test_failed_overwrite_keeps_the_old_checkpoint(self, small_dataset, tmp_path,
@@ -380,6 +387,11 @@ class TestCheckpoints:
         (lambda m: m.pop("config"), "config"),
         (lambda m: m.update(kind="lora"), "not a model checkpoint"),
         (lambda m: m["tensors"].update({"visual.proj": [1, 2]}), "visual.proj"),
+        (lambda m: m["tensors"].update(
+            {"visual.blocks.9.wq": m["tensors"]["visual.blocks.0.wq"]}),
+         "visual.blocks.9.wq is not a parameter"),
+        (lambda m: m["config"].update(dtype="float64"),
+         "visual.patch_w: checkpoint dtype float32 vs config dtype float64"),
         *[(lambda m, k=key: m["tensors"]["visual.proj"].pop(k), "needs")
           for key in ("shape", "dtype", "offset", "nbytes")],
         *[(lambda m, k=key, v=value: m["tensors"]["visual.proj"].update({k: v}),
@@ -388,7 +400,7 @@ class TestCheckpoints:
         (lambda m: m["tensors"]["visual.proj"].update(
             shape=[-d for d in m["tensors"]["visual.proj"]["shape"]]), "integers >= 0"),
     ], ids=["no-tensors", "unknown-config-key", "no-config", "wrong-kind",
-            "entry-not-object", "no-shape", "no-dtype", "no-offset", "no-nbytes",
+            "entry-not-object", "unknown-tensor", "dtype-differs", "no-shape", "no-dtype", "no-offset", "no-nbytes",
             *[f"{key}-{label}" for key in ("offset", "nbytes")
               for label in ("negative", "float", "string", "bool")],
             "negative-shape"])

@@ -11,7 +11,7 @@ from conftest import analytic_grads, gradcheck, numeric_grad, small_model_for
 from lorabench.errors import DomainError, ShapeError, StateError
 from lorabench.fewshot import cross_entropy_loss
 from lorabench.lora import PlacementConfig, inject
-from lorabench.model import encode_images, encode_prompts, tokenize_prompt
+from lorabench.model import encode_images, encode_tokens, tokenize_prompt
 from lorabench.tensor import (Tape, Tensor, add, concat, div, dropout, gelu,
                               l2_normalize, layer_norm, log_softmax, matmul,
                               mean, mul, reshape, row_softmax, select_positions,
@@ -266,7 +266,7 @@ def adapted_loss(ds, dtype):
 
     def loss_fn():
         feats = encode_images(model, images, rng=np.random.default_rng(3))
-        texts = encode_prompts(model, prompts, rng=np.random.default_rng(4))
+        texts = encode_tokens(model, np.stack(prompts), rng=np.random.default_rng(4))
         return cross_entropy_loss(matmul(feats, transpose(texts, (1, 0))), labels,
                                   model.tau)
 
@@ -342,6 +342,16 @@ class TestBackward:
         with Tape() as tape:
             tape.backward(add(mul(x, 3.0), mul(x, x)))
         assert abs(float(x.grad) - 7.0) < 1e-12  # 3 + 2x at x=2
+
+    def test_shared_gradient_buffer_is_never_written_in_place(self):
+        # add hands its output gradient to both inputs as one buffer; a later
+        # contribution to a must not change b's gradient through it
+        a, b = t64(np.ones(3), rg=True), t64(np.ones(3), rg=True)
+        with Tape() as tape:
+            c = mul(a, 3.0)
+            tape.backward(tsum(add(add(a, b), c)))
+        np.testing.assert_array_equal(b.grad, np.ones(3))
+        np.testing.assert_array_equal(a.grad, np.full(3, 4.0))
 
     def test_no_tape_records_nothing(self):
         x = t64(np.ones(3), rg=True)
