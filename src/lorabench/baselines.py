@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fewshot import (FewShotTask, TrainConfig, TrainingHistory, _BatchSampler,
-                      accuracy, class_prompts, cross_entropy_loss, evaluate,
-                      run_training_loop, train_on_support)
+from .fewshot import (FINETUNE_WEIGHT_DECAY, FewShotTask, TrainConfig, TrainingHistory,
+                      _BatchSampler, accuracy, class_prompts, cross_entropy_loss,
+                      evaluate, run_training_loop, train_on_support)
 from .model import (DualEncoderModel, PROMPT_TEMPLATE, encode_images,
                     encode_tokens)
 from .tensor import (Tensor, add, concat, gelu, l2_normalize, matmul, take_rows,
@@ -125,7 +125,7 @@ def adapter_finetune(model: DualEncoderModel, task: FewShotTask,
                             train_cfg.seed, 0xADA7)
     history = run_training_loop(adapter.parameters(), loss_fn, sampler,
                                 train_cfg.iterations(task.shots), train_cfg.lr,
-                                train_cfg.weight_decay)
+                                FINETUNE_WEIGHT_DECAY)
     acc = accuracy(adapter_logits(adapter, alpha, qry_feats, texts), task.query_labels)
     return BaselineResult(accuracy=acc, trainable_count=adapter.param_count(),
                           history=history)

@@ -143,6 +143,15 @@ def replace_files(directory: Path, files: list[tuple[str, bytes]]) -> None:
             tmp.unlink(missing_ok=True)
 
 
+def read_text(path: Path) -> str:
+    """The UTF-8 text of file `path`; bytes that do not decode are a
+    FormatError that names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def save_dataset(ds: Dataset, directory) -> None:
     manifest = {
         "kind": "synthetic_dataset",
@@ -168,24 +177,23 @@ def _read_labels(path: Path, n: int, n_classes: int) -> np.ndarray:
     """One label in [0, n_classes) for each image index in [0, n), each
     index given exactly once."""
     labels = np.full(n, -1, dtype=np.int64)
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or header[:2] != ["index", "label"]:
-            raise FormatError(f"bad labels.csv header: {header}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                index, label = int(row[0]), int(row[1])
-            except (IndexError, ValueError):
-                raise FormatError(f"labels.csv:{lineno}: malformed row {row}") from None
-            if not 0 <= index < n:
-                raise FormatError(f"labels.csv:{lineno}: index {index} outside [0, {n})")
-            if labels[index] != -1:
-                raise FormatError(f"labels.csv:{lineno}: duplicate index {index}")
-            if not 0 <= label < n_classes:
-                raise FormatError(f"labels.csv:{lineno}: label {label} outside "
-                                  f"[0, {n_classes})")
-            labels[index] = label
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None or header[:2] != ["index", "label"]:
+        raise FormatError(f"bad labels.csv header: {header}")
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            index, label = int(row[0]), int(row[1])
+        except (IndexError, ValueError):
+            raise FormatError(f"labels.csv:{lineno}: malformed row {row}") from None
+        if not 0 <= index < n:
+            raise FormatError(f"labels.csv:{lineno}: index {index} outside [0, {n})")
+        if labels[index] != -1:
+            raise FormatError(f"labels.csv:{lineno}: duplicate index {index}")
+        if not 0 <= label < n_classes:
+            raise FormatError(f"labels.csv:{lineno}: label {label} outside "
+                              f"[0, {n_classes})")
+        labels[index] = label
     missing = np.flatnonzero(labels == -1)
     if missing.size:
         raise FormatError(f"labels.csv: no label for {missing.size} of {n} images "
@@ -196,8 +204,8 @@ def _read_labels(path: Path, n: int, n_classes: int) -> np.ndarray:
 def load_dataset(directory) -> Dataset:
     directory = Path(directory)
     try:
-        manifest = json.loads((directory / "manifest.json").read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        manifest = json.loads(read_text(directory / "manifest.json"))
+    except (OSError, ValueError) as e:
         raise FormatError(f"cannot read dataset manifest: {e}") from None
     if not isinstance(manifest, dict) or manifest.get("kind") != "synthetic_dataset":
         raise FormatError(f"not a dataset directory: {directory}")
@@ -223,7 +231,7 @@ def load_dataset(directory) -> Dataset:
         raise FormatError(f"images.bin has {len(raw)} bytes, expected {expect}")
     images = np.frombuffer(raw, dtype="<f4").reshape(n, size, size).astype(np.float32)
     labels = _read_labels(directory / "labels.csv", n, len(class_names))
-    captions = (directory / "captions.txt").read_text().splitlines()
+    captions = read_text(directory / "captions.txt").splitlines()
     if len(captions) != n:
         raise FormatError(f"{len(captions)} captions for {n} images")
     return Dataset(spec=spec, images=images, labels=labels, captions=captions,

@@ -63,8 +63,8 @@ def sample_support_set(images: np.ndarray, labels: np.ndarray,
         perm = rng.permutation(pool)
         sup_idx.extend(perm[:shots])
         qry_idx.extend(perm[shots:])
-    sup_idx = np.asarray(sup_idx)
-    qry_idx = np.asarray(qry_idx)
+    sup_idx = np.asarray(sup_idx, dtype=np.int64)
+    qry_idx = np.asarray(qry_idx, dtype=np.int64)
     return FewShotTask(class_names=list(class_names),
                        support_images=images[sup_idx], support_labels=labels[sup_idx],
                        query_images=images[qry_idx], query_labels=labels[qry_idx],
@@ -135,12 +135,14 @@ def evaluate(model: DualEncoderModel, task: FewShotTask,
 # few-shot fine-tuning
 
 
+FINETUNE_WEIGHT_DECAY = 1e-2  # AdamW's, for every few-shot method
+
+
 @dataclass
 class TrainConfig:
     lr: float = 2e-4
     batch_size: int = 32
     iters_per_shot: int = 500
-    weight_decay: float = 1e-2
     seed: int = 0
 
     def iterations(self, shots: int) -> int:
@@ -258,7 +260,7 @@ def train_on_support(model: DualEncoderModel, params, task: FewShotTask,
     sampler = _BatchSampler(task.support_images.shape[0], cfg.batch_size,
                             cfg.seed, 0xBA7C)
     return run_training_loop(params, loss_fn, sampler, cfg.iterations(task.shots),
-                             cfg.lr, cfg.weight_decay)
+                             cfg.lr, FINETUNE_WEIGHT_DECAY)
 
 
 def finetune_lora(adapted: AdaptedModel, task: FewShotTask,
@@ -271,14 +273,16 @@ def finetune_lora(adapted: AdaptedModel, task: FewShotTask,
 # desk-scale contrastive pretraining
 
 
+PRETRAIN_WEIGHT_DECAY = 0.0
+MIN_TAU = 0.01  # keeps logits / tau bounded by 100
+
+
 @dataclass
 class PretrainConfig:
     epochs: int = 40
     batch_size: int = 32
     lr: float = 1e-3
-    weight_decay: float = 0.0
     seed: int = 0
-    min_tau: float = 0.01  # keeps logits / tau bounded by 100
 
 
 def contrastive_pretrain(model: DualEncoderModel, images: np.ndarray,
@@ -309,10 +313,10 @@ def contrastive_pretrain(model: DualEncoderModel, images: np.ndarray,
         return (li + lt) * 0.5
 
     def clamp_tau():
-        if model.tau < cfg.min_tau:
-            model.temperature.data = np.asarray(cfg.min_tau, dtype=model.cfg.np_dtype)
+        if model.tau < MIN_TAU:
+            model.temperature.data = np.asarray(MIN_TAU, dtype=model.cfg.np_dtype)
 
     sampler = _BatchSampler(n, cfg.batch_size, cfg.seed, 0xC0DE)
     return run_training_loop(model.parameters(), loss_fn, sampler,
                              cfg.epochs * (n // cfg.batch_size), cfg.lr,
-                             cfg.weight_decay, after_step=clamp_tau)
+                             PRETRAIN_WEIGHT_DECAY, after_step=clamp_tau)

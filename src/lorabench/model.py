@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .data import replace_files
+from .data import read_text, replace_files
 from .errors import DomainError, FormatError, InputError, ShapeError
 from .tensor import (Tensor, add, concat, dropout, gelu, l2_normalize, layer_norm,
                      matmul, reshape, row_softmax, select_positions, take_rows,
@@ -27,7 +27,7 @@ PAD_ID, BOS_ID, EOS_ID = 0, 1, 2
 _N_SPECIAL = 3
 PROMPT_TEMPLATE = ("a", "photo", "of", "a")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _MASK_NEG = -1e9  # large finite negative; exp underflows to exactly 0
 
 # Images per forward block of the vision tower.  At the default width one
@@ -154,11 +154,8 @@ class AttentionBlock:
         self.w2, self.b2 = w(4 * d, d), zeros(d)
         self.lora: dict[str, object] = {}
 
-    _MATRIX_ATTRS = {"q": ("wq", "bq"), "k": ("wk", "bk"),
-                     "v": ("wv", "bv"), "o": ("wo", "bo")}
-
     def weight(self, matrix: str) -> Tensor:
-        return getattr(self, self._MATRIX_ATTRS[matrix][0])
+        return getattr(self, "w" + matrix)
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         for name in ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv",
@@ -386,82 +383,34 @@ def encode_tokens(model: DualEncoderModel, tokens: np.ndarray, rng=None,
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: JSON manifest + little-endian raw blob
+# checkpoints: weights.bin holds every parameter in named_parameters() order,
+# little-endian at the config's dtype; manifest.json holds version, kind,
+# config and the parameter names.  The config fixes every shape and offset.
 
 
-def _blob_dtype(dtype_name: str):
-    if dtype_name == "float32":
-        return np.dtype("<f4")
-    if dtype_name == "float64":
-        return np.dtype("<f8")
-    raise FormatError(f"unsupported tensor dtype {dtype_name!r}")
-
-
-def write_tensor_blob(named: list[tuple[str, Tensor]], directory: Path,
-                      extra_manifest: dict) -> None:
-    """Write weights.bin + manifest.json for an ordered list of named tensors;
-    the manifest goes last, so a new manifest always sits over the blob it
-    was written with."""
-    tensors = {}
-    offset = 0
-    chunks = []
-    for name, t in named:
-        dtype_name = "float32" if t.data.dtype == np.float32 else "float64"
-        raw = np.ascontiguousarray(t.data, dtype=_blob_dtype(dtype_name)).tobytes()
-        tensors[name] = {"shape": list(t.data.shape), "dtype": dtype_name,
-                         "offset": offset, "nbytes": len(raw)}
-        chunks.append(raw)
-        offset += len(raw)
-    manifest = {"version": CHECKPOINT_VERSION, "tensors": tensors}
-    manifest.update(extra_manifest)
-    replace_files(Path(directory), [
-        ("weights.bin", b"".join(chunks)),
+def save_checkpoint(model: DualEncoderModel, path) -> None:
+    """weights.bin, then manifest.json over it (see data.replace_files)."""
+    named = list(model.named_parameters())
+    dt = np.dtype(model.cfg.np_dtype).newbyteorder("<")
+    manifest = {"version": CHECKPOINT_VERSION, "kind": "dual_encoder",
+                "config": asdict(model.cfg), "tensors": [name for name, _ in named]}
+    replace_files(Path(path), [
+        ("weights.bin", b"".join(np.ascontiguousarray(p.data, dtype=dt).tobytes()
+                                 for _, p in named)),
         ("manifest.json", json.dumps(manifest, indent=1, sort_keys=True).encode())])
 
 
-def read_tensor_blob(directory: Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read manifest + blob, returning (manifest, name -> array)."""
-    directory = Path(directory)
+def load_checkpoint(path) -> DualEncoderModel:
+    directory = Path(path)
     try:
-        manifest = json.loads((directory / "manifest.json").read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        manifest = json.loads(read_text(directory / "manifest.json"))
+    except (OSError, ValueError) as e:
         raise FormatError(f"cannot read checkpoint manifest: {e}") from None
     if not isinstance(manifest, dict):
         raise FormatError("checkpoint manifest is not a JSON object")
     if manifest.get("version") != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {manifest.get('version')!r}")
-    tensors = manifest.get("tensors")
-    if not isinstance(tensors, dict):
-        raise FormatError("checkpoint manifest has no tensors table")
-    blob = (directory / "weights.bin").read_bytes()
-    arrays = {}
-    for name, meta in tensors.items():
-        if not isinstance(meta, dict) or not {"shape", "dtype", "offset", "nbytes"} <= set(meta):
-            raise FormatError(f"tensor {name}: manifest entry needs shape, dtype, offset, nbytes")
-        dims = meta["shape"] if isinstance(meta["shape"], list) else [None]
-        if not all(type(c) is int and c >= 0 for c in [meta["offset"], meta["nbytes"], *dims]):
-            raise FormatError(f"tensor {name}: offset, nbytes and shape must be integers >= 0")
-        dt = _blob_dtype(meta["dtype"])
-        end = meta["offset"] + meta["nbytes"]
-        if end > len(blob):
-            raise FormatError(f"weights blob truncated: tensor {name} needs bytes up to {end}, "
-                              f"blob has {len(blob)}")
-        n_elem = int(np.prod(meta["shape"], dtype=np.int64))
-        if n_elem * dt.itemsize != meta["nbytes"]:
-            raise FormatError(f"manifest shape {meta['shape']} inconsistent with byte count "
-                              f"for tensor {name}")
-        arr = np.frombuffer(blob, dtype=dt, count=n_elem, offset=meta["offset"])
-        arrays[name] = arr.reshape(meta["shape"]).astype(dt.newbyteorder("="))
-    return manifest, arrays
-
-
-def save_checkpoint(model: DualEncoderModel, path) -> None:
-    write_tensor_blob(list(model.named_parameters()), Path(path),
-                      {"kind": "dual_encoder", "config": asdict(model.cfg)})
-
-
-def load_checkpoint(path) -> DualEncoderModel:
-    manifest, arrays = read_tensor_blob(Path(path))
+        raise FormatError(f"unsupported checkpoint version {manifest.get('version')!r}; "
+                          f"this build reads version {CHECKPOINT_VERSION}")
     if manifest.get("kind") != "dual_encoder":
         raise FormatError(f"not a model checkpoint: kind={manifest.get('kind')!r}")
     try:
@@ -469,19 +418,26 @@ def load_checkpoint(path) -> DualEncoderModel:
     except (KeyError, TypeError) as e:
         raise FormatError(f"malformed checkpoint config ({type(e).__name__}: {e})") from None
     model = DualEncoderModel(cfg, seed=0)
-    params = dict(model.named_parameters())
-    unknown = next((name for name in arrays if name not in params), None)
-    if unknown is not None:
-        raise FormatError(f"checkpoint tensor {unknown} is not a parameter of the model")
-    for name, p in params.items():
-        if name not in arrays:
-            raise FormatError(f"checkpoint missing tensor {name}")
-        arr = arrays[name]
-        if tuple(arr.shape) != tuple(p.data.shape):
-            raise FormatError(f"tensor {name}: checkpoint shape {arr.shape} vs "
-                              f"model shape {p.data.shape}")
-        if arr.dtype != p.data.dtype:
-            raise FormatError(f"tensor {name}: checkpoint dtype {arr.dtype} vs "
-                              f"config dtype {cfg.dtype}")
-        p.data = arr
+    params = list(model.named_parameters())
+    names, tensors = [name for name, _ in params], manifest.get("tensors")
+    if not isinstance(tensors, list):
+        raise FormatError(f"checkpoint tensors must be a list of parameter names, "
+                          f"got {type(tensors).__name__}")
+    if tensors != names:
+        i = next((i for i, (a, b) in enumerate(zip(tensors, names)) if a != b),
+                 min(len(tensors), len(names)))
+        raise FormatError(f"checkpoint tensors ({len(tensors)} names) differ from the "
+                          f"model's {len(names)} parameter names at position {i}: "
+                          f"{tensors[i:i + 1]} vs {names[i:i + 1]}")
+    dt = np.dtype(cfg.np_dtype).newbyteorder("<")
+    blob = (directory / "weights.bin").read_bytes()
+    need = model.param_count() * dt.itemsize
+    if len(blob) != need:
+        raise FormatError(f"weights.bin has {len(blob)} bytes, the {cfg.dtype} config "
+                          f"needs {need}")
+    offset = 0
+    for _, p in params:
+        arr = np.frombuffer(blob, dtype=dt, count=p.size, offset=offset)
+        p.data = arr.reshape(p.shape).astype(cfg.np_dtype)
+        offset += arr.nbytes
     return model

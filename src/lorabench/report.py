@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .data import read_text
 from .errors import FormatError
 
 RUN_REPORT_HEADER = ["method", "config", "shots", "seed", "zs_acc", "acc",
@@ -63,30 +65,29 @@ def write_report_csv(path, rows: Sequence[RunReport], ablation: bool = False) ->
 
 def read_report_csv(path) -> list[dict]:
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError(f"{path}: empty CSV") from None
+    if header[:len(RUN_REPORT_HEADER)] != RUN_REPORT_HEADER:
+        raise FormatError(f"{path}: unexpected header {header}")
+    for lineno, raw in enumerate(reader, start=2):
+        if not raw:
+            continue
+        if len(raw) != len(header):
+            raise FormatError(f"{path}:{lineno}: {len(raw)} fields, "
+                              f"expected {len(header)}")
+        row = dict(zip(header, raw))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty CSV") from None
-        if header[:len(RUN_REPORT_HEADER)] != RUN_REPORT_HEADER:
-            raise FormatError(f"{path}: unexpected header {header}")
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(header):
-                raise FormatError(f"{path}:{lineno}: {len(raw)} fields, "
-                                  f"expected {len(header)}")
-            row = dict(zip(header, raw))
-            try:
-                row["shots"] = int(row["shots"])
-                for key in ("zs_acc", "acc"):
-                    row[key] = float(row[key])
-                    if not 0.0 <= row[key] <= 1.0:  # also false for nan
-                        raise ValueError(f"{key} {row[key]} is not an accuracy in [0, 1]")
-            except ValueError as e:
-                raise FormatError(f"{path}:{lineno}: {e}") from None
-            rows.append(row)
+            row["shots"] = int(row["shots"])
+            for key in ("zs_acc", "acc"):
+                row[key] = float(row[key])
+                if not 0.0 <= row[key] <= 1.0:  # also false for nan
+                    raise ValueError(f"{key} {row[key]} is not an accuracy in [0, 1]")
+        except ValueError as e:
+            raise FormatError(f"{path}:{lineno}: {e}") from None
+        rows.append(row)
     return rows
 
 

@@ -346,6 +346,44 @@ class TestManifestFuzz:
         assert code in (0, 2) and captured.err.count("\n") <= 1
 
 
+def _name_lists(names):
+    """The checkpoint's parameter names as they are, permuted, shortened or
+    with one name duplicated."""
+    n = len(names)
+    return (st.just(names) | st.permutations(names)
+            | st.sets(st.integers(0, n - 1)).map(lambda keep: [names[i] for i in sorted(keep)])
+            | st.integers(0, n - 1).map(lambda i: names[:i + 1] + names[i:]))
+
+
+class TestCheckpointFuzz:
+    """A checkpoint whose weights.bin is cut short or extended by up to 64
+    bytes, and whose tensors list is replaced by any JSON value or by a
+    permuted, shortened or duplicated name list: zeroshot either scores it
+    (exit 0) or exits 2 with one stderr line, never with a traceback."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_zeroshot(self, workdir, capsys, data):
+        manifest = json.loads((workdir / "ckpt" / "manifest.json").read_text())
+        blob = (workdir / "ckpt" / "weights.bin").read_bytes()
+        size = data.draw(st.integers(0, len(blob) - 1)
+                         | st.integers(len(blob), len(blob) + 64), label="blob bytes")
+        manifest["tensors"] = data.draw(JSON_VALUES | _name_lists(manifest["tensors"]),
+                                        label="tensors")
+        capsys.readouterr()
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = Path(tmp) / "ckpt"
+            ckpt.mkdir()
+            (ckpt / "weights.bin").write_bytes(blob[:size] + bytes(max(0, size - len(blob))))
+            (ckpt / "manifest.json").write_text(json.dumps(manifest))
+            code = main(["zeroshot", "--checkpoint", str(ckpt),
+                         "--dataset", str(workdir / "ds"), "--shots", "1"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        assert code in (0, 2) and captured.err.count("\n") <= 1
+
+
 class TestReportCmd:
     def test_several_row_files(self, workdir, tmp_path, capsys):
         zs, ft = tmp_path / "zs.csv", tmp_path / "ft.csv"
@@ -400,6 +438,7 @@ HOSTILE_MANIFESTS = {
     "checkpoint-list-vocab-word": ("ckpt", _config(vocab_words=[["a"]])),
     "checkpoint-null-vocab": ("ckpt", _config(vocab_words=None)),
     "checkpoint-newline-config-key": ("ckpt", lambda m: {**m, "config": {"\n": 1}}),
+    "checkpoint-version-1": ("ckpt", lambda m: {**m, "version": 1}),
     "dataset-zero-prototype-grid": ("ds", lambda m: {
         **m, "spec": {**m["spec"], "prototype_grid": 0}}),
 }
@@ -434,6 +473,43 @@ class TestExitCodes:
         code = _zeroshot_with_manifest(workdir, artifact, edit(manifest), tmp_path)
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("artifact,name", [
+        ("ckpt", "manifest.json"), ("ds", "manifest.json"), ("ds", "labels.csv"),
+        ("ds", "captions.txt"), ("rows", "zs.csv")])
+    def test_undecodable_text_file_is_runtime_error(self, artifact, name, workdir,
+                                                     tmp_path, capsys):
+        paths = {"ckpt": workdir / "ckpt", "ds": workdir / "ds", artifact: tmp_path / artifact}
+        argv = ["zeroshot", "--checkpoint", str(paths["ckpt"]), "--dataset", str(paths["ds"])]
+        if artifact == "rows":
+            paths["rows"].mkdir()
+            assert main([*argv, "--out", str(paths["rows"] / name)]) == 0
+            argv = ["report", "--rows", str(paths["rows"] / name)]
+        else:
+            shutil.copytree(workdir / artifact, paths[artifact])
+        text = (paths[artifact] / name).read_bytes()
+        (paths[artifact] / name).write_bytes(text[:1] + b"\xff" + text[1:])
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
+        assert name in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("command", ["zeroshot", "finetune"])
+    def test_dataset_without_classes_is_runtime_error(self, command, workdir,
+                                                      tmp_path, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(workdir / "ds", ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        (ds / "manifest.json").write_text(json.dumps(
+            {**manifest, "class_names": [], "n_images": 0}))
+        (ds / "images.bin").write_bytes(b"")
+        (ds / "labels.csv").write_text("index,label,class_name\n")
+        (ds / "captions.txt").write_text("")
+        code = main([command, "--checkpoint", str(workdir / "ckpt"), "--dataset", str(ds),
+                     "--out", str(tmp_path / "rows.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and err == "error: empty query set\n"
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -13,8 +13,8 @@ from lorabench import model as model_module
 from lorabench.baselines import (bias_only_finetune, bias_parameters,
                                  soft_prompt_finetune)
 from lorabench.errors import DomainError, LorabenchError, ShapeError
-from lorabench.fewshot import (FewShotTask, PretrainConfig, TrainConfig,
-                               _BatchSampler, class_prompts, contrastive_pretrain,
+from lorabench.fewshot import (FINETUNE_WEIGHT_DECAY, MIN_TAU, FewShotTask,
+                               PretrainConfig, TrainConfig, _BatchSampler, class_prompts, contrastive_pretrain,
                                cross_entropy_loss, evaluate, finetune_lora,
                                predict, run_training_loop, sample_support_set,
                                zero_shot_logits)
@@ -359,7 +359,7 @@ def _reference_losses(model, params, task, cfg):
     sampler = _BatchSampler(task.support_images.shape[0], cfg.batch_size,
                             cfg.seed, 0xBA7C)
     return run_training_loop(params, loss_fn, sampler, cfg.iterations(task.shots),
-                             cfg.lr, cfg.weight_decay).losses
+                             cfg.lr, FINETUNE_WEIGHT_DECAY).losses
 
 
 # loss histories of these runs (float64), recorded while each of them still
@@ -545,6 +545,6 @@ class TestPretrain:
         contrastive_pretrain(model, small_dataset.images, small_dataset.captions,
                              PretrainConfig(epochs=2, seed=3))
         assert model.tau != tau0  # temperature received gradient
-        assert model.tau >= PretrainConfig().min_tau
+        assert model.tau >= MIN_TAU
         # pretraining must hand back a frozen model
         assert all(not p.requires_grad for p in model.parameters())

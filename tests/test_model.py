@@ -2,6 +2,7 @@
 oracles, padding masking, checkpoints and full-stack gradients."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -351,23 +352,35 @@ class TestCheckpoints:
         assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == \
             ["manifest.json", "weights.bin"]
 
+    def test_format_is_config_plus_parameters_in_order(self, small_dataset, tmp_path):
+        model = small_model_for(small_dataset, seed=7)
+        save_checkpoint(model, tmp_path / "ckpt")
+        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+        assert sorted(manifest) == ["config", "kind", "tensors", "version"]
+        assert manifest["version"] == 2 and manifest["kind"] == "dual_encoder"
+        assert manifest["config"] == dataclasses.asdict(model.cfg)
+        assert manifest["tensors"] == [name for name, _ in model.named_parameters()]
+        assert (tmp_path / "ckpt" / "weights.bin").read_bytes() == b"".join(
+            p.data.astype("<f4").tobytes() for _, p in model.named_parameters())
+
+    @pytest.mark.parametrize("cut,match", [(-4, "has 56896 bytes"),
+                                           (4, "has 56904 bytes")],
+                             ids=["one-value-short", "one-value-long"])
+    def test_blob_of_another_length(self, small_dataset, tmp_path, cut, match):
+        save_checkpoint(small_model_for(small_dataset), tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "weights.bin"
+        blob = path.read_bytes()
+        path.write_bytes(blob[:cut] if cut < 0 else blob + bytes(cut))
+        with pytest.raises(FormatError, match=f"weights.bin {match}, the float32 "
+                                              f"config needs 56900"):
+            load_checkpoint(tmp_path / "ckpt")
+
     def test_truncated_blob(self, small_dataset, tmp_path):
         model = small_model_for(small_dataset)
         save_checkpoint(model, tmp_path / "ckpt")
         blob = (tmp_path / "ckpt" / "weights.bin").read_bytes()
         (tmp_path / "ckpt" / "weights.bin").write_bytes(blob[:-16])
-        with pytest.raises(FormatError, match="truncated"):
-            load_checkpoint(tmp_path / "ckpt")
-
-    def test_manifest_shape_edit_names_tensor(self, small_dataset, tmp_path):
-        import json
-        model = small_model_for(small_dataset)
-        save_checkpoint(model, tmp_path / "ckpt")
-        mpath = tmp_path / "ckpt" / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        manifest["tensors"]["visual.proj"]["shape"] = [3, 3]
-        mpath.write_text(json.dumps(manifest))
-        with pytest.raises(FormatError, match="visual.proj"):
+        with pytest.raises(FormatError, match="has 56884 bytes"):
             load_checkpoint(tmp_path / "ckpt")
 
     def test_unknown_version(self, small_dataset, tmp_path):
@@ -382,30 +395,33 @@ class TestCheckpoints:
             load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize("edit,match", [
-        (lambda m: m.pop("tensors"), "no tensors table"),
+        (lambda m: m.pop("tensors"), "tensors must be a list of parameter names, got NoneType"),
         (lambda m: m["config"].update(colour="red"), "colour"),
         (lambda m: m.pop("config"), "config"),
         (lambda m: m.update(kind="lora"), "not a model checkpoint"),
-        (lambda m: m["tensors"].update({"visual.proj": [1, 2]}), "visual.proj"),
-        (lambda m: m["tensors"].update(
-            {"visual.blocks.9.wq": m["tensors"]["visual.blocks.0.wq"]}),
-         "visual.blocks.9.wq is not a parameter"),
+        (lambda m: m["tensors"].append("visual.blocks.9.wq"),
+         r"\(78 names\) .* 77 .* position 77: \['visual.blocks.9.wq'\] vs \[\]"),
         (lambda m: m["config"].update(dtype="float64"),
-         "visual.patch_w: checkpoint dtype float32 vs config dtype float64"),
-        *[(lambda m, k=key: m["tensors"]["visual.proj"].pop(k), "needs")
-          for key in ("shape", "dtype", "offset", "nbytes")],
-        *[(lambda m, k=key, v=value: m["tensors"]["visual.proj"].update({k: v}),
-           "integers >= 0")
-          for key in ("offset", "nbytes") for value in (-4, 1.5, "8", True)],
-        (lambda m: m["tensors"]["visual.proj"].update(
-            shape=[-d for d in m["tensors"]["visual.proj"]["shape"]]), "integers >= 0"),
+         "weights.bin has 56900 bytes, the float64 config needs 113800"),
+        (lambda m: m["tensors"].remove("visual.proj"),
+         r"\(76 names\) .* position 6: \['visual.blocks.0.ln1_g'\] vs \['visual.proj'\]"),
+        (lambda m: m["tensors"].pop(), r"position 76: \[\] vs \['temperature'\]"),
+        (lambda m: m["tensors"].insert(0, m["tensors"][0]),
+         r"position 1: \['visual.patch_w'\] vs \['visual.patch_b'\]"),
+        (lambda m: m["tensors"].__setitem__(slice(4, 6), m["tensors"][5:3:-1]),
+         r"\(77 names\) .* position 4: \['visual.ln_f_b'\] vs \['visual.ln_f_g'\]"),
+        (lambda m: m["tensors"].__setitem__(3, 7), r"position 3: \[7\] vs \['visual.pos_embed'\]"),
+        (lambda m: m.update(tensors={n: {} for n in m["tensors"]}),
+         "tensors must be a list of parameter names, got dict"),
+        (lambda m: m.update(tensors="visual.patch_w"),
+         "tensors must be a list of parameter names, got str"),
+        (lambda m: m.update(version=1), "unsupported checkpoint version 1; this build "
+                                        "reads version 2"),
     ], ids=["no-tensors", "unknown-config-key", "no-config", "wrong-kind",
-            "entry-not-object", "unknown-tensor", "dtype-differs", "no-shape", "no-dtype", "no-offset", "no-nbytes",
-            *[f"{key}-{label}" for key in ("offset", "nbytes")
-              for label in ("negative", "float", "string", "bool")],
-            "negative-shape"])
+            "unknown-tensor", "dtype-differs", "missing-name", "missing-last-name",
+            "duplicated-name", "swapped-names", "name-not-string", "tensors-table",
+            "tensors-string", "version-1"])
     def test_malformed_manifest_rejected(self, small_dataset, tmp_path, edit, match):
-        import json
         save_checkpoint(small_model_for(small_dataset), tmp_path / "ckpt")
         mpath = tmp_path / "ckpt" / "manifest.json"
         manifest = json.loads(mpath.read_text())
