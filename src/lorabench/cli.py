@@ -17,6 +17,8 @@ import sys
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 from .bench import (DEFAULT_GROUPS, SHOT_GRID, METHODS, PlannedRow,
                     default_ablation_cells, pretrain_model, run_ablation, run_plan)
 from .data import (DEFAULT_CLASS_NAMES, SyntheticDatasetSpec, generate_dataset,
@@ -99,9 +101,9 @@ def _apply_config(args: argparse.Namespace, defaults: dict) -> None:
     file_cfg = {}
     if getattr(args, "config", None):
         try:
-            file_cfg = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as e:
-            raise UsageError(f"--config {args.config}: not valid JSON: {e}") from None
+            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+            raise UsageError(f"--config {args.config}: not valid UTF-8 JSON: {e}") from None
         if not isinstance(file_cfg, dict):
             raise UsageError(f"--config {args.config}: expected a JSON object")
         unknown = sorted(set(file_cfg) - set(defaults))
@@ -300,19 +302,34 @@ def cmd_report(args) -> int:
 
 # glibc's mallopt parameters and this process's values for them: a chunk of
 # up to 32 MiB (glibc's 64-bit maximum) comes from the heap, not a fresh
-# mmap, and the heap is trimmed only once 256 MiB at its top are free
+# mmap, the heap is trimmed only once 256 MiB at its top are free, and every
+# thread allocates from that one heap: an arena per image-block thread would
+# keep its own freed chunks
 _MALLOC_POLICY = ((-3, 32 << 20),    # M_MMAP_THRESHOLD
-                  (-1, 256 << 20))   # M_TRIM_THRESHOLD
+                  (-1, 256 << 20),   # M_TRIM_THRESHOLD
+                  (-8, 1))           # M_ARENA_MAX
+
+# numpy's bundled OpenBLAS, in the numpy.libs directory beside the package
+_OPENBLAS_GLOB = "libscipy_openblas*.so*"
 
 
-def use_allocator_policy() -> bool:
-    """Make freed memory stay in this process for the next allocation.
+def _openblas():
+    """numpy's bundled OpenBLAS library, or None if numpy bundles none."""
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                      .glob(_OPENBLAS_GLOB)):
+        try:
+            blas = ctypes.CDLL(str(lib))
+            blas.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            blas.scipy_openblas_set_num_threads64_.restype = None
+            blas.scipy_openblas_get_num_threads64_.argtypes = []
+            blas.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        except (OSError, AttributeError):
+            continue
+        return blas
+    return None
 
-    A training step allocates and frees the same numpy temporaries, many
-    above glibc's default 128 KiB mmap threshold, so by default each step
-    faults in fresh pages for them.  On glibc this sets _MALLOC_POLICY and
-    returns whether both settings took; on any other libc it does nothing
-    and returns False.  It starts no process and may be called again."""
+
+def _use_malloc_policy() -> bool:
     try:
         glibc = os.confstr("CS_GNU_LIBC_VERSION")
     except (ValueError, OSError):
@@ -325,12 +342,35 @@ def use_allocator_policy() -> bool:
     return all([mallopt(param, value) == 1 for param, value in _MALLOC_POLICY])
 
 
+def _use_one_blas_thread() -> bool:
+    blas = _openblas()
+    if blas is None:
+        return False
+    blas.scipy_openblas_set_num_threads64_(1)
+    return blas.scipy_openblas_get_num_threads64_() == 1
+
+
+def use_process_policy() -> bool:
+    """Set this process's allocator and BLAS threads for lorabench's work.
+
+    A training step allocates and frees the same numpy temporaries, many
+    above glibc's default 128 KiB mmap threshold, so by default each step
+    faults in fresh pages for them.  On glibc this sets _MALLOC_POLICY; on
+    any other libc it leaves the allocator alone.  It also pins numpy's
+    bundled OpenBLAS to one thread: the blocks of an image forward run on
+    a thread per CPU (model.encode_images), and a second BLAS thread per
+    block would oversubscribe the cores; without that library it leaves
+    BLAS alone.  Returns whether every setting took.  It starts no process
+    and may be called again."""
+    return all([_use_malloc_policy(), _use_one_blas_thread()])
+
+
 _COMMANDS = {"gen": cmd_gen, "pretrain": cmd_pretrain, "zeroshot": cmd_zeroshot,
              "finetune": cmd_finetune, "ablate": cmd_ablate, "report": cmd_report}
 
 
 def main(argv=None) -> int:
-    use_allocator_policy()
+    use_process_policy()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -11,6 +11,9 @@ one, dropout is off.  The text tower pools each prompt at its first EOS token.
 from __future__ import annotations
 
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Iterator, Optional
@@ -19,7 +22,7 @@ import numpy as np
 
 from .data import read_text, replace_files
 from .errors import DomainError, FormatError, InputError, ShapeError
-from .tensor import (Tensor, add, concat, dropout, gelu, l2_normalize, layer_norm,
+from .tensor import (Tape, Tensor, add, concat, dropout, gelu, l2_normalize, layer_norm,
                      matmul, reshape, row_softmax, select_positions, take_rows,
                      transpose)
 
@@ -34,6 +37,32 @@ _MASK_NEG = -1e9  # large finite negative; exp underflows to exactly 0
 # block's widest activation, the (64, 17, 256) MLP hidden state, is 1.1 MB in
 # float32 and stays inside a 2 MB L2 cache; a 480-image block spills it.
 IMAGE_BLOCK = 64
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _block_pool() -> Optional[ThreadPoolExecutor]:
+    """The process's pool for image blocks, one thread per usable CPU, made
+    on first use; None where one CPU is usable."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            if cpus > 1:
+                _pool = ThreadPoolExecutor(cpus, thread_name_prefix="lorabench-images")
+    return _pool
+
+
+def _forget_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+# a forked child has none of its parent's threads, so it makes its own pool
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +351,12 @@ def encode_images(model: DualEncoderModel, images: np.ndarray, rng=None,
     ends in a block of one image: numpy would multiply that image with a
     matrix-vector kernel, whose sums round differently.
 
+    An untaped forward without an rng runs its blocks on one thread per
+    usable CPU.  Each block makes the same numpy calls on the same shapes
+    either way, so the features are bitwise those of a serial run.  A taped
+    forward, which records on this thread's tape, and a forward given an rng,
+    whose masks must be drawn in block order, run their blocks in order here.
+
     For start > 0, `images` is the hidden state entering block `start`; given
     `stop`, the hidden state leaving block stop-1 replaces the features.
     """
@@ -329,12 +364,12 @@ def encode_images(model: DualEncoderModel, images: np.ndarray, rng=None,
     enc = model.visual
     inputs = np.asarray(images)
     n = inputs.shape[0]
-    feats = []
     # an empty batch runs as one empty block and gives (0, embed_dim)
     bounds = [*range(0, max(n, 1), IMAGE_BLOCK), n]
     if n > 1 and bounds[-1] - bounds[-2] == 1:
         bounds[-2] -= 1
-    for lo, hi in zip(bounds, bounds[1:]):
+
+    def block(lo, hi):
         x = Tensor(patchify(inputs[lo:hi], cfg).astype(cfg.np_dtype) if start == 0
                    else inputs[lo:hi])
         b = x.shape[0]
@@ -349,7 +384,12 @@ def encode_images(model: DualEncoderModel, images: np.ndarray, rng=None,
             x = layer_norm(x, enc.ln_f_g, enc.ln_f_b)
             pooled = select_positions(x, np.zeros(b, dtype=np.int64))
             x = l2_normalize(matmul(pooled, enc.proj))
-        feats.append(x)
+        return x
+
+    # a pool thread records on no tape, and only this thread may draw from rng
+    pool = (_block_pool() if len(bounds) > 2 and rng is None and Tape.current() is None
+            else None)
+    feats = list((pool.map if pool else map)(block, bounds[:-1], bounds[1:]))
     return feats[0] if len(feats) == 1 else concat(feats, axis=0)
 
 

@@ -5,14 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lorabench.cli import use_allocator_policy
+from lorabench.cli import use_process_policy
 from lorabench.data import SyntheticDatasetSpec, generate_dataset
 from lorabench.model import DualEncoderModel, ModelConfig
 from lorabench.tensor import Tape
 
-# the suite runs under the allocator policy of every lorabench command; it
+# the suite runs under the process policy of every lorabench command: it
 # changes no number, only how often the training steps fault in fresh pages
-use_allocator_policy()
+# and that BLAS runs on one thread beside the image-block threads
+use_process_policy()
 
 TINY_WORDS = sorted({"a", "an", "photo", "picture", "image", "of", "small",
                      "dog", "cat", "bird", "fish"})

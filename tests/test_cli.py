@@ -1,6 +1,7 @@
 """CLI pipeline end to end (with tiny settings) plus exit-code contracts."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from lorabench import bench, cli
 from lorabench.cli import build_parser, main
+from lorabench.data import SyntheticDatasetSpec, generate_dataset, save_dataset
 from lorabench.errors import DomainError
 from lorabench.lora import ENCODER_CHOICES, LAYER_SPANS, MATRICES
 from lorabench.model import load_checkpoint
@@ -101,6 +103,39 @@ class TestZeroshot:
         assert rows[0]["method"] == "zero-shot"
         assert rows[0]["iters"] == "0"
         assert 0.0 <= rows[0]["acc"] <= 1.0
+
+
+# A tiny float32 pipeline: gen, pretrain --epochs 1, a 4-step LoRA fine-tune
+# merged into a checkpoint, then zeroshot on that checkpoint, whose 80 query
+# images run as two blocks on the image-block pool.  float32 bytes depend on
+# the BLAS kernels the CPU selects, so the digests may fail on another CPU or
+# BLAS build; FROZEN_RUN_LOSSES["default"] in test_fewshot.py is the portable
+# gate of the same protocol.
+PIPELINE_SHA256 = {
+    "ckpt/pretrain_log.csv": "84d438d6af337596268657d610f6a2dae82e46e1115d3de85071d1f0a50ccb77",
+    "merged/merged_seed0/weights.bin":
+        "80001b985c55dc153654bfc10b1d56781be004dca9399c297edbf24e8e67c098",
+}
+PIPELINE_ZEROSHOT_ACC = 0.2375
+
+
+class TestPinnedPipeline:
+    def test_bytes_and_accuracy(self, tmp_path):
+        ds, ckpt, merged = tmp_path / "ds", tmp_path / "ckpt", tmp_path / "merged"
+        assert main(["gen", "--out", str(ds), "--classes", "4",
+                     "--images-per-class", "24", "--seed", "0"]) == 0
+        assert main(["pretrain", "--dataset", str(ds), "--out", str(ckpt),
+                     "--epochs", "1", "--seed", "0"]) == 0
+        assert main(["finetune", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                     "--method", "lora", "--shots", "1", "--iters-per-shot", "4",
+                     "--seeds", "0", "--merged-out", str(merged),
+                     "--out", str(tmp_path / "ft.csv")]) == 0
+        assert main(["zeroshot", "--checkpoint", str(merged / "merged_seed0"),
+                     "--dataset", str(ds), "--out", str(tmp_path / "zs.csv")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in PIPELINE_SHA256}
+        assert digests == PIPELINE_SHA256
+        assert read_report_csv(tmp_path / "zs.csv")[0]["acc"] == PIPELINE_ZEROSHOT_ACC
 
 
 class TestFinetune:
@@ -536,6 +571,32 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
         assert manifest["spec"]["noise"] == 1
 
+    @pytest.mark.parametrize("command", ["gen", "pretrain", "zeroshot", "finetune",
+                                         "ablate"])
+    def test_config_not_utf8_is_usage_error(self, command, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff{}")
+        paths = {"gen": ["--out"], "pretrain": ["--dataset", "--out"]}.get(
+            command, ["--checkpoint", "--dataset", "--out"])
+        argv = [command, *[a for flag in paths for a in (flag, str(tmp_path / "x"))],
+                "--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert str(cfg) in err and "UTF-8" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_image_size_mismatch_is_runtime_error(self, workdir, tmp_path, capsys):
+        # 8x8 images under a 16x16 checkpoint: the query images run as
+        # several blocks, and the ShapeError of a block ends the command
+        ds = generate_dataset(SyntheticDatasetSpec(n_classes=4, images_per_class=40,
+                                                   image_size=8, seed=0))
+        save_dataset(ds, tmp_path / "ds")
+        code = main(["zeroshot", "--checkpoint", str(workdir / "ckpt"),
+                     "--dataset", str(tmp_path / "ds")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: expected 16x16 images, got 8x8\n"
+
 
 # ablate --config files, by name, whose grid has an invalid cell or no cell
 BAD_GRIDS = {"groups": {"groups": ["qq"]}, "spans": {"spans": ["middle"]},
@@ -699,15 +760,16 @@ class TestAllocatorPolicy:
         monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
         monkeypatch.setattr(cli.ctypes, "CDLL",
                             lambda name: types.SimpleNamespace(mallopt=mallopt))
-        assert cli.use_allocator_policy() is True
-        # M_MMAP_THRESHOLD to glibc's 64-bit maximum, then M_TRIM_THRESHOLD
-        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+        assert cli._use_malloc_policy() is True
+        # M_MMAP_THRESHOLD to glibc's 64-bit maximum, M_TRIM_THRESHOLD, then
+        # M_ARENA_MAX: one arena for every thread
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20), (-8, 1)]
 
     def test_a_refused_setting_is_reported(self, monkeypatch):
         monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(
             mallopt=lambda param, value: int(param == -1)))
-        assert cli.use_allocator_policy() is False
+        assert cli._use_malloc_policy() is False
 
     def test_other_libc_is_left_alone(self, monkeypatch):
         def unknown_name(name):
@@ -715,28 +777,55 @@ class TestAllocatorPolicy:
 
         monkeypatch.setattr(os, "confstr", unknown_name)
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: pytest.fail("loaded libc"))
-        assert cli.use_allocator_policy() is False
+        assert cli._use_malloc_policy() is False
 
     def test_starts_no_process_and_may_repeat(self, monkeypatch):
         try:
             glibc = bool(os.confstr("CS_GNU_LIBC_VERSION"))
         except (ValueError, OSError):
             glibc = False
+        everything = glibc and cli._openblas() is not None
 
         def no_process(*args, **kwargs):
             raise AssertionError("started a process")
 
         monkeypatch.setattr(subprocess, "Popen", no_process)
-        assert cli.use_allocator_policy() is glibc
-        assert cli.use_allocator_policy() is glibc
+        assert cli.use_process_policy() is everything
+        assert cli.use_process_policy() is everything
 
     def test_main_applies_it_before_parsing(self, monkeypatch, capsys):
         order = []
         parser = cli.build_parser
-        monkeypatch.setattr(cli, "use_allocator_policy", lambda: order.append("policy"))
+        monkeypatch.setattr(cli, "use_process_policy", lambda: order.append("policy"))
         monkeypatch.setattr(cli, "build_parser", lambda: order.append("parse") or parser())
         assert main(["no-such-command"]) == 1
         assert order == ["policy", "parse"]
+
+
+@pytest.fixture
+def openblas():
+    """numpy's bundled OpenBLAS; its thread count is put back afterwards."""
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("numpy bundles no scipy-openblas library here")
+    threads = blas.scipy_openblas_get_num_threads64_()
+    yield blas
+    blas.scipy_openblas_set_num_threads64_(threads)
+
+
+class TestBlasPolicy:
+    def test_main_leaves_one_blas_thread(self, openblas):
+        openblas.scipy_openblas_set_num_threads64_(2)
+        assert main(["no-such-command"]) == 1
+        assert openblas.scipy_openblas_get_num_threads64_() == 1
+
+    def test_without_openblas_nothing_changes(self, openblas, monkeypatch):
+        openblas.scipy_openblas_set_num_threads64_(2)
+        threads = openblas.scipy_openblas_get_num_threads64_()
+        monkeypatch.setattr(cli, "_OPENBLAS_GLOB", "no-such-library*")
+        assert cli._openblas() is None
+        assert cli.use_process_policy() is False
+        assert openblas.scipy_openblas_get_num_threads64_() == threads
 
 
 class TestReadme:

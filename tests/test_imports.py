@@ -1,11 +1,15 @@
 """Every name a module of the package or a test file imports is used there,
-outside the tape only the training loop marks what trains, and every entry
-point the benchmark's span recorder wraps exists."""
+outside the tape only the training loop marks what trains, every entry
+point the benchmark's span recorder wraps exists, and importing the package
+leaves the process alone."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +115,29 @@ def test_traced_entry_points_exist():
     adapted = inject(DualEncoderModel(tiny_config(), seed=0), PlacementConfig())
     opt = AdamW(adapted.trainable_parameters())
     assert adapted.trainable_count() == sum(p.size for p in opt.params) > 0
+
+
+# A fresh interpreter reads OpenBLAS's thread count after numpy loads, imports
+# every lorabench module, and prints its thread count and OpenBLAS's again.
+_IMPORT_EVERYTHING = """
+import ctypes, importlib, pathlib, sys, threading
+import numpy
+libs = pathlib.Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+blas = [ctypes.CDLL(str(lib)) for lib in sorted(libs.glob("libscipy_openblas*.so*"))]
+def blas_threads():
+    return [b.scipy_openblas_get_num_threads64_() for b in blas]
+before = blas_threads()
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(threading.active_count(), before == blas_threads())
+"""
+
+
+def test_importing_starts_no_thread_and_leaves_blas_alone():
+    # the policy is the CLI's to set, and the image-block pool starts on use
+    names = ["lorabench", *[f"lorabench.{p.stem}" for p in MODULES]]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_EVERYTHING, *names],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]

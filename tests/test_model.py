@@ -3,11 +3,15 @@ oracles, padding masking, checkpoints and full-stack gradients."""
 
 import dataclasses
 import json
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from conftest import fail_writes_part_way, gradcheck, small_model_for, tiny_config
+from lorabench import model as model_module
 from lorabench.errors import FormatError, InputError, ShapeError
 from lorabench.fewshot import cross_entropy_loss
 from lorabench.lora import PlacementConfig, inject
@@ -16,7 +20,7 @@ from lorabench.model import (BOS_ID, EOS_ID, IMAGE_BLOCK, PAD_ID,
                              attention_forward, encode_images, encode_tokens,
                              load_checkpoint, patchify, save_checkpoint,
                              tokenize_prompt)
-from lorabench.tensor import Tensor, matmul, transpose
+from lorabench.tensor import Tape, Tensor, matmul, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +223,124 @@ class TestEncodeImage:
         assert n % IMAGE_BLOCK == 1
         got, want = self._blocked_and_paired(dtype, n)
         assert np.array_equal(got, want)
+
+
+def _fail_on_pool():
+    raise AssertionError("the forward asked for the image-block pool")
+
+
+def _forward_in_fork(conn):
+    """Encode three blocks of images and send the features back."""
+    model = DualEncoderModel(tiny_config(), seed=0)
+    imgs = np.random.default_rng(8).standard_normal((130, 8, 8))
+    conn.send(encode_images(model, imgs).data)
+
+
+class TestThreadedBlocks:
+    """An untaped forward without an rng runs its blocks on the pool."""
+
+    @staticmethod
+    def _model(dtype):
+        return DualEncoderModel(tiny_config(dtype=dtype, width=64, heads=4, depth=2,
+                                            embed_dim=32), seed=0)
+
+    @pytest.mark.parametrize("n", [2, 64, 65, 129, 150, 480])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_threaded_features_equal_serial(self, monkeypatch, dtype, n):
+        model = self._model(dtype)
+        imgs = np.random.default_rng(8).standard_normal((n, 8, 8))
+        # a pool of its own, so the threaded path runs on one CPU as well
+        with ThreadPoolExecutor(2) as pool:
+            monkeypatch.setattr(model_module, "_block_pool", lambda: pool)
+            threaded = encode_images(model, imgs).data
+        monkeypatch.setattr(model_module, "_block_pool", lambda: None)
+        serial = encode_images(model, imgs).data
+        assert threaded.dtype == np.dtype(dtype) and threaded.shape == (n, 32)
+        assert np.array_equal(threaded, serial)
+
+    @pytest.mark.parametrize("n,asks", [(64, False), (65, True), (480, True)])
+    def test_only_a_batch_of_several_blocks_asks_for_the_pool(self, monkeypatch, n, asks):
+        calls = []
+        monkeypatch.setattr(model_module, "_block_pool", lambda: calls.append(n))
+        encode_images(self._model("float32"), np.zeros((n, 8, 8)))
+        assert calls == ([n] if asks else [])
+
+    @staticmethod
+    def _adapted_tower():
+        """A depth-1 model with q, k and v adapters whose B factors are not
+        zero, so the features depend on the dropout masks; 130 images make
+        blocks of 64, 64 and 2."""
+        model = DualEncoderModel(tiny_config(), seed=0)
+        adapted = inject(model, PlacementConfig(), seed=0)
+        for module in adapted.modules.values():
+            module.B.data = np.random.default_rng(1).standard_normal(module.B.shape)
+        return model, adapted, np.random.default_rng(9).standard_normal((130, 8, 8))
+
+    @pytest.mark.parametrize("rng", [None, 0])
+    def test_taped_forward_stays_serial(self, monkeypatch, rng):
+        model, adapted, imgs = self._adapted_tower()
+        for p in adapted.trainable_parameters():
+            p.requires_grad = True
+        monkeypatch.setattr(model_module, "_block_pool", _fail_on_pool)
+        with Tape() as tape:
+            encode_images(model, imgs, rng=None if rng is None else np.random.default_rng(rng))
+        # the nodes of the three blocks run in order on this thread; a mask
+        # over the untrained input of an adapter records none
+        assert len(tape) == 118
+
+    def test_rng_forward_stays_serial(self, monkeypatch):
+        model, _, imgs = self._adapted_tower()
+        without_dropout = encode_images(model, imgs).data
+        monkeypatch.setattr(model_module, "_block_pool", _fail_on_pool)
+        got = encode_images(model, imgs, rng=np.random.default_rng(0)).data
+        # the masks are drawn block after block from the one stream
+        rng = np.random.default_rng(0)
+        want = [encode_images(model, imgs[lo:hi], rng=rng).data
+                for lo, hi in ((0, 64), (64, 128), (128, 130))]
+        assert np.array_equal(got, np.concatenate(want))
+        assert not np.array_equal(got, without_dropout)
+
+    def test_shape_error_in_a_block_reaches_the_caller(self, monkeypatch):
+        model = self._model("float32")
+        imgs = np.ones((130, 7, 7))
+        with ThreadPoolExecutor(2) as pool:
+            monkeypatch.setattr(model_module, "_block_pool", lambda: pool)
+            with pytest.raises(ShapeError) as threaded:
+                encode_images(model, imgs)
+        monkeypatch.setattr(model_module, "_block_pool", lambda: None)
+        with pytest.raises(ShapeError) as serial:
+            encode_images(model, imgs)
+        assert str(threaded.value) == str(serial.value) == "expected 8x8 images, got 7x7"
+
+    def test_pool_made_on_first_use_with_a_thread_per_usable_cpu(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_pool", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert model_module._block_pool() is None
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pool = model_module._block_pool()
+        try:
+            assert pool is model_module._block_pool() and pool._max_workers == 3
+        finally:
+            pool.shutdown()
+
+    def test_forked_child_makes_its_own_pool(self):
+        # the child of a fork has none of the parent pool's threads
+        model = DualEncoderModel(tiny_config(), seed=0)
+        imgs = np.random.default_rng(8).standard_normal((130, 8, 8))
+        want = encode_images(model, imgs).data
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_forward_in_fork, args=(send,))
+        child.start()
+        try:
+            assert receive.poll(30), "the forked child did not finish its forward"
+            assert np.array_equal(receive.recv(), want)
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
 
 
 class TestEncodeText:
