@@ -26,7 +26,7 @@ from .data import (DEFAULT_CLASS_NAMES, SyntheticDatasetSpec, generate_dataset,
 from .errors import DomainError, LorabenchError
 from .fewshot import PretrainConfig, TrainConfig
 from .lora import PlacementConfig
-from .model import load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint, usable_cpus
 from .report import (format_summary, mean_report, read_report_csv, summarize,
                      write_report_csv)
 
@@ -267,6 +267,10 @@ def cmd_finetune(args) -> int:
 
 def cmd_ablate(args) -> int:
     _require_positive(args, "shots", "iters_per_shot", "workers", "n_seeds")
+    cpus = usable_cpus()
+    if args.workers > cpus:
+        raise UsageError(f"--workers must be at most the {cpus} usable CPUs, "
+                         f"got {args.workers}")
     cells = (default_ablation_cells() if args.default_grid else
              list(product(args.groups, args.ranks, args.spans, args.encoders)))
     if not cells:

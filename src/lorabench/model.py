@@ -22,9 +22,9 @@ import numpy as np
 
 from .data import read_text, replace_files
 from .errors import DomainError, FormatError, InputError, ShapeError
-from .tensor import (Tape, Tensor, add, concat, dropout, gelu, l2_normalize, layer_norm,
-                     matmul, reshape, row_softmax, select_positions, take_rows,
-                     transpose)
+from .tensor import (Tape, Tensor, add, broadcast_to, concat, dropout, gelu, l2_normalize,
+                     layer_norm, matmul, narrow, reshape, row_softmax, select_positions,
+                     take_rows, transpose)
 
 PAD_ID, BOS_ID, EOS_ID = 0, 1, 2
 _N_SPECIAL = 3
@@ -42,14 +42,19 @@ _pool: Optional[ThreadPoolExecutor] = None
 _pool_lock = threading.Lock()
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def _block_pool() -> Optional[ThreadPoolExecutor]:
     """The process's pool for image blocks, one thread per usable CPU, made
     on first use; None where one CPU is usable."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
+            cpus = usable_cpus()
             if cpus > 1:
                 _pool = ThreadPoolExecutor(cpus, thread_name_prefix="lorabench-images")
     return _pool
@@ -150,6 +155,17 @@ class ModelConfig:
     @property
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
+
+    def param_count(self) -> int:
+        """How many numbers a DualEncoderModel of this config holds, counted
+        from the sizes without building one."""
+        d = self.width
+        block = 12 * d * d + 13 * d  # four (d, d) projections, a 4d MLP, two norms
+        encoder = self.depth * block + 2 * d + d * self.embed_dim
+        # patch_w, patch_b, cls_token, pos_embed; token_embed, pos_embed
+        vision = (self.patch_dim + 1 + 1 + self.n_patches + 1) * d
+        text = (len(self.vocab_words) + _N_SPECIAL + self.max_text_len) * d
+        return 2 * encoder + vision + text + 1  # and the temperature
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +391,7 @@ def encode_images(model: DualEncoderModel, images: np.ndarray, rng=None,
         b = x.shape[0]
         if start == 0:
             x = add(matmul(x, enc.patch_w), enc.patch_b)
-            cls_rows = add(reshape(enc.cls_token, (1, 1, cfg.width)),
-                           Tensor(np.zeros((b, 1, cfg.width), dtype=cfg.np_dtype)))
+            cls_rows = broadcast_to(enc.cls_token, (b, 1, cfg.width))
             x = add(concat([cls_rows, x], axis=1), enc.pos_embed)
         for blk in enc.blocks[start:stop]:
             x = block_forward(blk, x, mask=None, rng=rng)
@@ -393,6 +408,19 @@ def encode_images(model: DualEncoderModel, images: np.ndarray, rng=None,
     return feats[0] if len(feats) == 1 else concat(feats, axis=0)
 
 
+class _FullWidthDraws:
+    """The rng of a text forward cut to fewer positions than `width`: each
+    (batch, n, d) dropout mask is the first n positions of one drawn at
+    (batch, width, d), so the stream advances as for a forward over all."""
+
+    def __init__(self, rng: np.random.Generator, width: int):
+        self.rng, self.width = rng, width
+
+    def random(self, shape, dtype):
+        b, n, d = shape
+        return self.rng.random((b, self.width, d), dtype=dtype)[:, :n]
+
+
 def encode_tokens(model: DualEncoderModel, tokens: np.ndarray, rng=None,
                   start: int = 0, stop: Optional[int] = None,
                   x: Optional[Tensor] = None) -> Tensor:
@@ -401,6 +429,11 @@ def encode_tokens(model: DualEncoderModel, tokens: np.ndarray, rng=None,
 
     `x`, the hidden state entering block `start`, replaces the embeddings
     (soft prompts, frozen prefixes); `start` and `stop` as in encode_images.
+
+    The tower runs over the first n positions only, n being 1 plus the last
+    position any row fills: every later one is PAD in every row, masked as a
+    key and never pooled, so it cannot reach a feature.  An `x` is cut to n
+    too, and the hidden state given back for `stop` has width n.
     """
     enc = model.textual
     tokens = np.asarray(tokens)
@@ -409,8 +442,12 @@ def encode_tokens(model: DualEncoderModel, tokens: np.ndarray, rng=None,
     is_eos = tokens == EOS_ID
     if not is_eos.any(axis=1).all():
         raise InputError("token row without an EOS token")
-    if x is None:
-        x = add(take_rows(enc.token_embed, tokens), enc.pos_embed)
+    n = int((tokens != PAD_ID).any(axis=0).nonzero()[0][-1]) + 1
+    if rng is not None:
+        rng = _FullWidthDraws(rng, tokens.shape[1])
+    tokens = tokens[:, :n]
+    x = (add(take_rows(enc.token_embed, tokens), narrow(enc.pos_embed, n)) if x is None
+         else narrow(x, n, axis=1))
     pad = (tokens == PAD_ID)
     mask = np.where(pad[:, None, None, :], _MASK_NEG, 0.0)
     for blk in enc.blocks[start:stop]:
@@ -457,24 +494,28 @@ def load_checkpoint(path) -> DualEncoderModel:
         cfg = ModelConfig(**manifest["config"])
     except (KeyError, TypeError) as e:
         raise FormatError(f"malformed checkpoint config ({type(e).__name__}: {e})") from None
-    model = DualEncoderModel(cfg, seed=0)
-    params = list(model.named_parameters())
-    names, tensors = [name for name, _ in params], manifest.get("tensors")
+    tensors = manifest.get("tensors")
     if not isinstance(tensors, list):
         raise FormatError(f"checkpoint tensors must be a list of parameter names, "
                           f"got {type(tensors).__name__}")
+    # the blob must hold what the config asks for before any of it is made
+    dt = np.dtype(cfg.np_dtype).newbyteorder("<")
+    need = cfg.param_count() * dt.itemsize
+    with open(directory / "weights.bin", "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size != need:
+            raise FormatError(f"weights.bin has {size} bytes, the {cfg.dtype} config "
+                              f"needs {need}")
+        blob = f.read()
+    model = DualEncoderModel(cfg, seed=0)
+    params = list(model.named_parameters())
+    names = [name for name, _ in params]
     if tensors != names:
         i = next((i for i, (a, b) in enumerate(zip(tensors, names)) if a != b),
                  min(len(tensors), len(names)))
         raise FormatError(f"checkpoint tensors ({len(tensors)} names) differ from the "
                           f"model's {len(names)} parameter names at position {i}: "
                           f"{tensors[i:i + 1]} vs {names[i:i + 1]}")
-    dt = np.dtype(cfg.np_dtype).newbyteorder("<")
-    blob = (directory / "weights.bin").read_bytes()
-    need = model.param_count() * dt.itemsize
-    if len(blob) != need:
-        raise FormatError(f"weights.bin has {len(blob)} bytes, the {cfg.dtype} config "
-                          f"needs {need}")
     offset = 0
     for _, p in params:
         arr = np.frombuffer(blob, dtype=dt, count=p.size, offset=offset)

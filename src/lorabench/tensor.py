@@ -289,6 +289,12 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
+def broadcast_to(a: Tensor, shape) -> Tensor:
+    """`a` repeated to `shape` by numpy broadcasting, as a read-only view."""
+    out = Tensor(np.broadcast_to(a.data, shape))
+    return _record(out, (a,), lambda g: (_unbroadcast(g, a.data.shape),))
+
+
 def transpose(a: Tensor, axes) -> Tensor:
     out = Tensor(a.data.transpose(axes))
     inv = np.argsort(axes)
@@ -304,6 +310,22 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _record(out, tuple(tensors), backward)
+
+
+def narrow(a: Tensor, length: int, axis: int = 0) -> Tensor:
+    """The first `length` entries of `a` along `axis`, as a view; `a` itself
+    when that is all of them.  The gradient is zero past `length`."""
+    if a.data.shape[axis] == length:
+        return a
+    index = (slice(None),) * axis + (slice(0, length),)
+    out = Tensor(a.data[index])
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[index] = g
+        return (ga,)
+
+    return _record(out, (a,), backward)
 
 
 def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:

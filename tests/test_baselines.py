@@ -34,13 +34,14 @@ def _template_context(model):
 # soft prompts
 
 # a float64 soft-prompt run (model seed 0, 2 shots, task seed 0, batch 8,
-# 10 steps at lr 1e-2) recorded when its queries were scored on a separate
-# soft-prompt evaluation path: accuracy, and the sha256 of the trained
-# context and of the query logits
+# 10 steps at lr 1e-2): its accuracy, recorded when its queries were scored
+# on a separate soft-prompt evaluation path, and the sha256 of the trained
+# context and of the query logits, recorded when the text tower began to run
+# over the filled positions only (which moved both by under 3e-13 relative)
 SOFT_PROMPT_RUN = (
     0.25,
-    "0b45e522710da825cbe011a121c0873fd707eb1f2fe165e0ac3d8fc1a9dd0298",
-    "f108d012c3beb66785e6fdd8a9925174dd38fae00a0a87f015b7f7201c7a1288",
+    "d6e0e16656423e31b7b44a73f759f67d81a50793d09a8c99035aba8a292465d6",
+    "389bf52ba3d75a527aacdecf5e7ac99e835186d2d8638a7e8fb4ee9597148c0b",
 )
 
 
@@ -59,14 +60,28 @@ class TestSoftPrompt:
         assert np.array_equal(got, want)
 
     def test_context_rows_are_looked_up_in_one_node(self, small_dataset):
-        # the context extends the token table, so the embedding is one lookup
+        # the context extends the token table, so the embedding is one lookup;
+        # the text tower then cuts it to the positions the prompts fill
         model = small_model_for(small_dataset)
         context = _template_context(model)
         tokens = class_prompts(model, small_dataset.class_names)
         with Tape() as tape:
             _soft_prompt_features(model, context, tokens)
         ops = [backward.__qualname__.split(".", 1)[0] for _, _, backward in tape._nodes]
-        assert ops[:ops.index("layer_norm")] == ["concat", "take_rows", "add"]
+        assert ops[:ops.index("layer_norm")] == ["concat", "take_rows", "add", "narrow"]
+
+    def test_runs_at_the_filled_width(self, small_dataset):
+        # the class prompts fill n of the model's 12 positions; the blocks see n
+        model = small_model_for(small_dataset)
+        context = _template_context(model)
+        tokens = class_prompts(model, small_dataset.class_names)
+        n = int((tokens != 0).sum(axis=1).max())
+        assert n < model.cfg.max_text_len == 12
+        with Tape() as tape:
+            _soft_prompt_features(model, context, tokens)
+        shapes = [out.shape for out, _, _ in tape._nodes]
+        assert shapes[3] == (len(tokens), n, 16)
+        assert not [s for s in shapes[3:] if 12 in s]
 
     def test_trainable_count_is_m_times_width(self, small_dataset):
         model = small_model_for(small_dataset, width=64, heads=4, embed_dim=32,

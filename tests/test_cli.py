@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import tempfile
+import threading
 import types
 from pathlib import Path
 
@@ -112,9 +113,9 @@ class TestZeroshot:
 # BLAS build; FROZEN_RUN_LOSSES["default"] in test_fewshot.py is the portable
 # gate of the same protocol.
 PIPELINE_SHA256 = {
-    "ckpt/pretrain_log.csv": "84d438d6af337596268657d610f6a2dae82e46e1115d3de85071d1f0a50ccb77",
+    "ckpt/pretrain_log.csv": "c7fbf0b2be1b80c0f255fe0305d6e6bda27b17efea8865b43f8d6f193a5a253c",
     "merged/merged_seed0/weights.bin":
-        "80001b985c55dc153654bfc10b1d56781be004dca9399c297edbf24e8e67c098",
+        "dd9091bc86cdb24ced3302f3b139c666ecc6506603e24c441b96f09407befc43",
 }
 PIPELINE_ZEROSHOT_ACC = 0.2375
 
@@ -251,8 +252,10 @@ class TestAblate:
         assert "Traceback" not in err and not out.exists()
         assert len(calls) == 2
 
-    def test_workers_match_serial(self, workdir, tmp_path):
-        # 20 steps per row: enough for runs sharing a tape to drift apart
+    def test_workers_match_serial(self, workdir, tmp_path, monkeypatch):
+        # 20 steps per row: enough for runs sharing a tape to drift apart;
+        # two workers are allowed however many CPUs this process may use
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
         base = ["ablate", "--checkpoint", str(workdir / "ckpt"),
                 "--dataset", str(workdir / "ds"), "--groups", "q,v",
                 "--ranks", "1", "--shots", "1", "--seeds", "1",
@@ -260,6 +263,27 @@ class TestAblate:
         assert main(base + ["--out", str(tmp_path / "s.csv")]) == 0
         assert main(base + ["--workers", "2", "--out", str(tmp_path / "p.csv")]) == 0
         assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
+
+
+class TestWorkersBound:
+    @pytest.mark.parametrize("cpus,workers", [({0}, 2), ({0, 1, 2}, 4), ({0, 1}, 1000)],
+                             ids=["1-cpu-2", "3-cpus-4", "2-cpus-1000"])
+    def test_more_workers_than_usable_cpus(self, cpus, workers, workdir, tmp_path,
+                                           capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+        def start(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        out = tmp_path / "x.csv"
+        code = main(["ablate", "--checkpoint", str(workdir / "ckpt"),
+                     "--dataset", str(workdir / "ds"), "--default-grid", "--seeds", "3",
+                     "--workers", str(workers), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1 and "Traceback" not in err
+        assert f"--workers must be at most the {len(cpus)} usable CPUs, got {workers}" in err
+        assert not out.exists()
 
 
 class TestCheckpointLoads:
@@ -417,6 +441,22 @@ class TestCheckpointFuzz:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err + captured.out
         assert code in (0, 2) and captured.err.count("\n") <= 1
+
+
+class TestHostileConfig:
+    def test_depth_far_beyond_the_blob(self, workdir, tmp_path, capsys):
+        # the config asks for a depth of 2**20 over the depth-4 blob
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workdir / "ckpt", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["config"]["depth"] = 2 ** 20
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = main(["zeroshot", "--checkpoint", str(ckpt),
+                     "--dataset", str(workdir / "ds"), "--shots", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: weights.bin has ") and "config needs" in err
 
 
 class TestReportCmd:

@@ -5,22 +5,25 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from conftest import fail_writes_part_way, gradcheck, small_model_for, tiny_config
+from conftest import (analytic_grads, fail_writes_part_way, gradcheck, small_model_for,
+                      tiny_config)
 from lorabench import model as model_module
 from lorabench.errors import FormatError, InputError, ShapeError
 from lorabench.fewshot import cross_entropy_loss
 from lorabench.lora import PlacementConfig, inject
 from lorabench.model import (BOS_ID, EOS_ID, IMAGE_BLOCK, PAD_ID,
                              DualEncoderModel, ModelConfig, Vocabulary,
-                             attention_forward, encode_images, encode_tokens,
-                             load_checkpoint, patchify, save_checkpoint,
-                             tokenize_prompt)
-from lorabench.tensor import Tape, Tensor, matmul, transpose
+                             attention_forward, block_forward, encode_images,
+                             encode_tokens, load_checkpoint, patchify,
+                             save_checkpoint, tokenize_prompt)
+from lorabench.tensor import (Tape, Tensor, add, l2_normalize, layer_norm, matmul, mul,
+                              select_positions, take_rows, transpose, tsum)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +186,17 @@ class TestEncodeImage:
     def test_wrong_image_size(self, tiny_model):
         with pytest.raises(ShapeError):
             encode_images(tiny_model, np.ones((2, 7, 7)))
+
+    def test_class_token_rows_are_a_broadcast(self, tiny_model):
+        # the class token reaches each image of a block as a view, with no
+        # zeros array to add it to
+        for _, p in tiny_model.visual.embedding_parameters():
+            p.requires_grad = True
+        with Tape() as tape:
+            encode_images(tiny_model, np.random.default_rng(9).standard_normal((3, 8, 8)))
+        ops = [backward.__qualname__.split(".", 1)[0] for _, _, backward in tape._nodes]
+        assert ops[:ops.index("layer_norm")] == ["matmul", "add", "broadcast_to",
+                                                 "concat", "add"]
 
     def test_patchify_layout(self):
         cfg = tiny_config()
@@ -396,6 +410,128 @@ class TestEncodeText:
         assert np.abs(with_b[0] - with_c[1]).max() < 1e-10
 
 
+def _full_width_text(model, tokens, rng=None):
+    """The text forward over all max_text_len positions, PAD keys masked:
+    the reference for a forward cut to the positions the rows fill."""
+    enc = model.textual
+    x = add(take_rows(enc.token_embed, tokens), enc.pos_embed)
+    mask = np.where((tokens == PAD_ID)[:, None, None, :], -1e9, 0.0)
+    for blk in enc.blocks:
+        x = block_forward(blk, x, mask, rng=rng)
+    x = layer_norm(x, enc.ln_f_g, enc.ln_f_b)
+    pooled = select_positions(x, (tokens == EOS_ID).argmax(axis=1))
+    return l2_normalize(matmul(pooled, enc.proj))
+
+
+class TestTextWidth:
+    """The text tower runs over the first n positions, n = 1 + the last
+    position any row fills."""
+
+    MAX_LEN = 16
+
+    @classmethod
+    def _model(cls, ds):
+        # no size but max_text_len is 16, so a shape holding 16 is full width
+        cfg = ModelConfig(width=24, heads=2, depth=2, embed_dim=8, image_size=8,
+                          patch_size=4, max_text_len=cls.MAX_LEN,
+                          vocab_words=ds.vocab_words, dtype="float64")
+        return DualEncoderModel(cfg, seed=0)
+
+    @classmethod
+    def _captions(cls, model, ds):
+        """Pretraining captions of 7 and 8 tokens, as the pretraining loop
+        tokenizes them; returns the token rows and n."""
+        rows = np.stack([tokenize_prompt(c, model.vocab, cls.MAX_LEN, template=())
+                         for c in ds.captions[:6]])
+        lengths = (rows != PAD_ID).sum(axis=1)
+        assert lengths.min() < lengths.max() < cls.MAX_LEN
+        return rows, int(lengths.max())
+
+    @staticmethod
+    def _ops(tape):
+        return [backward.__qualname__.split(".", 1)[0] for _, _, backward in tape._nodes]
+
+    def test_mixed_lengths_match_the_full_width_forward(self, small_dataset):
+        model = self._model(small_dataset)
+        tokens, _ = self._captions(model, small_dataset)
+        enc = model.textual
+        weights = Tensor(np.random.default_rng(10).standard_normal((len(tokens), 8)))
+        got = encode_tokens(model, tokens).data
+        want = _full_width_text(model, tokens).data
+        assert np.abs(got - want).max() < 1e-12
+        params = [enc.pos_embed, enc.token_embed, enc.blocks[0].wq, enc.blocks[1].b1,
+                  enc.ln_f_g, enc.proj]
+        got = analytic_grads(lambda: tsum(mul(encode_tokens(model, tokens), weights)),
+                             params)
+        want = analytic_grads(lambda: tsum(mul(_full_width_text(model, tokens), weights)),
+                              params)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_masks_are_drawn_at_full_width(self, small_dataset):
+        model = self._model(small_dataset)
+        tokens, n = self._captions(model, small_dataset)
+        adapted = inject(model, PlacementConfig(encoders="text", dropout=0.25))
+        for p in adapted.trainable_parameters():
+            p.requires_grad = True
+        rng = np.random.default_rng(11)
+        with Tape() as tape:
+            got = encode_tokens(model, tokens, rng=rng).data
+        masked = [out.shape for (out, _, _), op in zip(tape._nodes, self._ops(tape))
+                  if op == "dropout"]
+        assert masked and set(masked) == {(len(tokens), n, 24)}
+        # one mask per module, each drawn as a full-width forward draws it
+        twin = np.random.default_rng(11)
+        for _ in adapted.modules:
+            twin.random((len(tokens), self.MAX_LEN, 24))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        want = _full_width_text(model, tokens, rng=np.random.default_rng(11)).data
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_taped_activations_have_the_filled_width(self, small_dataset):
+        model = self._model(small_dataset)
+        tokens, n = self._captions(model, small_dataset)
+        for _, p in model.textual.named_parameters():
+            p.requires_grad = True
+        with Tape() as tape:
+            encode_tokens(model, tokens)
+        shapes = [out.shape for out, _, _ in tape._nodes]
+        assert not [s for s in shapes if self.MAX_LEN in s]
+        b = len(tokens)
+        assert {(n, 24), (b, n, 24), (b, 2, n, n), (b, n, 96)} <= set(shapes)
+        assert self._ops(tape)[:3] == ["take_rows", "narrow", "add"]
+
+    def test_frozen_prefix_has_the_filled_width(self, small_dataset):
+        model = self._model(small_dataset)
+        tokens, n = self._captions(model, small_dataset)
+        prefix = encode_tokens(model, tokens, stop=1)
+        assert prefix.shape == (len(tokens), n, 24)
+        got = encode_tokens(model, tokens, start=1, x=prefix).data
+        assert np.array_equal(got, encode_tokens(model, tokens).data)
+
+    def test_rows_without_a_pad_column_run_as_before(self, small_dataset):
+        model = self._model(small_dataset)
+        tokens, _ = self._captions(model, small_dataset)
+        words = np.random.default_rng(12).integers(3, model.textual.token_embed.shape[0],
+                                                   self.MAX_LEN - 2)
+        tokens[0] = [BOS_ID, *words, EOS_ID]
+        adapted = inject(model, PlacementConfig(encoders="text", dropout=0.25))
+        params = [model.textual.pos_embed, *adapted.trainable_parameters()]
+        for p in params:
+            p.requires_grad = True
+        runs = []
+        for forward in (encode_tokens, _full_width_text):
+            with Tape() as tape:
+                feats = forward(model, tokens, rng=np.random.default_rng(13))
+                tape.backward(tsum(feats))
+            runs.append((feats.data, self._ops(tape), [p.grad for p in params]))
+            for p in params:
+                p.zero_grad()
+        (got, got_ops, got_grads), (want, want_ops, want_grads) = runs
+        assert np.array_equal(got, want) and got_ops == want_ops
+        assert all(np.array_equal(g, w) for g, w in zip(got_grads, want_grads))
+
+
 # ---------------------------------------------------------------------------
 # full-stack gradients
 
@@ -516,6 +652,23 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(tmp_path / "ckpt")
 
+    def test_hostile_depth_is_rejected_before_any_array(self, tmp_path):
+        # a depth of 2**20 over a depth-4 blob asks for 4e11 bytes
+        save_checkpoint(DualEncoderModel(ModelConfig(vocab_words=["dog"])), tmp_path / "ckpt")
+        mpath = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["config"]["depth"] = 2 ** 20
+        mpath.write_text(json.dumps(manifest))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="weights.bin has 1630980 bytes, the "
+                                                  "float32 config needs 419296213764"):
+                load_checkpoint(tmp_path / "ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     @pytest.mark.parametrize("edit,match", [
         (lambda m: m.pop("tensors"), "tensors must be a list of parameter names, got NoneType"),
         (lambda m: m["config"].update(colour="red"), "colour"),
@@ -565,6 +718,16 @@ class TestModelConfig:
         from lorabench.errors import DomainError
         with pytest.raises(DomainError):
             ModelConfig(width=8, heads=2, embed_dim=16, vocab_words=["a"])
+
+    @pytest.mark.parametrize("sizes", [
+        {}, dict(width=8, heads=2, depth=1, embed_dim=4, image_size=8, max_text_len=8),
+        dict(width=24, heads=3, depth=7, embed_dim=5, patch_size=2, max_text_len=3),
+        dict(width=1, heads=1, depth=2, embed_dim=1, image_size=4, patch_size=4,
+             max_text_len=1)], ids=["default", "tiny", "deep", "smallest"])
+    @pytest.mark.parametrize("words", [[], ["a", "photo", "of"]], ids=["no-words", "words"])
+    def test_param_count_from_the_sizes(self, sizes, words):
+        cfg = ModelConfig(vocab_words=words, **sizes)
+        assert cfg.param_count() == DualEncoderModel(cfg).param_count()
 
     def test_param_count_matches_enumeration(self, tiny_model):
         total = sum(p.size for _, p in tiny_model.named_parameters())

@@ -12,10 +12,10 @@ from lorabench.errors import DomainError, ShapeError, StateError
 from lorabench.fewshot import cross_entropy_loss
 from lorabench.lora import PlacementConfig, inject
 from lorabench.model import encode_images, encode_tokens, tokenize_prompt
-from lorabench.tensor import (Tape, Tensor, add, concat, div, dropout, gelu,
-                              l2_normalize, layer_norm, log_softmax, matmul,
-                              mean, mul, reshape, row_softmax, select_positions,
-                              sqrt, take_rows, transpose, tsum)
+from lorabench.tensor import (Tape, Tensor, add, broadcast_to, concat, div, dropout,
+                              gelu, l2_normalize, layer_norm, log_softmax, matmul,
+                              mean, mul, narrow, reshape, row_softmax,
+                              select_positions, sqrt, take_rows, transpose, tsum)
 
 
 def t64(a, rg=False):
@@ -423,6 +423,32 @@ class TestShapeOps:
         y = t64(rng.standard_normal((2, 3, 4)), rg=True)
         cc = t64(rng.standard_normal((4, 3, 4)))
         gradcheck(lambda: tsum(mul(concat([x, y], axis=0), cc)), [x, y])
+
+    def test_narrow(self):
+        rng = np.random.default_rng(18)
+        x = t64(rng.standard_normal((2, 5, 3)), rg=True)
+        assert narrow(x, 5, axis=1) is x
+        out = narrow(x, 2, axis=1)
+        assert np.shares_memory(out.data, x.data)
+        assert np.array_equal(out.data, x.data[:, :2])
+        c = t64(rng.standard_normal((2, 2, 3)))
+        gradcheck(lambda: tsum(mul(narrow(x, 2, axis=1), c)), [x])
+        # past the cut the gradient is exactly zero
+        with Tape() as tape:
+            tape.backward(tsum(mul(narrow(x, 2, axis=1), c)))
+        assert not x.grad[:, 2:].any()
+        x.zero_grad()
+        c0 = t64(rng.standard_normal((1, 5, 3)))
+        gradcheck(lambda: tsum(mul(narrow(x, 1), c0)), [x])
+
+    def test_broadcast_to(self):
+        rng = np.random.default_rng(19)
+        x = t64(rng.standard_normal(4), rg=True)
+        out = broadcast_to(x, (3, 1, 4))
+        assert out.shape == (3, 1, 4) and np.shares_memory(out.data, x.data)
+        assert np.array_equal(out.data, np.broadcast_to(x.data, (3, 1, 4)))
+        c = t64(rng.standard_normal((3, 1, 4)))
+        gradcheck(lambda: tsum(mul(broadcast_to(x, (3, 1, 4)), c)), [x])
 
 
 class TestIndexingOps:
