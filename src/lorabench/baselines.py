@@ -18,7 +18,7 @@ from .fewshot import (FINETUNE_WEIGHT_DECAY, FewShotTask, TrainConfig, TrainingH
                       evaluate, run_training_loop, train_on_support)
 from .model import (DualEncoderModel, PROMPT_TEMPLATE, encode_images,
                     encode_tokens)
-from .tensor import (Tensor, add, concat, gelu, l2_normalize, matmul, take_rows,
+from .tensor import (Tensor, add, concat, l2_normalize, matmul, mlp, take_rows,
                      transpose)
 
 
@@ -93,8 +93,7 @@ class LinearAdapter:
         return sum(p.size for p in self.parameters())
 
     def forward(self, feats: Tensor) -> Tensor:
-        h = gelu(add(matmul(feats, self.w1), self.b1))
-        return add(matmul(h, self.w2), self.b2)
+        return mlp(feats, self.w1, self.b1, self.w2, self.b2)
 
 
 def adapter_logits(adapter: LinearAdapter, alpha: float, feats: Tensor,

@@ -6,6 +6,10 @@ attention and a GELU MLP.  Attention projections can carry low-rank adapter
 modules (see lora.py); the block needs A (d_in x rank), B (rank x d_out) and dropout.
 A forward given an rng draws the adapters' dropout masks from it; without
 one, dropout is off.  The text tower pools each prompt at its first EOS token.
+
+A block is built from the fused ops of tensor.py, so a taped block records
+at most ten nodes: the two layer norms and residual adds, a `linear` or
+`lora_linear` per projection, one `attention` and one `mlp`.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ import numpy as np
 
 from .data import read_text, replace_files
 from .errors import DomainError, FormatError, InputError, ShapeError
-from .tensor import (Tape, Tensor, add, broadcast_to, concat, dropout, gelu, l2_normalize,
-                     layer_norm, matmul, narrow, reshape, row_softmax, select_positions,
-                     take_rows, transpose)
+from .tensor import (Tape, Tensor, add, attention, broadcast_to, concat, l2_normalize,
+                     layer_norm, linear, lora_linear, matmul, mlp, narrow, select_positions,
+                     take_rows)
 
 PAD_ID, BOS_ID, EOS_ID = 0, 1, 2
 _N_SPECIAL = 3
@@ -172,16 +176,24 @@ class ModelConfig:
 # parameter containers
 
 
+def _normal(rng: Optional[np.random.Generator], shape, std: float, dt) -> Tensor:
+    """Draws from N(0, std^2) at dtype dt; without an rng, an unset array of
+    that shape, for load_checkpoint to fill."""
+    if rng is None:
+        return Tensor(np.empty(shape, dtype=dt))
+    return Tensor((rng.standard_normal(shape) * std).astype(dt))
+
+
 class AttentionBlock:
     """Pre-norm transformer block; q/k/v/o projections accept LoRA modules."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, rng: Optional[np.random.Generator]):
         d, dt = cfg.width, cfg.np_dtype
         self.heads = cfg.heads
         self.head_dim = d // cfg.heads
 
-        def w(*shape, std=0.02):
-            return Tensor((rng.standard_normal(shape) * std).astype(dt))
+        def w(*shape):
+            return _normal(rng, shape, 0.02, dt)
 
         def zeros(*shape):
             return Tensor(np.zeros(shape, dtype=dt))
@@ -210,53 +222,37 @@ class AttentionBlock:
 
 def _lora_linear(x: Tensor, w: Tensor, b: Tensor, module, rng) -> Tensor:
     """x @ w + b, plus the low-rank delta drop(x) @ A @ B when a module is attached."""
-    out = add(matmul(x, w), b)
-    if module is not None:
-        xd = dropout(x, module.dropout, rng)
-        out = add(out, matmul(matmul(xd, module.A), module.B))
-    return out
+    if module is None:
+        return linear(x, w, b)
+    return lora_linear(x, w, b, module.A, module.B, module.dropout, rng)
 
 
 def block_forward(block: AttentionBlock, x: Tensor, mask: Optional[np.ndarray],
                   rng=None) -> Tensor:
     h = add(x, attention_forward(block, layer_norm(x, block.ln1_g, block.ln1_b),
                                  mask, rng))
-    z = layer_norm(h, block.ln2_g, block.ln2_b)
-    z = gelu(add(matmul(z, block.w1), block.b1))
-    z = add(matmul(z, block.w2), block.b2)
+    z = mlp(layer_norm(h, block.ln2_g, block.ln2_b), block.w1, block.b1, block.w2, block.b2)
     return add(h, z)
 
 
 def attention_forward(block: AttentionBlock, x: Tensor, mask: Optional[np.ndarray],
                       rng=None) -> Tensor:
     """Batched multi-head self-attention on x of shape (batch, seq, width)."""
-    bsz, seq, d = x.shape
-    H, dh = block.heads, block.head_dim
-
-    def split_heads(t):
-        return transpose(reshape(t, (bsz, seq, H, dh)), (0, 2, 1, 3))
-
-    q = split_heads(_lora_linear(x, block.wq, block.bq, block.lora.get("q"), rng))
-    k = split_heads(_lora_linear(x, block.wk, block.bk, block.lora.get("k"), rng))
-    v = split_heads(_lora_linear(x, block.wv, block.bv, block.lora.get("v"), rng))
-
-    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    if mask is not None:
-        scores = add(scores, Tensor(mask.astype(x.dtype)))
-    weights = row_softmax(scores)
-    ctx = matmul(weights, v)
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (bsz, seq, d))
+    q = _lora_linear(x, block.wq, block.bq, block.lora.get("q"), rng)
+    k = _lora_linear(x, block.wk, block.bk, block.lora.get("k"), rng)
+    v = _lora_linear(x, block.wv, block.bv, block.lora.get("v"), rng)
+    ctx = attention(q, k, v, mask, block.heads)
     return _lora_linear(ctx, block.wo, block.bo, block.lora.get("o"), rng)
 
 
 class _Encoder:
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, rng: Optional[np.random.Generator]):
         self.cfg = cfg
         self.blocks = [AttentionBlock(cfg, rng) for _ in range(cfg.depth)]
         dt = cfg.np_dtype
         self.ln_f_g = Tensor(np.ones(cfg.width, dtype=dt))
         self.ln_f_b = Tensor(np.zeros(cfg.width, dtype=dt))
-        self.proj = Tensor((rng.standard_normal((cfg.width, cfg.embed_dim)) * 0.02).astype(dt))
+        self.proj = _normal(rng, (cfg.width, cfg.embed_dim), 0.02, dt)
 
     def named_parameters(self):
         yield from self.embedding_parameters()
@@ -281,13 +277,13 @@ class _Encoder:
 
 
 class VisionEncoder(_Encoder):
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, rng: Optional[np.random.Generator]):
         super().__init__(cfg, rng)
         dt = cfg.np_dtype
-        self.patch_w = Tensor((rng.standard_normal((cfg.patch_dim, cfg.width)) * 0.02).astype(dt))
+        self.patch_w = _normal(rng, (cfg.patch_dim, cfg.width), 0.02, dt)
         self.patch_b = Tensor(np.zeros(cfg.width, dtype=dt))
-        self.cls_token = Tensor((rng.standard_normal(cfg.width) * 0.02).astype(dt))
-        self.pos_embed = Tensor((rng.standard_normal((cfg.n_patches + 1, cfg.width)) * 0.01).astype(dt))
+        self.cls_token = _normal(rng, cfg.width, 0.02, dt)
+        self.pos_embed = _normal(rng, (cfg.n_patches + 1, cfg.width), 0.01, dt)
 
     def embedding_parameters(self):
         yield "patch_w", self.patch_w
@@ -297,12 +293,12 @@ class VisionEncoder(_Encoder):
 
 
 class TextEncoder(_Encoder):
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, rng: Optional[np.random.Generator]):
         super().__init__(cfg, rng)
         dt = cfg.np_dtype
         vocab_size = len(cfg.vocab_words) + _N_SPECIAL
-        self.token_embed = Tensor((rng.standard_normal((vocab_size, cfg.width)) * 0.02).astype(dt))
-        self.pos_embed = Tensor((rng.standard_normal((cfg.max_text_len, cfg.width)) * 0.01).astype(dt))
+        self.token_embed = _normal(rng, (vocab_size, cfg.width), 0.02, dt)
+        self.pos_embed = _normal(rng, (cfg.max_text_len, cfg.width), 0.01, dt)
 
     def embedding_parameters(self):
         yield "token_embed", self.token_embed
@@ -310,11 +306,14 @@ class TextEncoder(_Encoder):
 
 
 class DualEncoderModel:
-    """Vision and text encoders plus the softmax temperature."""
+    """Vision and text encoders plus the softmax temperature.  Seed None
+    draws nothing and leaves the random parameters unset, for
+    load_checkpoint to fill."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    def __init__(self, cfg: ModelConfig, seed: Optional[int] = 0):
         self.cfg = cfg
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0A1]))
+        rng = (None if seed is None
+               else np.random.default_rng(np.random.SeedSequence([seed, 0xD0A1])))
         self.visual = VisionEncoder(cfg, rng)
         self.textual = TextEncoder(cfg, rng)
         self.temperature = Tensor(np.asarray(cfg.init_temperature, dtype=cfg.np_dtype))
@@ -390,7 +389,7 @@ def encode_images(model: DualEncoderModel, images: np.ndarray, rng=None,
                    else inputs[lo:hi])
         b = x.shape[0]
         if start == 0:
-            x = add(matmul(x, enc.patch_w), enc.patch_b)
+            x = linear(x, enc.patch_w, enc.patch_b)
             cls_rows = broadcast_to(enc.cls_token, (b, 1, cfg.width))
             x = add(concat([cls_rows, x], axis=1), enc.pos_embed)
         for blk in enc.blocks[start:stop]:
@@ -507,7 +506,7 @@ def load_checkpoint(path) -> DualEncoderModel:
             raise FormatError(f"weights.bin has {size} bytes, the {cfg.dtype} config "
                               f"needs {need}")
         blob = f.read()
-    model = DualEncoderModel(cfg, seed=0)
+    model = DualEncoderModel(cfg, seed=None)
     params = list(model.named_parameters())
     names = [name for name, _ in params]
     if tensors != names:
@@ -518,7 +517,6 @@ def load_checkpoint(path) -> DualEncoderModel:
                           f"{tensors[i:i + 1]} vs {names[i:i + 1]}")
     offset = 0
     for _, p in params:
-        arr = np.frombuffer(blob, dtype=dt, count=p.size, offset=offset)
-        p.data = arr.reshape(p.shape).astype(cfg.np_dtype)
-        offset += arr.nbytes
+        p.data[...] = np.frombuffer(blob, dtype=dt, count=p.size, offset=offset).reshape(p.shape)
+        offset += p.data.nbytes
     return model

@@ -9,6 +9,12 @@ A backward rule computes the gradient of an input only if that input's
 `requires_grad` is set when the rule runs, and returns None for any other
 input: the gradient of a frozen weight, bias or layer-norm gain is never
 formed, since nothing would read it.
+
+The layers of the model are fused ops, one node each with a hand-written
+backward: `linear`, `lora_linear`, `mlp` and `attention`.  Each makes the
+numpy calls of its unfused composition in the same order, and hands its
+inputs their gradients in the order the composition would, so results are
+bitwise those of the composition; it keeps fewer arrays for its backward.
 """
 
 from __future__ import annotations
@@ -122,23 +128,29 @@ class Tape:
     def backward(self, loss: Tensor):
         """Populate grad fields of every grad-requiring tensor reachable from loss.
 
-        Only leaves keep their gradient: a recorded node's output drops its
-        grad as soon as its backward rule has consumed it, so each
-        intermediate gradient is freed once it is used."""
+        Each node leaves the tape as its rule runs, so the arrays its rule
+        kept are freed during the backward, not when the step ends; the tape
+        is empty afterwards.  Only leaves keep their gradient: a node's output
+        drops its grad as soon as its rule has consumed it.  A rule may hand
+        one input a tuple of gradients, which are added in the order given."""
         if self._consumed:
             raise StateError("tape already ran backward; build a fresh tape per step")
         if loss.data.ndim != 0 and loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         self._consumed = True
         loss.grad = np.ones_like(loss.data)
-        for out, inputs, backward_fn in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            out, inputs, backward_fn = nodes.pop()
             if out.grad is None:
                 continue
             grads = backward_fn(out.grad)
             out.zero_grad()
             for inp, g in zip(inputs, grads):
-                if g is not None and inp.requires_grad:
-                    inp.accumulate_grad(g)
+                if g is None or not inp.requires_grad:
+                    continue
+                for part in (g if isinstance(g, tuple) else (g,)):
+                    inp.accumulate_grad(part)
 
 
 def _as_tensor(x, like: Tensor) -> Tensor:
@@ -147,11 +159,16 @@ def _as_tensor(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op over `inputs` records a node: a tape is active and some
+    input needs a gradient."""
+    return Tape.current() is not None and any(i.requires_grad for i in inputs)
+
+
 def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
-    tape = Tape.current()
-    if tape is not None and any(i.requires_grad for i in inputs):
+    if _recording(inputs):
         out.requires_grad = True
-        tape.record(out, tuple(inputs), backward)
+        Tape.current().record(out, tuple(inputs), backward)
     return out
 
 
@@ -201,9 +218,13 @@ def div(a: Tensor, b) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _check_inner(a: Tensor, b: Tensor):
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    _check_inner(a, b)
     ad, bd = a.data, b.data
     if ad.ndim > 2 and bd.ndim == 2:
         # linear-layer case: collapse the batch so BLAS sees one big gemm
@@ -235,33 +256,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * 0.5 / out.data,))
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Tanh-approximate GELU, elementwise."""
-    x = a.data
-    x2 = x * x
-    inner = x2 * 0.044715
-    inner += 1.0
-    inner *= x
-    inner *= _GELU_C
-    t = np.tanh(inner)
-    res = t + 1.0
-    res *= x
-    res *= 0.5
-    out = Tensor(res)
-
-    def backward(g):
-        dinner = x2 * (3 * 0.044715)
-        dinner += 1.0
-        dinner *= _GELU_C
-        dx = 1.0 - t * t
-        dx *= x * dinner
-        dx += 1.0 + t
-        dx *= 0.5
-        return (g * dx,)
-
-    return _record(out, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # reductions / shape
 
@@ -282,11 +276,6 @@ def mean(a: Tensor) -> Tensor:
     n = a.data.size
     out = Tensor(a.data.mean())
     return _record(out, (a,), lambda g: (np.broadcast_to(g / n, a.data.shape).copy(),))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
@@ -365,17 +354,24 @@ def row_softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
     """Softmax over the last axis of x / temperature, with max subtraction."""
     if temperature <= 0:
         raise DomainError(f"softmax temperature must be > 0, got {temperature}")
-    z = x.data / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax(x.data / temperature)
     out = Tensor(p)
+    return _record(out, (x,), lambda g: (_softmax_grad(p, g) / temperature,))
 
-    def backward(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - dot) / temperature,)
 
-    return _record(out, (x,), backward)
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of z, which it overwrites.  exp allocates
+    its output: an in-place exp may take another numpy kernel, whose
+    rounding can differ."""
+    z -= z.max(axis=-1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of the softmax scores, given the output p and its gradient g."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
 def log_softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
@@ -424,19 +420,191 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _record(out, (x, gain, bias), backward)
 
 
-def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout with a mask drawn from `rng`: an rng switches it on,
-    so it is the identity without one or at p=0."""
+# ---------------------------------------------------------------------------
+# fused layers: one node each, whose forward makes the numpy calls of the
+# unfused composition in its order and whose backward hands back the same
+# gradients in the same order, keeping fewer arrays in between
+
+
+def _gelu(x: np.ndarray, slope: bool):
+    """Tanh-approximate GELU of x, and its slope d gelu / dx if `slope` (else
+    None).  tanh allocates its output, as exp does in `_softmax`."""
+    x2 = x * x
+    inner = x2 * 0.044715
+    inner += 1.0
+    inner *= x
+    inner *= _GELU_C
+    t = np.tanh(inner)
+    res = t + 1.0
+    res *= x
+    res *= 0.5
+    if not slope:
+        return res, None
+    dinner = x2
+    dinner *= 3 * 0.044715
+    dinner += 1.0
+    dinner *= _GELU_C
+    dinner *= x
+    dx = t * t
+    np.subtract(1.0, dx, out=dx)
+    dx *= dinner
+    t += 1.0
+    dx += t
+    dx *= 0.5
+    return res, dx
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the last axis of x, one node."""
+    _check_inner(x, w)
+    xd, wd = x.data, w.data
+    x2 = xd.reshape(-1, xd.shape[-1])
+    y = x2 @ wd
+    y += b.data
+    out = Tensor(y.reshape(xd.shape[:-1] + (wd.shape[1],)))
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return ((g2 @ wd.T).reshape(xd.shape) if x.requires_grad else None,
+                x2.T @ g2 if w.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+
+    return _record(out, (x, w, b), backward)
+
+
+def lora_linear(x: Tensor, w: Tensor, b: Tensor, A: Tensor, B: Tensor, p: float,
+                rng=None) -> Tensor:
+    """x @ w + b + drop(x) @ A @ B: a projection plus its low-rank update, one
+    node.
+
+    drop is inverted dropout at rate p, its mask drawn by
+    `rng.random(x.shape, dtype=...)`; without an rng, or at p = 0, it is the
+    identity.  The node keeps the mask and drop(x) @ A.  x receives two
+    gradients, the update's and then g @ w.T, as the composition adds them.
+    """
     if not (0.0 <= p < 1.0):
         raise DomainError(f"dropout probability must be in [0, 1), got {p}")
-    if rng is None or p == 0.0:
-        return x
-    dt = x.data.dtype
-    keep = (rng.random(x.data.shape, dtype=dt if dt == np.float32 else np.float64) >= p)
-    mask = keep.astype(dt)
-    mask *= np.asarray(1.0 / (1.0 - p), dtype=dt)
-    out = Tensor(x.data * mask)
-    return _record(out, (x,), lambda g: (g * mask,))
+    _check_inner(x, w)
+    xd, wd, Ad, Bd = x.data, w.data, A.data, B.data
+    dt = xd.dtype
+    x2 = xd.reshape(-1, xd.shape[-1])
+    y = x2 @ wd
+    y += b.data
+    mask = None
+    if rng is not None and p > 0.0:
+        keep = rng.random(xd.shape, dtype=dt if dt == np.float32 else np.float64) >= p
+        mask = keep.astype(dt)
+        mask *= np.asarray(1.0 / (1.0 - p), dtype=dt)
+
+    def dropped():
+        return x2 if mask is None else (xd * mask).reshape(x2.shape)
+
+    u2 = dropped() @ Ad
+    y += u2 @ Bd
+    out = Tensor(y.reshape(xd.shape[:-1] + (wd.shape[1],)))
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = gA = None
+        if x.requires_grad or A.requires_grad:
+            gu2 = g2 @ Bd.T
+            if A.requires_grad:
+                gA = dropped().T @ gu2
+            if x.requires_grad:
+                low = (gu2 @ Ad.T).reshape(xd.shape)
+                if mask is not None:
+                    low *= mask
+                gx = (low, (g2 @ wd.T).reshape(xd.shape))
+        return (gx,
+                x2.T @ g2 if w.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+                gA,
+                u2.T @ g2 if B.requires_grad else None)
+
+    return _record(out, (x, w, b, A, B), backward)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 over the last axis of x, one node.
+
+    The node keeps the GELU slope, and the GELU output only if w2 needs a
+    gradient when the node is recorded."""
+    _check_inner(x, w1)
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    x2 = xd.reshape(-1, xd.shape[-1])
+    h = x2 @ w1d
+    h += b1.data
+    recording = _recording((x, w1, b1, w2, b2))
+    act, slope = _gelu(h, slope=recording)
+    y = act @ w2d
+    y += b2.data
+    out = Tensor(y.reshape(xd.shape[:-1] + (w2d.shape[1],)))
+    if not recording:
+        return out
+    kept = act if w2.requires_grad else None
+    hidden = xd.shape[:-1] + (w1d.shape[1],)
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = gw1 = gb1 = None
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            gh = g2 @ w2d.T
+            gh *= slope
+            gx = (gh @ w1d.T).reshape(xd.shape) if x.requires_grad else None
+            gw1 = x2.T @ gh if w1.requires_grad else None
+            gb1 = _unbroadcast(gh.reshape(hidden), b1.data.shape) if b1.requires_grad else None
+        return (gx, gw1, gb1,
+                kept.T @ g2 if w2.requires_grad else None,
+                _unbroadcast(g, b2.data.shape) if b2.requires_grad else None)
+
+    return _record(out, (x, w1, b1, w2, b2), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray],
+              heads: int) -> Tensor:
+    """Multi-head attention over (batch, seq, width) queries, keys and
+    values, one node: split the heads, softmax(q k^T / sqrt(dh) + mask) v,
+    merge the heads.  `mask` is added to the scores (None adds nothing).  The
+    node keeps the softmax weights."""
+    bsz, seq, d = q.data.shape
+    if k.data.shape != q.data.shape or v.data.shape != q.data.shape or d % heads:
+        raise ShapeError(f"attention over q {q.data.shape}, k {k.data.shape}, "
+                         f"v {v.data.shape} in {heads} heads")
+    dh = d // heads
+
+    def split(t):
+        return t.data.reshape(bsz, seq, heads, dh).transpose(0, 2, 1, 3)
+
+    qs, ks, vs = split(q), split(k), split(v)
+    kT = ks.transpose(0, 1, 3, 2)
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
+    s = np.matmul(qs, kT)
+    s *= scale
+    if mask is not None:
+        s += mask.astype(s.dtype)
+    p = _softmax(s)
+    del s
+    out = Tensor(np.matmul(p, vs).transpose(0, 2, 1, 3).reshape(bsz, seq, d))
+
+    def merge(g):
+        return g.transpose(0, 2, 1, 3).reshape(bsz, seq, d)
+
+    def backward(g):
+        gctx = g.reshape(bsz, seq, heads, dh).transpose(0, 2, 1, 3)
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = merge(np.matmul(np.swapaxes(p, -1, -2), gctx))
+        if q.requires_grad or k.requires_grad:
+            gp = np.matmul(gctx, np.swapaxes(vs, -1, -2))
+            gs = _softmax_grad(p, gp)
+            gs *= scale
+            if q.requires_grad:
+                gq = merge(np.matmul(gs, ks))
+            if k.requires_grad:
+                gk = merge(np.matmul(np.swapaxes(qs, -1, -2), gs).transpose(0, 1, 3, 2))
+        return gq, gk, gv
+
+    return _record(out, (q, k, v), backward)
 
 
 def l2_normalize(x: Tensor) -> Tensor:

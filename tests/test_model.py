@@ -11,11 +11,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import unfused
 from conftest import (analytic_grads, fail_writes_part_way, gradcheck, small_model_for,
                       tiny_config)
 from lorabench import model as model_module
+from lorabench.data import SyntheticDatasetSpec, generate_dataset
 from lorabench.errors import FormatError, InputError, ShapeError
-from lorabench.fewshot import cross_entropy_loss
+from lorabench.fewshot import class_prompts, cross_entropy_loss
 from lorabench.lora import PlacementConfig, inject
 from lorabench.model import (BOS_ID, EOS_ID, IMAGE_BLOCK, PAD_ID,
                              DualEncoderModel, ModelConfig, Vocabulary,
@@ -195,8 +197,7 @@ class TestEncodeImage:
         with Tape() as tape:
             encode_images(tiny_model, np.random.default_rng(9).standard_normal((3, 8, 8)))
         ops = [backward.__qualname__.split(".", 1)[0] for _, _, backward in tape._nodes]
-        assert ops[:ops.index("layer_norm")] == ["matmul", "add", "broadcast_to",
-                                                 "concat", "add"]
+        assert ops[:ops.index("layer_norm")] == ["linear", "broadcast_to", "concat", "add"]
 
     def test_patchify_layout(self):
         cfg = tiny_config()
@@ -298,9 +299,11 @@ class TestThreadedBlocks:
         monkeypatch.setattr(model_module, "_block_pool", _fail_on_pool)
         with Tape() as tape:
             encode_images(model, imgs, rng=None if rng is None else np.random.default_rng(rng))
-        # the nodes of the three blocks run in order on this thread; a mask
-        # over the untrained input of an adapter records none
-        assert len(tape) == 118
+        # the nodes of the three image blocks run in order on this thread:
+        # each records 9 in the tower's one transformer block (whose first
+        # layer norm sees no trained tensor) and 7 in the pooling head, and
+        # the concat of the three adds one
+        assert len(tape) == 49
 
     def test_rng_forward_stays_serial(self, monkeypatch):
         model, _, imgs = self._adapted_tower()
@@ -478,7 +481,7 @@ class TestTextWidth:
         with Tape() as tape:
             got = encode_tokens(model, tokens, rng=rng).data
         masked = [out.shape for (out, _, _), op in zip(tape._nodes, self._ops(tape))
-                  if op == "dropout"]
+                  if op == "lora_linear"]
         assert masked and set(masked) == {(len(tokens), n, 24)}
         # one mask per module, each drawn as a full-width forward draws it
         twin = np.random.default_rng(11)
@@ -498,7 +501,7 @@ class TestTextWidth:
         shapes = [out.shape for out, _, _ in tape._nodes]
         assert not [s for s in shapes if self.MAX_LEN in s]
         b = len(tokens)
-        assert {(n, 24), (b, n, 24), (b, 2, n, n), (b, n, 96)} <= set(shapes)
+        assert {(n, 24), (b, n, 24)} <= set(shapes)
         assert self._ops(tape)[:3] == ["take_rows", "narrow", "add"]
 
     def test_frozen_prefix_has_the_filled_width(self, small_dataset):
@@ -523,8 +526,9 @@ class TestTextWidth:
         for forward in (encode_tokens, _full_width_text):
             with Tape() as tape:
                 feats = forward(model, tokens, rng=np.random.default_rng(13))
+                ops = self._ops(tape)
                 tape.backward(tsum(feats))
-            runs.append((feats.data, self._ops(tape), [p.grad for p in params]))
+            runs.append((feats.data, ops, [p.grad for p in params]))
             for p in params:
                 p.zero_grad()
         (got, got_ops, got_grads), (want, want_ops, want_grads) = runs
@@ -571,6 +575,60 @@ class TestFullStackGradients:
 
 
 # ---------------------------------------------------------------------------
+# what a step costs
+
+class TestStepCounts:
+    """One taped default LoRA step (default model size and placement, 32
+    images and 8 prompts) against the unfused compositions on a tape that
+    keeps every node until the step ends, as the tape did before the
+    fusion.  Counts, not timings, so they cannot flake."""
+
+    @staticmethod
+    def _step(model, images, labels, prompts, params, keep_nodes):
+        for p in params:
+            p.requires_grad = True
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        try:
+            with Tape() as tape:
+                rng = np.random.default_rng(3)
+                feats = encode_images(model, images, rng=rng)
+                texts = encode_tokens(model, prompts, rng=rng)
+                loss = cross_entropy_loss(matmul(feats, transpose(texts, (1, 0))), labels,
+                                          model.tau)
+                nodes = len(tape)
+                kept = list(tape._nodes) if keep_nodes else []
+                tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        del kept
+        grads = [p.grad for p in params]
+        for p in params:
+            p.requires_grad, p.grad = False, None
+        return nodes, peak, loss.data, grads
+
+    def test_fewer_nodes_and_a_lower_peak_than_the_unfused_step(self, monkeypatch):
+        ds = generate_dataset(SyntheticDatasetSpec(images_per_class=4, seed=5))
+        model = DualEncoderModel(ModelConfig(vocab_words=ds.vocab_words), seed=0)
+        adapted = inject(model, PlacementConfig(), seed=1)
+        rng = np.random.default_rng(2)
+        for module in adapted.modules.values():
+            module.B.data = (rng.standard_normal(module.B.shape) * 0.1).astype(np.float32)
+        args = (model, ds.images, ds.labels, class_prompts(model, ds.class_names),
+                adapted.trainable_parameters())
+        assert len(args[1]) == 32 and len(args[3]) == 8
+        nodes, peak, loss, grads = self._step(*args, keep_nodes=False)
+        unfused.use_unfused(monkeypatch, model_module)
+        want_nodes, want_peak, want_loss, want_grads = self._step(*args, keep_nodes=True)
+        assert want_nodes == 340 and nodes <= 120
+        assert peak <= 0.6 * want_peak
+        assert loss == want_loss
+        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 
 class TestCheckpoints:
@@ -583,6 +641,23 @@ class TestCheckpoints:
             assert na == nb
             assert np.array_equal(pa.data, pb.data), na
         assert loaded.cfg == model.cfg
+
+    def test_save_of_a_load_is_byte_identical(self, small_dataset, tmp_path):
+        save_checkpoint(small_model_for(small_dataset, seed=7), tmp_path / "a")
+        save_checkpoint(load_checkpoint(tmp_path / "a"), tmp_path / "b")
+        for name in ("weights.bin", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_load_draws_no_random_init(self, small_dataset, tmp_path, monkeypatch):
+        save_checkpoint(small_model_for(small_dataset, seed=7), tmp_path / "ckpt")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert all(p.data.flags.writeable and p.data.flags.owndata
+                   for p in loaded.parameters())
 
     def test_float64_round_trip_keeps_dtype(self, small_dataset, tmp_path):
         model = small_model_for(small_dataset, dtype="float64", seed=7)

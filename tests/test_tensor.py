@@ -1,6 +1,7 @@
 """Autodiff core: forward-value oracles and finite-difference gradient checks."""
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from lorabench.errors import DomainError, ShapeError, StateError
 from lorabench.fewshot import cross_entropy_loss
 from lorabench.lora import PlacementConfig, inject
 from lorabench.model import encode_images, encode_tokens, tokenize_prompt
-from lorabench.tensor import (Tape, Tensor, add, broadcast_to, concat, div, dropout,
-                              gelu, l2_normalize, layer_norm, log_softmax, matmul,
-                              mean, mul, narrow, reshape, row_softmax,
+from lorabench import tensor as fused
+from lorabench.tensor import (Tape, Tensor, add, attention, broadcast_to, concat, div,
+                              l2_normalize, layer_norm, linear, log_softmax, lora_linear,
+                              matmul, mean, mlp, mul, narrow, row_softmax,
                               select_positions, sqrt, take_rows, transpose, tsum)
+import unfused
+from unfused import dropout, gelu, reshape
 
 
 def t64(a, rg=False):
@@ -249,6 +253,12 @@ SKIP_CASES = {
     "mul-scale": (mul, [(2, 3, 4), ()]),
     "div": (div, [(3, 4), (3, 1)]),
     "layer_norm": (layer_norm, [(2, 3, 4), (4,), (4,)]),
+    "linear": (linear, [(2, 3, 4), (4, 5), (5,)]),
+    "lora_linear": (lambda x, w, b, A, B: lora_linear(x, w, b, A, B, 0.5,
+                                                      np.random.default_rng(0)),
+                    [(2, 3, 4), (4, 5), (5,), (4, 2), (2, 5)]),
+    "mlp": (mlp, [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]),
+    "attention": (lambda q, k, v: attention(q, k, v, None, 2), [(2, 3, 4)] * 3),
 }
 
 
@@ -303,10 +313,35 @@ class TestBackward:
         for p in factors:
             p.requires_grad = True
         with Tape() as tape:
-            tape.backward(loss_fn())
-        assert len(tape) > 100
-        assert all(out.grad is None for out, _, _ in tape._nodes)
+            loss = loss_fn()
+            outputs = [out for out, _, _ in tape._nodes]
+            tape.backward(loss)
+        assert len(outputs) > 50 and len(tape) == 0
+        assert all(out.grad is None for out in outputs)
         assert all(p.grad is not None for p in factors)
+
+    def test_an_activation_is_freed_during_the_backward(self):
+        # y is kept only by the nodes after the first; once their rules have
+        # run, y must be gone before the first node's rule runs
+        rng = np.random.default_rng(30)
+        x = t64(rng.standard_normal((4, 3)), rg=True)
+        w, b = t64(rng.standard_normal((3, 5)), rg=True), t64(rng.standard_normal(5))
+        alive = []
+        with Tape() as tape:
+            y = linear(mul(x, 2.0), w, b)
+            activation = weakref.ref(y.data)
+            loss = tsum(mul(y, y))
+            del y
+            first_out, first_inputs, first_rule = tape._nodes[0]
+
+            def probe(g):
+                alive.append(activation() is not None)
+                return first_rule(g)
+
+            tape._nodes[0] = (first_out, first_inputs, probe)
+            tape.backward(loss)
+        assert alive == [False]
+        assert x.grad is not None and w.grad is not None
 
     def test_linear_grad_matches_fd(self):
         rng = np.random.default_rng(12)
@@ -363,6 +398,103 @@ class TestBackward:
         with Tape() as tape:
             tape.backward(tsum(mul(x, 2.0)))
         assert x.grad is None
+
+
+# ---------------------------------------------------------------------------
+# fused layers against their unfused compositions (tests/unfused.py)
+
+def _shared_input_projections(ops, t, rng):
+    """Three adapted projections of one input, as q, k and v are: x takes
+    six gradients, whose order shows in its sum."""
+    x, rest = t[0], t[1:]
+    outs = [ops.lora_linear(x, *rest[i:i + 4], 0.25, rng) for i in (0, 4, 8)]
+    return add(add(outs[0], outs[1]), outs[2])
+
+
+_PAD_MASK = np.where(np.arange(5) >= np.array([[5], [3]]), -1e9, 0.0)[:, None, None, :]
+
+# name -> (input shapes, forward(ops module, input tensors, rng))
+FUSED_CASES = {
+    "linear": ([(2, 5, 8), (8, 6), (6,)], lambda ops, t, rng: ops.linear(*t)),
+    "linear-2d": ([(7, 8), (8, 6), (6,)], lambda ops, t, rng: ops.linear(*t)),
+    "lora_linear": ([(2, 5, 8), (8, 6), (6,), (8, 2), (2, 6)],
+                    lambda ops, t, rng: ops.lora_linear(*t, 0.25, rng)),
+    "lora_linear-shared-input": ([(2, 5, 8)] + [(8, 8), (8,), (8, 2), (2, 8)] * 3,
+                                 _shared_input_projections),
+    "mlp": ([(2, 5, 8), (8, 32), (32,), (32, 8), (8,)], lambda ops, t, rng: ops.mlp(*t)),
+    "mlp-2d": ([(7, 8), (8, 4), (4,), (4, 8), (8,)], lambda ops, t, rng: ops.mlp(*t)),
+    "attention": ([(2, 5, 8)] * 3, lambda ops, t, rng: ops.attention(*t, None, 2)),
+    "attention-masked": ([(2, 5, 8)] * 3,
+                         lambda ops, t, rng: ops.attention(*t, _PAD_MASK, 2)),
+}
+
+
+def _run_case(ops, case, dtype, dropout_on):
+    """Forward and backward of one case; the output, every input's gradient
+    and the state of the dropout stream afterwards."""
+    shapes, forward = FUSED_CASES[case]
+    draw = np.random.default_rng(21)
+    inputs = [Tensor(draw.standard_normal(s).astype(dtype), requires_grad=True)
+              for s in shapes]
+    rng = np.random.default_rng(22) if dropout_on else None
+    with Tape() as tape:
+        out = forward(ops, inputs, rng)
+        weights = Tensor(draw.standard_normal(out.shape).astype(dtype))
+        tape.backward(tsum(mul(out, weights)))
+    return out.data, [t.grad for t in inputs], rng and rng.bit_generator.state
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("case,dtype,dropout_on", [
+        (case, dtype, on) for case in sorted(FUSED_CASES)
+        for dtype in ("float32", "float64")
+        for on in ((False, True) if "lora" in case else (False,))])
+    def test_bitwise_equal_to_the_unfused_composition(self, case, dtype, dropout_on):
+        out, grads, state = _run_case(fused, case, dtype, dropout_on)
+        want_out, want_grads, want_state = _run_case(unfused, case, dtype, dropout_on)
+        assert out.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(out, want_out)
+        for g, w in zip(grads, want_grads):
+            assert g is not None
+            np.testing.assert_array_equal(g, w)
+        assert state == want_state
+
+    @pytest.mark.parametrize("case", sorted(FUSED_CASES))
+    def test_grad(self, case):
+        shapes, forward = FUSED_CASES[case]
+        rng = np.random.default_rng(24)
+        inputs = [t64(rng.standard_normal(s) * 0.5, rg=True) for s in shapes]
+        # a fresh stream per call, so every call draws the same masks
+        out_shape = forward(fused, inputs, None).shape
+        c = t64(rng.standard_normal(out_shape))
+        gradcheck(lambda: tsum(mul(forward(fused, inputs, np.random.default_rng(25)), c)),
+                  inputs)
+
+    def test_lora_linear_masks_like_dropout(self):
+        # the mask is drawn as dropout draws it, so the identity cases hold
+        rng = np.random.default_rng(26)
+        x, w, b, A, B = (t64(rng.standard_normal(s)) for s in [(3, 4), (4, 4), (4,),
+                                                                 (4, 2), (2, 4)])
+        plain = linear(x, w, b).data + x.data @ A.data @ B.data
+        for p, r in ((0.0, np.random.default_rng(0)), (0.9, None)):
+            np.testing.assert_array_equal(lora_linear(x, w, b, A, B, p, r).data, plain)
+        for p in (-0.1, 1.0):
+            with pytest.raises(DomainError):
+                lora_linear(x, w, b, A, B, p, np.random.default_rng(0))
+
+    def test_untaped_mlp_forms_no_slope(self, monkeypatch):
+        # evaluation records nothing, so it skips the slope
+        rng = np.random.default_rng(27)
+        x, w1, b1, w2, b2 = (t64(rng.standard_normal(s))
+                             for s in [(3, 4), (4, 6), (6,), (6, 4), (4,)])
+        calls, real = [], fused._gelu
+        monkeypatch.setattr(fused, "_gelu",
+                            lambda h, slope: calls.append(slope) or real(h, slope))
+        mlp(x, w1, b1, w2, b2)
+        w1.requires_grad = True
+        with Tape():
+            mlp(x, w1, b1, w2, b2)
+        assert calls == [False, True]
 
 
 # ---------------------------------------------------------------------------
