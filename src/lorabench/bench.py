@@ -7,6 +7,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -16,10 +17,10 @@ from .baselines import (LinearAdapter, adapter_finetune, bias_only_finetune,
 from .data import Dataset
 from .errors import DomainError, LorabenchError
 from .fewshot import (FewShotTask, PretrainConfig, TrainConfig, accuracy,
-                      class_prompts, contrastive_pretrain, evaluate,
-                      finetune_lora, sample_support_set, zero_shot_logits)
+                      contrastive_pretrain, evaluate, finetune_lora,
+                      sample_support_set)
 from .lora import PlacementConfig, inject, merge
-from .model import DualEncoderModel, ModelConfig, save_checkpoint
+from .model import PROMPT_TEMPLATE, DualEncoderModel, ModelConfig, save_checkpoint
 from .report import ABLATION_EXTRA, RunReport
 
 METHODS = ("zero-shot", "lora", "soft-prompt", "adapter", "bias-only")
@@ -28,8 +29,14 @@ SHOT_GRID = (1, 2, 4, 8, 16)
 DEFAULT_GROUPS = ("q", "k", "v", "o", "qk", "qkv", "qkvo")
 DEFAULT_RANKS = (1, 2, 4, 8, 16)
 
-# largest |merged - unmerged| query logit a lora row may report
+# largest |merged - unmerged| query logit a lora row may report, over its
+# first MERGE_CHECK_QUERIES queries
 MERGE_TOLERANCE = 1e-5
+MERGE_CHECK_QUERIES = 100
+
+# the adapter row's bottleneck width and residual blend
+ADAPTER_BOTTLENECK = 8
+ADAPTER_ALPHA = 0.5
 
 ModelFactory = Callable[[], DualEncoderModel]
 
@@ -70,18 +77,17 @@ class PlannedRow(NamedTuple):
     merged_checkpoint: Optional[str] = None
 
 
-def run_single(model_factory: ModelFactory, task: FewShotTask, method: str,
-               seed: int, zs_acc: float, zs_seconds: float = 0.0,
-               placement: Optional[PlacementConfig] = None,
-               train_cfg: Optional[TrainConfig] = None,
-               merged_checkpoint: Optional[str] = None) -> RunReport:
-    """One (method, shots, seed) row on a model from `model_factory`.
+def run_single(model_factory: ModelFactory, task: FewShotTask, row: PlannedRow,
+               zs_acc: float, zs_seconds: float = 0.0,
+               train_cfg: Optional[TrainConfig] = None) -> RunReport:
+    """The report of planned `row` on a model from `model_factory`.
 
     `zs_acc` is the base model's zero-shot accuracy on `task`, from the
     command's one zero-shot pass; `zs_seconds` is this row's share of that
     pass, and is the `seconds` of a zero-shot row.  A trained row's `seconds`
     covers its training and its final evaluation.
     """
+    method, seed = row.method, row.seed
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
     model = model_factory()
@@ -94,23 +100,24 @@ def run_single(model_factory: ModelFactory, task: FewShotTask, method: str,
     if method == "zero-shot":
         acc, trainable, iters = zs_acc, 0, 0
     elif method == "lora":
-        pl = placement or PlacementConfig()
+        pl = row.placement or PlacementConfig()
         config_digest = pl.digest()
         adapted = inject(model, pl, seed=seed)
         finetune_lora(adapted, task, cfg)
         acc, logits = evaluate(adapted.base, task)
         trainable = adapted.trainable_count()
         _assert_merge_equivalence(adapted, task, logits)
-        if merged_checkpoint is not None:
-            save_checkpoint(adapted.base, merged_checkpoint)
+        if row.merged_checkpoint is not None:
+            save_checkpoint(adapted.base, row.merged_checkpoint)
     else:
         if method == "soft-prompt":
-            res, config_digest = soft_prompt_finetune(model, task, cfg), "ctx4"
+            res = soft_prompt_finetune(model, task, cfg)
+            config_digest = f"ctx{len(PROMPT_TEMPLATE)}"
         elif method == "adapter":
-            adapter = LinearAdapter(model.cfg.embed_dim, bottleneck=8, seed=seed,
-                                    dtype=model.cfg.np_dtype)
-            res = adapter_finetune(model, task, adapter, alpha=0.5, train_cfg=cfg)
-            config_digest = "mlp8-a0.5"
+            adapter = LinearAdapter(model.cfg.embed_dim, bottleneck=ADAPTER_BOTTLENECK,
+                                    seed=seed, dtype=model.cfg.np_dtype)
+            res = adapter_finetune(model, task, adapter, alpha=ADAPTER_ALPHA, train_cfg=cfg)
+            config_digest = f"mlp{ADAPTER_BOTTLENECK}-a{ADAPTER_ALPHA}"
         else:  # bias-only
             res, config_digest = bias_only_finetune(model, task, cfg), "bias"
         acc, trainable = res.accuracy, res.trainable_count
@@ -118,18 +125,18 @@ def run_single(model_factory: ModelFactory, task: FewShotTask, method: str,
     seconds = zs_seconds if method == "zero-shot" else time.perf_counter() - t0
     return RunReport(method=method, config=config_digest, shots=task.shots, seed=seed,
                      zs_acc=zs_acc, acc=acc, trainable=trainable, total=total,
-                     iters=iters, seconds=seconds)
+                     iters=iters, seconds=seconds,
+                     extra=dict(zip(ABLATION_EXTRA, row.cell)))
 
 
 def _assert_merge_equivalence(adapted, task: FewShotTask,
                               logits: np.ndarray) -> None:
     """Merged logits must agree with `logits`, the adapted model's query
     logits before the merge, before a lora row is reported."""
-    model = adapted.base
-    n = min(100, task.query_images.shape[0])
+    n = MERGE_CHECK_QUERIES
     merge(adapted)
-    merged = zero_shot_logits(model, task.query_images[:n],
-                              class_prompts(model, task.class_names)).data
+    _, merged = evaluate(adapted.base, replace(task, query_images=task.query_images[:n],
+                                               query_labels=task.query_labels[:n]))
     diff = float(np.abs(logits[:n] - merged).max())
     if diff >= MERGE_TOLERANCE:
         raise LorabenchError(f"merge equivalence violated: max logit diff {diff:.3e}")
@@ -151,17 +158,12 @@ def run_plan(model_factory: ModelFactory, base: DualEncoderModel, ds: Dataset,
     zs_seconds = (time.perf_counter() - t0) / len(plan)
     del base  # each row loads its own model; keep one model per running row
 
-    def run_row(row: PlannedRow, task: FewShotTask, zs_acc: float) -> RunReport:
-        report = run_single(model_factory, task, row.method, row.seed, zs_acc,
-                            zs_seconds=zs_seconds, placement=row.placement,
-                            train_cfg=train_cfg, merged_checkpoint=row.merged_checkpoint)
-        report.extra = dict(zip(ABLATION_EXTRA, row.cell))
-        return report
-
+    args = (repeat(model_factory), tasks, plan, zs_accs, repeat(zs_seconds),
+            repeat(train_cfg))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_row, plan, tasks, zs_accs))
-    return list(map(run_row, plan, tasks, zs_accs))
+            return list(pool.map(run_single, *args))
+    return list(map(run_single, *args))
 
 
 def run_ablation(model_factory: ModelFactory, ds: Dataset,

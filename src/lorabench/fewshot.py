@@ -75,17 +75,6 @@ def sample_support_set(images: np.ndarray, labels: np.ndarray,
 # prediction
 
 
-def zero_shot_logits(model: DualEncoderModel, images: np.ndarray,
-                     prompts: np.ndarray) -> Tensor:
-    """Cosine-similarity logits (n_images x K) between unit embeddings of
-    the images and of the (K, max_len) prompt tokens."""
-    if len(prompts) < 2:
-        raise DomainError(f"need at least 2 classes, got {len(prompts)}")
-    feats = encode_images(model, images)
-    texts = encode_tokens(model, prompts)
-    return matmul(feats, transpose(texts, (1, 0)))
-
-
 def predict(scores: Tensor) -> np.ndarray:
     """Per-row argmax; ties resolve to the lowest class index."""
     data = np.asarray(scores.data if isinstance(scores, Tensor) else scores)

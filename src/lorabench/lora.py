@@ -129,8 +129,6 @@ def inject(model: DualEncoderModel, cfg: PlacementConfig, seed: int = 0) -> Adap
     if model.has_lora():
         raise StateError("model already carries adapter modules; inject once only")
     d = model.cfg.width
-    if cfg.rank > d:
-        raise DomainError(f"rank {cfg.rank} exceeds matrix dimension {d}")
     ss = np.random.SeedSequence([seed, 0x10A7])
     modules: dict[tuple[str, int, str], LoRAModule] = {}
     targets = cfg.targets(model.cfg.depth)
@@ -152,7 +150,7 @@ def merge(adapted: AdaptedModel) -> DualEncoderModel:
         w = _encoder_of(adapted.base, enc).blocks[layer].weight(mat)
         # the merged weight is a new array, so the old one stays unchanged
         snapshots[target] = w.data
-        w.data = w.data + module.delta().astype(w.data.dtype)
+        w.data = w.data + module.delta()
         _encoder_of(adapted.base, enc).blocks[layer].lora.pop(mat)
     adapted._snapshots = snapshots
     return adapted.base

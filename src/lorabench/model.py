@@ -275,6 +275,18 @@ class _Encoder:
                 if blk.lora or any(id(p) in trained for _, p in blk.named_parameters()))
         return next(live, len(self.blocks))
 
+    def forward(self, x: Tensor, mask: Optional[np.ndarray], rng, start: int,
+                stop: Optional[int], pool_at: np.ndarray) -> Tensor:
+        """Run hidden state `x` through blocks start..stop-1; without `stop`,
+        the head then gives the (batch, embed_dim) unit features, row i
+        pooled at position pool_at[i]."""
+        for blk in self.blocks[start:stop]:
+            x = block_forward(blk, x, mask, rng=rng)
+        if stop is not None:
+            return x
+        x = layer_norm(x, self.ln_f_g, self.ln_f_b)
+        return l2_normalize(matmul(select_positions(x, pool_at), self.proj))
+
 
 class VisionEncoder(_Encoder):
     def __init__(self, cfg: ModelConfig, rng: Optional[np.random.Generator]):
@@ -392,13 +404,7 @@ def encode_images(model: DualEncoderModel, images: np.ndarray, rng=None,
             x = linear(x, enc.patch_w, enc.patch_b)
             cls_rows = broadcast_to(enc.cls_token, (b, 1, cfg.width))
             x = add(concat([cls_rows, x], axis=1), enc.pos_embed)
-        for blk in enc.blocks[start:stop]:
-            x = block_forward(blk, x, mask=None, rng=rng)
-        if stop is None:
-            x = layer_norm(x, enc.ln_f_g, enc.ln_f_b)
-            pooled = select_positions(x, np.zeros(b, dtype=np.int64))
-            x = l2_normalize(matmul(pooled, enc.proj))
-        return x
+        return enc.forward(x, None, rng, start, stop, np.zeros(b, dtype=np.int64))
 
     # a pool thread records on no tape, and only this thread may draw from rng
     pool = (_block_pool() if len(bounds) > 2 and rng is None and Tape.current() is None
@@ -447,15 +453,8 @@ def encode_tokens(model: DualEncoderModel, tokens: np.ndarray, rng=None,
     tokens = tokens[:, :n]
     x = (add(take_rows(enc.token_embed, tokens), narrow(enc.pos_embed, n)) if x is None
          else narrow(x, n, axis=1))
-    pad = (tokens == PAD_ID)
-    mask = np.where(pad[:, None, None, :], _MASK_NEG, 0.0)
-    for blk in enc.blocks[start:stop]:
-        x = block_forward(blk, x, mask, rng=rng)
-    if stop is not None:
-        return x
-    x = layer_norm(x, enc.ln_f_g, enc.ln_f_b)
-    pooled = select_positions(x, is_eos.argmax(axis=1))
-    return l2_normalize(matmul(pooled, enc.proj))
+    mask = np.where((tokens == PAD_ID)[:, None, None, :], _MASK_NEG, 0.0)
+    return enc.forward(x, mask, rng, start, stop, is_eos.argmax(axis=1))
 
 
 # ---------------------------------------------------------------------------

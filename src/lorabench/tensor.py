@@ -492,7 +492,7 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor, A: Tensor, B: Tensor, p: float,
     y += b.data
     mask = None
     if rng is not None and p > 0.0:
-        keep = rng.random(xd.shape, dtype=dt if dt == np.float32 else np.float64) >= p
+        keep = rng.random(xd.shape, dtype=dt) >= p
         mask = keep.astype(dt)
         mask *= np.asarray(1.0 / (1.0 - p), dtype=dt)
 

@@ -7,8 +7,9 @@ import pytest
 
 from lorabench.cli import use_process_policy
 from lorabench.data import SyntheticDatasetSpec, generate_dataset
-from lorabench.model import DualEncoderModel, ModelConfig
-from lorabench.tensor import Tape
+from lorabench.model import (DualEncoderModel, ModelConfig, encode_images,
+                             encode_tokens)
+from lorabench.tensor import Tape, Tensor, matmul, transpose
 
 # the suite runs under the process policy of every lorabench command: it
 # changes no number, only how often the training steps fault in fresh pages
@@ -48,6 +49,16 @@ def small_model_for(ds, dtype="float32", depth=2, width=16, heads=2,
                       max_text_len=12, vocab_words=ds.vocab_words,
                       dtype=dtype, **kw)
     return DualEncoderModel(cfg, seed=seed)
+
+
+def zero_shot_logits(model: DualEncoderModel, images: np.ndarray,
+                     prompts: np.ndarray) -> Tensor:
+    """Oracle for the scorer: cosine-similarity logits (n_images x K) between
+    unit embeddings of the images and of the (K, max_len) prompt tokens,
+    encoded straight through both towers."""
+    feats = encode_images(model, images)
+    texts = encode_tokens(model, prompts)
+    return matmul(feats, transpose(texts, (1, 0)))
 
 
 def fail_writes_part_way(monkeypatch, name):

@@ -10,14 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import small_model_for
+from conftest import small_model_for, zero_shot_logits
 from lorabench.baselines import (LinearAdapter, _soft_prompt_features,
                                  adapter_logits, bias_only_finetune)
 from lorabench.bench import pretrain_model, run_ablation
 from lorabench.data import SyntheticDatasetSpec, generate_dataset
 from lorabench.fewshot import (PretrainConfig, TrainConfig, cross_entropy_loss,
-                               evaluate, finetune_lora, sample_support_set,
-                               zero_shot_logits)
+                               evaluate, finetune_lora, sample_support_set)
 from lorabench.lora import PlacementConfig, inject, merge, trainable_param_count
 from lorabench.model import (DualEncoderModel, ModelConfig, PROMPT_TEMPLATE,
                              encode_images, encode_tokens, load_checkpoint,

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 import lorabench.baselines as baselines
-from conftest import small_model_for
+from conftest import small_model_for, zero_shot_logits
 from lorabench.baselines import (LinearAdapter, _soft_prompt_features,
                                  adapter_finetune, adapter_logits,
                                  bias_only_finetune, bias_parameters,
                                  soft_prompt_finetune)
 from lorabench.errors import DomainError
 from lorabench.fewshot import (TrainConfig, class_prompts, evaluate,
-                               sample_support_set, train_on_support,
-                               zero_shot_logits)
+                               sample_support_set, train_on_support)
 from lorabench.model import (PROMPT_TEMPLATE, encode_images, encode_tokens,
                              tokenize_prompt)
 from lorabench.tensor import Tape, Tensor, matmul, transpose

@@ -1,11 +1,16 @@
-"""Run orchestration: the one base zero-shot pass a command shares."""
+"""Run orchestration: the one base zero-shot pass a command shares, and the
+merge check a lora row passes before it is reported."""
 
 import numpy as np
+import pytest
 
 from conftest import small_model_for
-from lorabench.bench import PlannedRow, base_zero_shot_accuracies, run_plan
+from lorabench import bench
+from lorabench.bench import (PlannedRow, base_zero_shot_accuracies, run_plan,
+                             run_single)
 from lorabench.data import SyntheticDatasetSpec, generate_dataset
-from lorabench.fewshot import evaluate, sample_support_set
+from lorabench.errors import LorabenchError
+from lorabench.fewshot import TrainConfig, evaluate, sample_support_set
 
 
 def _dataset():
@@ -45,3 +50,24 @@ def test_query_indices_locate_the_query_images():
     task = sample_support_set(ds.images, ds.labels, ds.class_names, 4, seed=5)
     assert np.array_equal(ds.images[task.query_indices], task.query_images)
     assert np.array_equal(ds.labels[task.query_indices], task.query_labels)
+
+
+def test_merge_check_refuses_a_merged_model_that_disagrees(monkeypatch, small_dataset):
+    ds = small_dataset
+    task = sample_support_set(ds.images, ds.labels, ds.class_names, 1, seed=0)
+
+    def lora_row():
+        return run_single(lambda: small_model_for(ds), task, PlannedRow("lora", 0),
+                          0.0, train_cfg=TrainConfig(iters_per_shot=2))
+
+    assert lora_row().method == "lora"
+    real_merge = bench.merge
+
+    def merge_then_flip_projection(adapted):
+        model = real_merge(adapted)
+        model.visual.proj.data = -model.visual.proj.data
+        return model
+
+    monkeypatch.setattr(bench, "merge", merge_then_flip_projection)
+    with pytest.raises(LorabenchError, match="merge equivalence violated"):
+        lora_row()

@@ -24,7 +24,7 @@ from lorabench.data import SyntheticDatasetSpec, generate_dataset, save_dataset
 from lorabench.errors import DomainError
 from lorabench.lora import ENCODER_CHOICES, LAYER_SPANS, MATRICES
 from lorabench.model import load_checkpoint
-from lorabench.report import RunReport, read_report_csv
+from lorabench.report import ABLATION_EXTRA, RunReport, read_report_csv
 
 
 @pytest.fixture(scope="module")
@@ -306,10 +306,10 @@ class TestCheckpointLoads:
         assert len(loaded) == loads
 
 
-def _stub_row(model_factory, task, method, seed, zs_acc, placement, **kwargs):
-    return RunReport(method=method, config=placement.digest(), shots=task.shots,
-                     seed=seed, zs_acc=zs_acc, acc=zs_acc, trainable=0, total=0,
-                     iters=0)
+def _stub_row(model_factory, task, row, zs_acc, *args):
+    return RunReport(method=row.method, config=row.placement.digest(), shots=task.shots,
+                     seed=row.seed, zs_acc=zs_acc, acc=zs_acc, trainable=0, total=0,
+                     iters=0, extra=dict(zip(ABLATION_EXTRA, row.cell)))
 
 
 def _valid_grid(cells) -> bool:

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import small_model_for
+from conftest import small_model_for, zero_shot_logits
 from lorabench import model as model_module
 from lorabench.baselines import (bias_only_finetune, bias_parameters,
                                  soft_prompt_finetune)
@@ -17,8 +17,7 @@ from lorabench.errors import DomainError, LorabenchError, ShapeError
 from lorabench.fewshot import (FINETUNE_WEIGHT_DECAY, MIN_TAU, FewShotTask,
                                PretrainConfig, TrainConfig, _BatchSampler, class_prompts, contrastive_pretrain,
                                cross_entropy_loss, evaluate, finetune_lora,
-                               predict, run_training_loop, sample_support_set,
-                               zero_shot_logits)
+                               predict, run_training_loop, sample_support_set)
 from lorabench.lora import ENCODER_CHOICES, LAYER_SPANS, PlacementConfig, inject
 from lorabench.model import (block_forward, encode_images, encode_tokens,
                              tokenize_prompt)
@@ -52,12 +51,6 @@ class TestPrediction:
         assert prompts.shape == (len(names), model.cfg.max_text_len)
         assert np.array_equal(prompts[1], tokenize_prompt(names[1], model.vocab,
                                                           model.cfg.max_text_len))
-
-    def test_needs_two_classes(self, small_dataset):
-        model = small_model_for(small_dataset)
-        prompts = [tokenize_prompt("dax", model.vocab, 12)]
-        with pytest.raises(DomainError):
-            zero_shot_logits(model, small_dataset.images[:2], prompts)
 
     def test_posterior_uniform(self):
         p = row_softmax(Tensor(np.zeros((3, 4))), temperature=1.0).data

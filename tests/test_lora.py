@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import small_model_for
+from conftest import small_model_for, zero_shot_logits
 from lorabench.errors import DomainError, StateError
-from lorabench.fewshot import (TrainConfig, finetune_lora, sample_support_set,
-                               zero_shot_logits)
+from lorabench.fewshot import TrainConfig, finetune_lora, sample_support_set
 from lorabench.lora import (PlacementConfig, _encoder_of, init_lora, inject,
                             merge, trainable_param_count, unmerge)
 from lorabench.model import _lora_linear, tokenize_prompt
@@ -202,6 +201,7 @@ class TestInject:
         model = small_model_for(small_dataset)  # width 16
         with pytest.raises(DomainError):
             inject(model, PlacementConfig(rank=32), seed=0)
+        assert not model.has_lora()
 
 
 class TestMerge:
