@@ -4,8 +4,6 @@ template vocabulary.  Generation is fully determined by (spec, seed)."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from dataclasses import dataclass, field, asdict
@@ -18,6 +16,8 @@ from .errors import DomainError, FormatError
 DEFAULT_CLASS_NAMES = ("dax", "wug", "blick", "zorp", "fep", "toma", "gazzer",
                        "lorp", "mipen", "kiki", "bouba", "tive", "sprock",
                        "quim", "norg", "velch")
+
+DATASET_VERSION = 2
 
 CAPTION_TEMPLATES = ("a photo of a {}",
                      "a picture of a {}",
@@ -39,7 +39,16 @@ class SyntheticDatasetSpec:
     class_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.class_names:
+        sizes = (self.n_classes, self.images_per_class, self.image_size, self.prototype_grid)
+        if not all(type(v) is int and v >= 0 for v in sizes) or \
+                min(self.image_size, self.prototype_grid) < 1:
+            raise DomainError(f"dataset sizes must be integers >= 0, image_size and "
+                              f"prototype_grid >= 1, got {sizes}")
+        names = self.class_names
+        if (not isinstance(names, (list, tuple)) or not all(isinstance(c, str) for c in names)
+                or len(set(names)) != len(names)):
+            raise DomainError(f"class_names must be distinct strings, got {names!r}")
+        if not names:
             if self.n_classes > len(DEFAULT_CLASS_NAMES):
                 raise DomainError(f"at most {len(DEFAULT_CLASS_NAMES)} default class "
                                   f"names; pass class_names explicitly")
@@ -53,16 +62,21 @@ class SyntheticDatasetSpec:
 
 @dataclass
 class Dataset:
+    """Images rendered from `spec`, one caption each.  The rest follows from
+    those: generate_dataset renders images_per_class images of each class in
+    class order, and the vocabulary holds every caption and class word."""
     spec: SyntheticDatasetSpec
     images: np.ndarray          # (n, size, size) float32
-    labels: np.ndarray          # (n,) int64
     captions: list[str]
-    class_names: list[str]
-    vocab_words: list[str] = field(default_factory=list)
+    labels: np.ndarray = field(init=False)            # (n,) int64
+    class_names: list[str] = field(init=False)
+    vocab_words: list[str] = field(init=False)
 
     def __post_init__(self):
-        if not self.vocab_words:
-            self.vocab_words = build_vocab_words(self.captions, self.class_names)
+        self.labels = np.repeat(np.arange(self.spec.n_classes, dtype=np.int64),
+                                self.spec.images_per_class)
+        self.class_names = list(self.spec.class_names)
+        self.vocab_words = build_vocab_words(self.captions, self.class_names)
 
 
 def build_vocab_words(captions, class_names) -> list[str]:
@@ -101,7 +115,7 @@ def generate_dataset(spec: SyntheticDatasetSpec,
         prototypes = np.asarray(prototypes, dtype=np.float64)
         check_prototypes(prototypes, spec.min_class_distance)
     up = spec.image_size // spec.prototype_grid
-    images, labels, captions = [], [], []
+    images, captions = [], []
     for k, name in enumerate(spec.class_names):
         base = np.kron(prototypes[k], np.ones((up, up)))
         for _ in range(spec.images_per_class):
@@ -110,16 +124,15 @@ def generate_dataset(spec: SyntheticDatasetSpec,
             if spec.pixel_shift:
                 img = np.roll(img, (spec.pixel_shift, spec.pixel_shift), axis=(0, 1))
             images.append(img.astype(np.float32))
-            labels.append(k)
             tpl = CAPTION_TEMPLATES[int(rng.integers(len(CAPTION_TEMPLATES)))]
             captions.append(tpl.format(name))
-    return Dataset(spec=spec, images=np.stack(images),
-                   labels=np.asarray(labels, dtype=np.int64),
-                   captions=captions, class_names=list(spec.class_names))
+    return Dataset(spec=spec, images=np.stack(images), captions=captions)
 
 
 # ---------------------------------------------------------------------------
-# on-disk layout: manifest.json, images.bin, labels.csv, captions.txt
+# on-disk layout: images.bin holds every image, little-endian float32, in
+# label order; manifest.json holds version, kind, spec and one caption per
+# image.  The spec fixes the image count, size, labels and class names.
 
 
 def replace_files(directory: Path, files: list[tuple[str, bytes]]) -> None:
@@ -152,53 +165,23 @@ def read_text(path: Path) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
+def read_sized(path: Path, need: int, what: str) -> bytes:
+    """The bytes of file `path`, which must hold exactly `need` of them, as
+    `what` needs.  The size is checked before a byte is read."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size != need:
+            raise FormatError(f"{path.name} has {size} bytes, {what} needs {need}")
+        return f.read()
+
+
 def save_dataset(ds: Dataset, directory) -> None:
-    manifest = {
-        "kind": "synthetic_dataset",
-        "spec": asdict(ds.spec),
-        "n_images": int(ds.images.shape[0]),
-        "image_size": int(ds.images.shape[1]),
-        "class_names": ds.class_names,
-        "vocab_words": ds.vocab_words,
-    }
-    labels = io.StringIO()
-    w = csv.writer(labels)
-    w.writerow(["index", "label", "class_name"])
-    for i, lab in enumerate(ds.labels):
-        w.writerow([i, int(lab), ds.class_names[int(lab)]])
+    """images.bin, then manifest.json over it (see replace_files)."""
+    manifest = {"version": DATASET_VERSION, "kind": "synthetic_dataset",
+                "spec": asdict(ds.spec), "captions": ds.captions}
     replace_files(Path(directory), [
         ("images.bin", np.ascontiguousarray(ds.images, dtype="<f4").tobytes()),
-        ("labels.csv", labels.getvalue().encode()),
-        ("captions.txt", ("\n".join(ds.captions) + "\n").encode()),
         ("manifest.json", json.dumps(manifest, indent=1, sort_keys=True).encode())])
-
-
-def _read_labels(path: Path, n: int, n_classes: int) -> np.ndarray:
-    """One label in [0, n_classes) for each image index in [0, n), each
-    index given exactly once."""
-    labels = np.full(n, -1, dtype=np.int64)
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    header = next(reader, None)
-    if header is None or header[:2] != ["index", "label"]:
-        raise FormatError(f"bad labels.csv header: {header}")
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            index, label = int(row[0]), int(row[1])
-        except (IndexError, ValueError):
-            raise FormatError(f"labels.csv:{lineno}: malformed row {row}") from None
-        if not 0 <= index < n:
-            raise FormatError(f"labels.csv:{lineno}: index {index} outside [0, {n})")
-        if labels[index] != -1:
-            raise FormatError(f"labels.csv:{lineno}: duplicate index {index}")
-        if not 0 <= label < n_classes:
-            raise FormatError(f"labels.csv:{lineno}: label {label} outside "
-                              f"[0, {n_classes})")
-        labels[index] = label
-    missing = np.flatnonzero(labels == -1)
-    if missing.size:
-        raise FormatError(f"labels.csv: no label for {missing.size} of {n} images "
-                          f"(first missing index {missing[0]})")
-    return labels
 
 
 def load_dataset(directory) -> Dataset:
@@ -209,30 +192,19 @@ def load_dataset(directory) -> Dataset:
         raise FormatError(f"cannot read dataset manifest: {e}") from None
     if not isinstance(manifest, dict) or manifest.get("kind") != "synthetic_dataset":
         raise FormatError(f"not a dataset directory: {directory}")
+    if manifest.get("version") != DATASET_VERSION:
+        raise FormatError(f"unsupported dataset version {manifest.get('version')!r}; "
+                          f"this build reads version {DATASET_VERSION}")
     try:
-        spec = SyntheticDatasetSpec(**dict(
-            manifest["spec"], class_names=tuple(manifest["spec"]["class_names"])))
-        n, size = manifest["n_images"], manifest["image_size"]
-        class_names = manifest["class_names"]
-        vocab_words = manifest["vocab_words"]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        spec = SyntheticDatasetSpec(**manifest["spec"])
+        captions = manifest["captions"]
+    except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"malformed dataset manifest ({type(e).__name__}: {e})") from None
-    if not all(type(v) is int and v >= 0 for v in (n, size)):
-        raise FormatError(f"n_images and image_size must be integers >= 0, "
-                          f"got {n!r} and {size!r}")
-    if (not isinstance(class_names, list) or not all(isinstance(c, str) for c in class_names)
-            or len(set(class_names)) != len(class_names)):
-        raise FormatError(f"class_names must be a list of distinct strings, got {class_names!r}")
-    if not isinstance(vocab_words, list) or not all(isinstance(w, str) for w in vocab_words):
-        raise FormatError(f"vocab_words must be a list of strings, got {vocab_words!r}")
-    raw = (directory / "images.bin").read_bytes()
-    expect = n * size * size * 4
-    if len(raw) != expect:
-        raise FormatError(f"images.bin has {len(raw)} bytes, expected {expect}")
-    images = np.frombuffer(raw, dtype="<f4").reshape(n, size, size).astype(np.float32)
-    labels = _read_labels(directory / "labels.csv", n, len(class_names))
-    captions = read_text(directory / "captions.txt").splitlines()
+    if not isinstance(captions, list) or not all(isinstance(c, str) for c in captions):
+        raise FormatError("dataset captions must be a list of strings")
+    n, size = spec.n_classes * spec.images_per_class, spec.image_size
     if len(captions) != n:
         raise FormatError(f"{len(captions)} captions for {n} images")
-    return Dataset(spec=spec, images=images, labels=labels, captions=captions,
-                   class_names=class_names, vocab_words=vocab_words)
+    raw = read_sized(directory / "images.bin", n * size * size * 4, "the spec")
+    images = np.frombuffer(raw, dtype="<f4").reshape(n, size, size).astype(np.float32)
+    return Dataset(spec=spec, images=images, captions=captions)

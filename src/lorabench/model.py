@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .data import read_text, replace_files
+from .data import read_sized, read_text, replace_files
 from .errors import DomainError, FormatError, InputError, ShapeError
 from .tensor import (Tape, Tensor, add, attention, broadcast_to, concat, l2_normalize,
                      layer_norm, linear, lora_linear, matmul, mlp, narrow, select_positions,
@@ -499,12 +499,7 @@ def load_checkpoint(path) -> DualEncoderModel:
     # the blob must hold what the config asks for before any of it is made
     dt = np.dtype(cfg.np_dtype).newbyteorder("<")
     need = cfg.param_count() * dt.itemsize
-    with open(directory / "weights.bin", "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if size != need:
-            raise FormatError(f"weights.bin has {size} bytes, the {cfg.dtype} config "
-                              f"needs {need}")
-        blob = f.read()
+    blob = read_sized(directory / "weights.bin", need, f"the {cfg.dtype} config")
     model = DualEncoderModel(cfg, seed=None)
     params = list(model.named_parameters())
     names = [name for name, _ in params]

@@ -11,6 +11,7 @@ import subprocess
 import tempfile
 import threading
 import types
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from lorabench import bench, cli
 from lorabench.cli import build_parser, main
-from lorabench.data import SyntheticDatasetSpec, generate_dataset, save_dataset
+from lorabench.data import (SyntheticDatasetSpec, generate_dataset, load_dataset,
+                            save_dataset)
 from lorabench.errors import DomainError
 from lorabench.lora import ENCODER_CHOICES, LAYER_SPANS, MATRICES
 from lorabench.model import load_checkpoint
@@ -43,15 +45,14 @@ def workdir(tmp_path_factory):
 class TestGen:
     def test_writes_expected_layout(self, workdir):
         ds = workdir / "ds"
-        for name in ("manifest.json", "images.bin", "labels.csv", "captions.txt"):
-            assert (ds / name).exists()
+        assert sorted(p.name for p in ds.iterdir()) == ["images.bin", "manifest.json"]
         manifest = json.loads((ds / "manifest.json").read_text())
-        assert manifest["n_images"] == 64
+        assert len(manifest["captions"]) == 64
 
     def test_deterministic_directory(self, workdir, tmp_path):
         main(["gen", "--out", str(tmp_path / "again"), "--classes", "4",
               "--images-per-class", "16", "--seed", "0"])
-        for name in ("manifest.json", "images.bin", "labels.csv", "captions.txt"):
+        for name in ("manifest.json", "images.bin"):
             assert (tmp_path / "again" / name).read_bytes() == \
                 (workdir / "ds" / name).read_bytes(), name
 
@@ -496,26 +497,33 @@ def _config(**fields):
     return lambda m: {**m, "config": {**m["config"], **fields}}
 
 
+def _spec(**fields):
+    """An edit of a dataset manifest that sets fields of its spec."""
+    return lambda m: {**m, "spec": {**m["spec"], **fields}}
+
+
 # name -> (artifact, edit of its manifest) that zeroshot must reject with exit 2
 HOSTILE_MANIFESTS = {
     "dataset-not-object": ("ds", lambda m: [1, 2]),
     "checkpoint-not-object": ("ckpt", lambda m: [1, 2]),
-    "dataset-float-n-images": ("ds", lambda m: {**m, "n_images": float(m["n_images"])}),
+    "dataset-float-n-images": ("ds", _spec(images_per_class=16.0)),
     "checkpoint-unknown-dtype": ("ckpt", _config(dtype="banana")),
-    "dataset-int-class-names": ("ds", lambda m: {**m, "class_names": [1, 2, 3, 4]}),
-    "dataset-repeated-class-names": ("ds", lambda m: {**m, "class_names": ["a"] * 4}),
-    "dataset-string-class-names": ("ds", lambda m: {**m, "class_names": "aaaa"}),
-    "dataset-string-vocab": ("ds", lambda m: {**m, "vocab_words": "abc"}),
-    "dataset-object-vocab": ("ds", lambda m: {**m, "vocab_words": {"a": 1}}),
-    "dataset-int-vocab": ("ds", lambda m: {**m, "vocab_words": [1, 2]}),
+    "dataset-int-class-names": ("ds", _spec(class_names=[1, 2, 3, 4])),
+    "dataset-repeated-class-names": ("ds", _spec(class_names=["a"] * 4)),
+    "dataset-string-class-names": ("ds", _spec(class_names="abcd")),
+    "dataset-no-captions": ("ds", lambda m: {k: v for k, v in m.items() if k != "captions"}),
+    "dataset-string-captions": ("ds", lambda m: {**m, "captions": "a photo of a dax"}),
+    "dataset-short-captions": ("ds", lambda m: {**m, "captions": m["captions"][1:]}),
+    "dataset-int-caption": ("ds", lambda m: {**m, "captions": [1] + m["captions"][1:]}),
+    "dataset-version-1": ("ds", lambda m: {**m, "version": 1}),
+    "dataset-no-version": ("ds", lambda m: {k: v for k, v in m.items() if k != "version"}),
     "checkpoint-zero-heads": ("ckpt", _config(heads=0)),
     "checkpoint-float-depth": ("ckpt", _config(depth=1.5)),
     "checkpoint-list-vocab-word": ("ckpt", _config(vocab_words=[["a"]])),
     "checkpoint-null-vocab": ("ckpt", _config(vocab_words=None)),
     "checkpoint-newline-config-key": ("ckpt", lambda m: {**m, "config": {"\n": 1}}),
     "checkpoint-version-1": ("ckpt", lambda m: {**m, "version": 1}),
-    "dataset-zero-prototype-grid": ("ds", lambda m: {
-        **m, "spec": {**m["spec"], "prototype_grid": 0}}),
+    "dataset-zero-prototype-grid": ("ds", _spec(prototype_grid=0)),
 }
 
 
@@ -550,8 +558,7 @@ class TestExitCodes:
         assert code == 2 and err.count("\n") == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize("artifact,name", [
-        ("ckpt", "manifest.json"), ("ds", "manifest.json"), ("ds", "labels.csv"),
-        ("ds", "captions.txt"), ("rows", "zs.csv")])
+        ("ckpt", "manifest.json"), ("ds", "manifest.json"), ("rows", "zs.csv")])
     def test_undecodable_text_file_is_runtime_error(self, artifact, name, workdir,
                                                      tmp_path, capsys):
         paths = {"ckpt": workdir / "ckpt", "ds": workdir / "ds", artifact: tmp_path / artifact}
@@ -570,6 +577,23 @@ class TestExitCodes:
         assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
         assert name in err and "UTF-8" in err
 
+    def test_old_dataset_layout_names_its_version(self, workdir, tmp_path, capsys):
+        """The layout before version 2: no version, labels and captions in
+        files of their own, and sizes, names and vocabulary in the manifest."""
+        ds = load_dataset(workdir / "ds")
+        old = {"kind": "synthetic_dataset", "spec": asdict(ds.spec), "n_images": 64,
+               "image_size": 16, "class_names": ds.class_names,
+               "vocab_words": ds.vocab_words}
+        shutil.copytree(workdir / "ds", tmp_path / "ds")
+        (tmp_path / "ds" / "manifest.json").write_text(json.dumps(old))
+        (tmp_path / "ds" / "labels.csv").write_text("index,label,class_name\n" + "".join(
+            f"{i},{k},{ds.class_names[k]}\n" for i, k in enumerate(ds.labels)))
+        (tmp_path / "ds" / "captions.txt").write_text("\n".join(ds.captions) + "\n")
+        assert main(["zeroshot", "--checkpoint", str(workdir / "ckpt"),
+                     "--dataset", str(tmp_path / "ds")]) == 2
+        assert capsys.readouterr().err == \
+            "error: unsupported dataset version None; this build reads version 2\n"
+
     @pytest.mark.parametrize("command", ["zeroshot", "finetune"])
     def test_dataset_without_classes_is_runtime_error(self, command, workdir,
                                                       tmp_path, capsys):
@@ -577,10 +601,9 @@ class TestExitCodes:
         shutil.copytree(workdir / "ds", ds)
         manifest = json.loads((ds / "manifest.json").read_text())
         (ds / "manifest.json").write_text(json.dumps(
-            {**manifest, "class_names": [], "n_images": 0}))
+            {**manifest, "spec": {**manifest["spec"], "n_classes": 0, "class_names": []},
+             "captions": []}))
         (ds / "images.bin").write_bytes(b"")
-        (ds / "labels.csv").write_text("index,label,class_name\n")
-        (ds / "captions.txt").write_text("")
         code = main([command, "--checkpoint", str(workdir / "ckpt"), "--dataset", str(ds),
                      "--out", str(tmp_path / "rows.csv")])
         err = capsys.readouterr().err
@@ -596,13 +619,13 @@ class TestExitCodes:
         assert main(["gen", "--out", str(tmp_path / "d1"),
                      "--config", str(cfg)]) == 0
         manifest = json.loads((tmp_path / "d1" / "manifest.json").read_text())
-        assert manifest["n_images"] == 16
+        assert manifest["spec"]["n_classes"] * manifest["spec"]["images_per_class"] == 16
         assert manifest["spec"]["noise"] == 0.4
         # explicit flag wins over the config file
         assert main(["gen", "--out", str(tmp_path / "d2"), "--config", str(cfg),
                      "--images-per-class", "8"]) == 0
         manifest2 = json.loads((tmp_path / "d2" / "manifest.json").read_text())
-        assert manifest2["n_images"] == 32
+        assert manifest2["spec"]["n_classes"] * manifest2["spec"]["images_per_class"] == 32
 
     def test_config_int_stands_for_float(self, tmp_path):
         cfg = tmp_path / "gen.json"

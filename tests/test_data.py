@@ -1,14 +1,18 @@
 """Synthetic dataset generation and on-disk layout."""
 
+import io
 import json
+import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import fail_writes_part_way
-from lorabench.data import (DEFAULT_CLASS_NAMES, SyntheticDatasetSpec,
+from lorabench import data
+from lorabench.data import (DEFAULT_CLASS_NAMES, Dataset, SyntheticDatasetSpec,
                             check_prototypes, generate_dataset, load_dataset,
-                            save_dataset)
+                            make_prototypes, save_dataset)
 from lorabench.errors import DomainError, FormatError
 
 
@@ -20,20 +24,18 @@ class TestGenerate:
         assert len(ds.class_names) == 8
         assert len(ds.captions) == 512
         save_dataset(ds, tmp_path / "ds")
-        import json
         manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
-        assert len(manifest["class_names"]) == 8
+        assert len(manifest["spec"]["class_names"]) == 8
 
     def test_byte_identical_regeneration(self, tmp_path):
         spec = SyntheticDatasetSpec(n_classes=4, images_per_class=8, seed=7)
         save_dataset(generate_dataset(spec), tmp_path / "a")
         save_dataset(generate_dataset(spec), tmp_path / "b")
-        for name in ("manifest.json", "images.bin", "labels.csv", "captions.txt"):
+        for name in ("manifest.json", "images.bin"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
 
-    @pytest.mark.parametrize("failing", ["images.bin", "labels.csv", "captions.txt",
-                                         "manifest.json"])
+    @pytest.mark.parametrize("failing", ["images.bin", "manifest.json"])
     def test_failed_overwrite_keeps_the_old_dataset(self, tmp_path, monkeypatch, failing):
         old = generate_dataset(SyntheticDatasetSpec(n_classes=4, images_per_class=8,
                                                     seed=7))
@@ -51,7 +53,7 @@ class TestGenerate:
         assert np.array_equal(loaded.images, old.images)
         assert np.array_equal(loaded.labels, old.labels)
         assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == \
-            ["captions.txt", "images.bin", "labels.csv", "manifest.json"]
+            ["images.bin", "manifest.json"]
 
     def test_equal_prototypes_rejected(self):
         spec = SyntheticDatasetSpec(n_classes=2, images_per_class=2, seed=0)
@@ -95,6 +97,14 @@ class TestGenerate:
             assert set(c.split()) <= words
         assert set(ds.class_names) <= words
 
+    @pytest.mark.parametrize("spec,match", [
+        (dict(n_classes=-1), "integers"),
+        (dict(image_size=0), "image_size"),
+    ], ids=["negative-size", "zero-image-size"])
+    def test_spec_rejects_malformed_fields(self, spec, match):
+        with pytest.raises(DomainError, match=match):
+            SyntheticDatasetSpec(**spec)
+
 
 class TestDiskLayout:
     def test_round_trip(self, tmp_path):
@@ -107,6 +117,28 @@ class TestDiskLayout:
         assert back.captions == ds.captions
         assert back.class_names == ds.class_names
         assert back.vocab_words == ds.vocab_words
+
+    def test_round_trip_of_the_benchmark_rendering(self, tmp_path):
+        """Prototypes of `gen --seed 0`, rendered at another seed with a
+        pixel shift, as the benchmark renders its datasets."""
+        protos = make_prototypes(SyntheticDatasetSpec(seed=0), np.random.default_rng(
+            np.random.SeedSequence([0, 0xDA7A])))
+        ds = generate_dataset(SyntheticDatasetSpec(images_per_class=8, pixel_shift=1,
+                                                   seed=11), prototypes=protos)
+        save_dataset(ds, tmp_path / "ds")
+        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == \
+            ["images.bin", "manifest.json"]
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        assert sorted(manifest) == ["captions", "kind", "spec", "version"]
+        assert manifest["version"] == 2
+        back = load_dataset(tmp_path / "ds")
+        for f in fields(Dataset):
+            got, want = getattr(back, f.name), getattr(ds, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+            else:
+                assert got == want, f.name
+        assert back.labels.dtype == np.int64
 
     def test_images_bin_is_le_float32(self, tmp_path):
         ds = generate_dataset(SyntheticDatasetSpec(n_classes=2,
@@ -125,6 +157,33 @@ class TestDiskLayout:
         with pytest.raises(FormatError, match="bytes"):
             load_dataset(tmp_path / "ds")
 
+    def test_one_byte_too_many_images(self, tmp_path):
+        save_dataset(generate_dataset(SyntheticDatasetSpec(n_classes=2, images_per_class=2,
+                                                           seed=5)), tmp_path / "ds")
+        with open(tmp_path / "ds" / "images.bin", "ab") as f:
+            f.write(b"\0")
+        with pytest.raises(FormatError, match="images.bin has 4097 bytes, the spec needs 4096"):
+            load_dataset(tmp_path / "ds")
+
+    def test_oversized_images_rejected_unread(self, tmp_path, monkeypatch):
+        save_dataset(generate_dataset(SyntheticDatasetSpec(n_classes=2, images_per_class=2,
+                                                           seed=5)), tmp_path / "ds")
+        os.truncate(tmp_path / "ds" / "images.bin", 1 << 30)   # sparse: no blocks written
+        reads = []
+
+        class SpyFile(io.FileIO):
+            def read(self, *args):
+                reads.append(args)
+                return super().read(*args)
+
+            readall = read
+
+        monkeypatch.setattr(data, "open", lambda path, mode: SpyFile(path, mode),
+                            raising=False)
+        with pytest.raises(FormatError, match=f"has {1 << 30} bytes"):
+            load_dataset(tmp_path / "ds")
+        assert reads == []
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError):
             load_dataset(tmp_path / "nope")
@@ -138,12 +197,8 @@ class TestDiskLayout:
     @pytest.mark.parametrize("edit,match", [
         (lambda m: m.pop("spec"), "spec"),
         (lambda m: m["spec"].update(colour="red"), "colour"),
-        (lambda m: m.pop("n_images"), "n_images"),
-        (lambda m: m.update(vocab_words="abc"), "vocab_words"),
-        (lambda m: m.update(vocab_words={"a": 1}), "vocab_words"),
-        (lambda m: m.update(vocab_words=[1, 2]), "vocab_words"),
-    ], ids=["no-spec", "unknown-spec-key", "no-n-images", "string-vocab",
-            "object-vocab", "int-vocab"])
+        (lambda m: m.update(captions=m["captions"][:-1]), "3 captions for 4 images"),
+    ], ids=["no-spec", "unknown-spec-key", "short-captions"])
     def test_malformed_manifest_rejected(self, tmp_path, edit, match):
         ds = generate_dataset(SyntheticDatasetSpec(n_classes=2,
                                                    images_per_class=2, seed=5))
@@ -155,30 +210,3 @@ class TestDiskLayout:
         with pytest.raises(FormatError, match=match):
             load_dataset(tmp_path / "ds")
 
-
-class TestLabelsCsv:
-    """A malformed labels.csv is rejected, never loaded with gaps."""
-
-    @pytest.fixture
-    def saved(self, tmp_path):
-        ds = generate_dataset(SyntheticDatasetSpec(n_classes=2,
-                                                   images_per_class=3, seed=5))
-        save_dataset(ds, tmp_path / "ds")
-        return tmp_path / "ds"
-
-    @pytest.mark.parametrize("edit,match", [
-        (lambda lines: lines[:-2], "no label for 2 of 6 images"),          # truncated
-        (lambda lines: lines + ["6,0,dax"], r"index 6 outside \[0, 6\)"),
-        (lambda lines: lines[:1] + ["-1,0,dax"] + lines[2:], r"index -1 outside"),
-        (lambda lines: lines + [lines[1]], "duplicate index 0"),
-        (lambda lines: lines[:1] + ["0,2,dax"] + lines[2:], r"label 2 outside \[0, 2\)"),
-        (lambda lines: lines[:1] + ["0"] + lines[2:], "malformed row"),
-        (lambda lines: [], "header"),
-    ], ids=["truncated", "index-past-end", "negative-index", "duplicate-index",
-            "label-out-of-range", "short-row", "empty-file"])
-    def test_malformed_labels_rejected(self, saved, edit, match):
-        path = saved / "labels.csv"
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(edit(lines)) + "\n")
-        with pytest.raises(FormatError, match=match):
-            load_dataset(saved)
