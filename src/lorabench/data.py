@@ -17,8 +17,6 @@ DEFAULT_CLASS_NAMES = ("dax", "wug", "blick", "zorp", "fep", "toma", "gazzer",
                        "lorp", "mipen", "kiki", "bouba", "tive", "sprock",
                        "quim", "norg", "velch")
 
-DATASET_VERSION = 2
-
 CAPTION_TEMPLATES = ("a photo of a {}",
                      "a picture of a {}",
                      "an image of a {}",
@@ -130,23 +128,35 @@ def generate_dataset(spec: SyntheticDatasetSpec,
 
 
 # ---------------------------------------------------------------------------
-# on-disk layout: images.bin holds every image, little-endian float32, in
-# label order; manifest.json holds version, kind, spec and one caption per
-# image.  The spec fixes the image count, size, labels and class names.
+# artifacts: a dataset or a checkpoint is a directory of one little-endian
+# blob and a manifest.json of version, kind, a config and one list.
 
 
-def replace_files(directory: Path, files: list[tuple[str, bytes]]) -> None:
-    """Write each (name, bytes) pair into `directory`, last file last.
+@dataclass(frozen=True)
+class ArtifactFormat:
+    """One kind of artifact: the noun its messages use, its manifest's kind
+    and version, its config's key and type, its list's key, and its blob."""
+    what: str
+    kind: str
+    version: int
+    config_key: str
+    config_type: type
+    list_key: str
+    blob_name: str
 
-    Every file is first written in full to a temporary file beside its
-    target; only then do the temporaries replace their targets, in order.
-    So a write that fails or is cut off part-way leaves the old files as
-    they were, and once the last file (a manifest) is new, so is every file
-    before it."""
+
+def write_artifact(fmt: ArtifactFormat, directory, config, names: list, blob: bytes) -> None:
+    """Write both files in full to temporaries beside their targets, then
+    rename the blob and last the manifest.  So a failed or cut-off write
+    leaves the old files as they were, and a new manifest has a new blob."""
+    directory = Path(directory)
+    manifest = {"version": fmt.version, "kind": fmt.kind,
+                fmt.config_key: asdict(config), fmt.list_key: names}
     directory.mkdir(parents=True, exist_ok=True)
     staged = []
     try:
-        for name, payload in files:
+        for name, payload in [(fmt.blob_name, blob), ("manifest.json", json.dumps(
+                manifest, indent=1, sort_keys=True).encode())]:
             staged.append((directory / f".{name}.tmp", directory / name))
             staged[-1][0].write_bytes(payload)
         for tmp, target in staged:
@@ -154,6 +164,32 @@ def replace_files(directory: Path, files: list[tuple[str, bytes]]) -> None:
     finally:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
+
+
+def read_artifact(fmt: ArtifactFormat, directory) -> tuple:
+    """The config, the list and the blob's path of the artifact in
+    `directory`.  Its manifest is checked in order: a JSON object of fmt's
+    kind, its version, its config, its list.  No blob byte is read."""
+    directory = Path(directory)
+    try:
+        manifest = json.loads(read_text(directory / "manifest.json"))
+    except (OSError, ValueError) as e:
+        raise FormatError(f"cannot read {fmt.what} manifest: {e}") from None
+    if not isinstance(manifest, dict) or manifest.get("kind") != fmt.kind:
+        raise FormatError(f"not a {fmt.what} directory: {directory}")
+    if manifest.get("version") != fmt.version:
+        raise FormatError(f"unsupported {fmt.what} version {manifest.get('version')!r}; "
+                          f"this build reads version {fmt.version}")
+    try:
+        config = fmt.config_type(**manifest[fmt.config_key])
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"malformed {fmt.what} {fmt.config_key} in {directory} "
+                          f"({type(e).__name__}: {e})") from None
+    names = manifest.get(fmt.list_key)
+    if not isinstance(names, list):
+        raise FormatError(f"{fmt.what} {fmt.list_key} must be a list, "
+                          f"got {type(names).__name__}")
+    return config, names, directory / fmt.blob_name
 
 
 def read_text(path: Path) -> str:
@@ -175,36 +211,24 @@ def read_sized(path: Path, need: int, what: str) -> bytes:
         return f.read()
 
 
+# images.bin holds every image, little-endian float32, in label order; the
+# list is one caption per image; the spec fixes the count, size and labels.
+DATASET = ArtifactFormat("dataset", "synthetic_dataset", 2, "spec", SyntheticDatasetSpec,
+                         "captions", "images.bin")
+
+
 def save_dataset(ds: Dataset, directory) -> None:
-    """images.bin, then manifest.json over it (see replace_files)."""
-    manifest = {"version": DATASET_VERSION, "kind": "synthetic_dataset",
-                "spec": asdict(ds.spec), "captions": ds.captions}
-    replace_files(Path(directory), [
-        ("images.bin", np.ascontiguousarray(ds.images, dtype="<f4").tobytes()),
-        ("manifest.json", json.dumps(manifest, indent=1, sort_keys=True).encode())])
+    write_artifact(DATASET, directory, ds.spec, ds.captions,
+                   np.ascontiguousarray(ds.images, dtype="<f4").tobytes())
 
 
 def load_dataset(directory) -> Dataset:
-    directory = Path(directory)
-    try:
-        manifest = json.loads(read_text(directory / "manifest.json"))
-    except (OSError, ValueError) as e:
-        raise FormatError(f"cannot read dataset manifest: {e}") from None
-    if not isinstance(manifest, dict) or manifest.get("kind") != "synthetic_dataset":
-        raise FormatError(f"not a dataset directory: {directory}")
-    if manifest.get("version") != DATASET_VERSION:
-        raise FormatError(f"unsupported dataset version {manifest.get('version')!r}; "
-                          f"this build reads version {DATASET_VERSION}")
-    try:
-        spec = SyntheticDatasetSpec(**manifest["spec"])
-        captions = manifest["captions"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"malformed dataset manifest ({type(e).__name__}: {e})") from None
-    if not isinstance(captions, list) or not all(isinstance(c, str) for c in captions):
-        raise FormatError("dataset captions must be a list of strings")
+    spec, captions, blob = read_artifact(DATASET, directory)
+    if not all(isinstance(c, str) for c in captions):
+        raise FormatError("dataset captions must be strings")
     n, size = spec.n_classes * spec.images_per_class, spec.image_size
     if len(captions) != n:
         raise FormatError(f"{len(captions)} captions for {n} images")
-    raw = read_sized(directory / "images.bin", n * size * size * 4, "the spec")
+    raw = read_sized(blob, n * size * size * 4, "the spec")
     images = np.frombuffer(raw, dtype="<f4").reshape(n, size, size).astype(np.float32)
     return Dataset(spec=spec, images=images, captions=captions)

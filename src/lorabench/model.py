@@ -14,17 +14,15 @@ at most ten nodes: the two layer norms and residual adds, a `linear` or
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .data import read_sized, read_text, replace_files
+from .data import ArtifactFormat, read_artifact, read_sized, write_artifact
 from .errors import DomainError, FormatError, InputError, ShapeError
 from .tensor import (Tape, Tensor, add, attention, broadcast_to, concat, l2_normalize,
                      layer_norm, linear, lora_linear, matmul, mlp, narrow, select_positions,
@@ -34,7 +32,6 @@ PAD_ID, BOS_ID, EOS_ID = 0, 1, 2
 _N_SPECIAL = 3
 PROMPT_TEMPLATE = ("a", "photo", "of", "a")
 
-CHECKPOINT_VERSION = 2
 _MASK_NEG = -1e9  # large finite negative; exp underflows to exactly 0
 
 # Images per forward block of the vision tower.  At the default width one
@@ -459,47 +456,25 @@ def encode_tokens(model: DualEncoderModel, tokens: np.ndarray, rng=None,
 
 # ---------------------------------------------------------------------------
 # checkpoints: weights.bin holds every parameter in named_parameters() order,
-# little-endian at the config's dtype; manifest.json holds version, kind,
-# config and the parameter names.  The config fixes every shape and offset.
+# little-endian at the config's dtype; the list is the parameter names.  The
+# config fixes every shape and offset.
+CHECKPOINT = ArtifactFormat("checkpoint", "dual_encoder", 2, "config", ModelConfig,
+                            "tensors", "weights.bin")
 
 
 def save_checkpoint(model: DualEncoderModel, path) -> None:
-    """weights.bin, then manifest.json over it (see data.replace_files)."""
     named = list(model.named_parameters())
     dt = np.dtype(model.cfg.np_dtype).newbyteorder("<")
-    manifest = {"version": CHECKPOINT_VERSION, "kind": "dual_encoder",
-                "config": asdict(model.cfg), "tensors": [name for name, _ in named]}
-    replace_files(Path(path), [
-        ("weights.bin", b"".join(np.ascontiguousarray(p.data, dtype=dt).tobytes()
-                                 for _, p in named)),
-        ("manifest.json", json.dumps(manifest, indent=1, sort_keys=True).encode())])
+    write_artifact(CHECKPOINT, path, model.cfg, [name for name, _ in named],
+                   b"".join(np.ascontiguousarray(p.data, dtype=dt).tobytes() for _, p in named))
 
 
 def load_checkpoint(path) -> DualEncoderModel:
-    directory = Path(path)
-    try:
-        manifest = json.loads(read_text(directory / "manifest.json"))
-    except (OSError, ValueError) as e:
-        raise FormatError(f"cannot read checkpoint manifest: {e}") from None
-    if not isinstance(manifest, dict):
-        raise FormatError("checkpoint manifest is not a JSON object")
-    if manifest.get("version") != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {manifest.get('version')!r}; "
-                          f"this build reads version {CHECKPOINT_VERSION}")
-    if manifest.get("kind") != "dual_encoder":
-        raise FormatError(f"not a model checkpoint: kind={manifest.get('kind')!r}")
-    try:
-        cfg = ModelConfig(**manifest["config"])
-    except (KeyError, TypeError) as e:
-        raise FormatError(f"malformed checkpoint config ({type(e).__name__}: {e})") from None
-    tensors = manifest.get("tensors")
-    if not isinstance(tensors, list):
-        raise FormatError(f"checkpoint tensors must be a list of parameter names, "
-                          f"got {type(tensors).__name__}")
+    cfg, tensors, blob_path = read_artifact(CHECKPOINT, path)
     # the blob must hold what the config asks for before any of it is made
     dt = np.dtype(cfg.np_dtype).newbyteorder("<")
     need = cfg.param_count() * dt.itemsize
-    blob = read_sized(directory / "weights.bin", need, f"the {cfg.dtype} config")
+    blob = read_sized(blob_path, need, f"the {cfg.dtype} config")
     model = DualEncoderModel(cfg, seed=None)
     params = list(model.named_parameters())
     names = [name for name, _ in params]

@@ -745,10 +745,10 @@ class TestCheckpoints:
         assert peak < 2 ** 20
 
     @pytest.mark.parametrize("edit,match", [
-        (lambda m: m.pop("tensors"), "tensors must be a list of parameter names, got NoneType"),
+        (lambda m: m.pop("tensors"), "tensors must be a list, got NoneType"),
         (lambda m: m["config"].update(colour="red"), "colour"),
         (lambda m: m.pop("config"), "config"),
-        (lambda m: m.update(kind="lora"), "not a model checkpoint"),
+        (lambda m: m.update(kind="lora"), "not a checkpoint directory"),
         (lambda m: m["tensors"].append("visual.blocks.9.wq"),
          r"\(78 names\) .* 77 .* position 77: \['visual.blocks.9.wq'\] vs \[\]"),
         (lambda m: m["config"].update(dtype="float64"),
@@ -762,9 +762,9 @@ class TestCheckpoints:
          r"\(77 names\) .* position 4: \['visual.ln_f_b'\] vs \['visual.ln_f_g'\]"),
         (lambda m: m["tensors"].__setitem__(3, 7), r"position 3: \[7\] vs \['visual.pos_embed'\]"),
         (lambda m: m.update(tensors={n: {} for n in m["tensors"]}),
-         "tensors must be a list of parameter names, got dict"),
+         "tensors must be a list, got dict"),
         (lambda m: m.update(tensors="visual.patch_w"),
-         "tensors must be a list of parameter names, got str"),
+         "tensors must be a list, got str"),
         (lambda m: m.update(version=1), "unsupported checkpoint version 1; this build "
                                         "reads version 2"),
     ], ids=["no-tensors", "unknown-config-key", "no-config", "wrong-kind",
