@@ -41,7 +41,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 # CLI keys whose config dataclass field has another name
-_FIELD_NAMES = {"classes": "n_classes", "shift": "pixel_shift"}
+_FIELD_NAMES = {"classes": "n_classes", "shift": "pixel_shift", "ranks": "rank",
+                "spans": "layer_span"}
+
+# support images per class: the paper's 4-shot protocol
+DEFAULT_SHOTS = 4
 
 
 def _defaults(cls, *keys) -> dict:
@@ -55,13 +59,17 @@ _KEYS = {
     "gen": _defaults(SyntheticDatasetSpec, "classes", "images_per_class", "noise",
                      "shift", "seed"),
     "pretrain": _defaults(PretrainConfig, "epochs", "batch_size", "lr", "seed"),
-    "zeroshot": {"shots": 4, **_defaults(TrainConfig, "seed")},
-    "finetune": {"method": "lora", "shots": 4, "seeds": [0, 1, 2], "merged_out": None,
+    "zeroshot": {"shots": DEFAULT_SHOTS, **_defaults(TrainConfig, "seed")},
+    "finetune": {"method": "lora", "shots": DEFAULT_SHOTS, "seeds": [0, 1, 2],
+                 "merged_out": None,
                  **_defaults(TrainConfig, "lr", "iters_per_shot", "batch_size"),
                  **_defaults(PlacementConfig, "rank", "dropout")},
-    "ablate": {"groups": list(DEFAULT_GROUPS), "ranks": [2], "spans": ["all"],
-               "encoders": ["both"], "shots": 4, "n_seeds": 3, "master_seed": 0,
-               "workers": 1, **_defaults(TrainConfig, "iters_per_shot")},
+    # each grid axis defaults to a one-value list
+    "ablate": {"groups": list(DEFAULT_GROUPS),
+               **{key: [value] for key, value in
+                  _defaults(PlacementConfig, "ranks", "spans", "encoders").items()},
+               "shots": DEFAULT_SHOTS, "n_seeds": 3, "master_seed": 0, "workers": 1,
+               **_defaults(TrainConfig, "iters_per_shot")},
 }
 _HELP = {"shift": "cyclic pixel roll; same seed + shift gives a shifted rendering "
                   "of the same classes",
@@ -216,7 +224,7 @@ def cmd_pretrain(args) -> int:
     out = Path(args.out)
     save_checkpoint(model, out)
     history.write_csv(out / "pretrain_log.csv")
-    print(f"pretrained {model.param_count()} parameters for {len(history.steps)} "
+    print(f"pretrained {model.param_count()} parameters for {len(history.losses)} "
           f"steps; final loss {history.losses[-1]:.4f}; checkpoint at {out}")
     return 0
 

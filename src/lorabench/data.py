@@ -5,6 +5,7 @@ template vocabulary.  Generation is fully determined by (spec, seed)."""
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -56,6 +57,26 @@ class SyntheticDatasetSpec:
             raise DomainError(f"{len(self.class_names)} names for {self.n_classes} classes")
         if self.image_size % self.prototype_grid != 0:
             raise DomainError("image_size must be a multiple of prototype_grid")
+        for name in ("prototype_scale", "noise", "min_class_distance"):
+            require_finite(name, getattr(self, name))
+        if min(self.noise, self.min_class_distance) < 0:
+            raise DomainError(f"noise and min_class_distance must be >= 0, "
+                              f"got {self.noise} and {self.min_class_distance}")
+        if type(self.pixel_shift) is not int or type(self.seed) is not int or self.seed < 0:
+            raise DomainError(f"pixel_shift must be an integer and seed an integer >= 0, "
+                              f"got {self.pixel_shift!r} and {self.seed!r}")
+
+
+def require_finite(name: str, value) -> None:
+    """A DomainError unless `value` is a finite int or float; a bool is
+    neither, and an int beyond a float's range is not finite."""
+    try:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass

@@ -140,12 +140,11 @@ class TrainConfig:
 
 @dataclass
 class TrainingHistory:
-    steps: list[int] = field(default_factory=list)
+    """The lr and loss of each step, in step order from step 0."""
     lrs: list[float] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
 
-    def append(self, step: int, lr: float, loss: float):
-        self.steps.append(step)
+    def append(self, lr: float, loss: float):
         self.lrs.append(lr)
         self.losses.append(loss)
 
@@ -153,7 +152,7 @@ class TrainingHistory:
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["step", "lr", "loss"])
-            for s, lr, loss in zip(self.steps, self.lrs, self.losses):
+            for s, (lr, loss) in enumerate(zip(self.lrs, self.losses)):
                 w.writerow([s, f"{lr:.10g}", f"{loss:.8g}"])
 
 
@@ -201,15 +200,14 @@ def run_training_loop(params, loss_fn: Callable[[np.ndarray], Tensor],
                 loss = loss_fn(idx)
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
-                    last = history.steps[-1] if history.steps else None
                     raise LorabenchError(f"non-finite loss at step {step}; "
-                                         f"last good step: {last}")
+                                         f"last good step: {step - 1 if step else None}")
                 tape.backward(loss)
             opt.step(lr=step_lr)
             opt.zero_grad()
             if after_step is not None:
                 after_step()
-            history.append(step, step_lr, loss_val)
+            history.append(step_lr, loss_val)
     finally:
         for p in opt.params:
             p.requires_grad = False

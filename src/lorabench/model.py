@@ -22,7 +22,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .data import ArtifactFormat, read_artifact, read_sized, write_artifact
+from .data import (ArtifactFormat, read_artifact, read_sized, require_finite,
+                   write_artifact)
 from .errors import DomainError, FormatError, InputError, ShapeError
 from .tensor import (Tape, Tensor, add, attention, broadcast_to, concat, l2_normalize,
                      layer_norm, linear, lora_linear, matmul, mlp, narrow, select_positions,
@@ -137,6 +138,7 @@ class ModelConfig:
             raise ShapeError("image size not divisible by patch size")
         if self.embed_dim > self.width:
             raise DomainError("need embed_dim <= width")
+        require_finite("init_temperature", self.init_temperature)
         if self.init_temperature <= 0:
             raise DomainError("temperature must be > 0")
         if self.dtype not in ("float32", "float64"):
@@ -144,6 +146,8 @@ class ModelConfig:
         if not (isinstance(self.vocab_words, list)
                 and all(isinstance(w, str) for w in self.vocab_words)):
             raise DomainError("vocab_words must be a list of strings")
+        if len(set(self.vocab_words)) != len(self.vocab_words):
+            raise DomainError("vocab_words must be distinct")
 
     @property
     def n_patches(self) -> int:

@@ -147,7 +147,7 @@ def test_criterion_04_parameter_accounting(desk_dataset):
 
 def test_criterion_05_hyperparameter_fidelity(pipeline):
     hist = pipeline["runs"][0]["hist"]
-    ok = (len(hist.steps) == 2000
+    ok = (len(hist.losses) == 2000
           and hist.lrs[0] == 2e-4
           and abs(hist.lrs[1000] - 1e-4) < 1e-9
           and cosine_lr(2000, 2000, 2e-4) == 0.0)

@@ -98,7 +98,7 @@ class TestSoftPrompt:
                                    train_cfg=TrainConfig(iters_per_shot=3))
         for n, p in model.named_parameters():
             assert np.array_equal(p.data, before[n]), n
-        assert len(res.history.steps) == 3
+        assert len(res.history.losses) == 3
 
     def test_run_unchanged(self, small_dataset, monkeypatch):
         seen = {}
@@ -239,4 +239,4 @@ class TestBiasOnly:
         zs, _ = evaluate(model, task)
         res = bias_only_finetune(model, task, TrainConfig(iters_per_shot=0))
         assert res.accuracy == zs
-        assert len(res.history.steps) == 0
+        assert len(res.history.losses) == 0

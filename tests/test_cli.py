@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -11,7 +12,8 @@ import subprocess
 import tempfile
 import threading
 import types
-from dataclasses import asdict
+import typing
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +25,9 @@ from lorabench import bench, cli
 from lorabench.cli import build_parser, main
 from lorabench.data import (SyntheticDatasetSpec, generate_dataset, load_dataset,
                             save_dataset)
-from lorabench.errors import DomainError
-from lorabench.lora import ENCODER_CHOICES, LAYER_SPANS, MATRICES
+from lorabench.errors import DomainError, FormatError
+from lorabench.fewshot import PretrainConfig, TrainConfig
+from lorabench.lora import ENCODER_CHOICES, LAYER_SPANS, MATRICES, PlacementConfig
 from lorabench.model import load_checkpoint
 from lorabench.report import ABLATION_EXTRA, RunReport, read_report_csv
 
@@ -406,6 +409,65 @@ class TestManifestFuzz:
         assert code in (0, 2) and captured.err.count("\n") <= 1
 
 
+# any JSON value Python's json reads and writes, NaN and +-Infinity included
+JSON_VALUES_NONFINITE = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _has_declared_type(value, hint) -> bool:
+    """A bool is not a number, an int may stand for a float, a float is
+    finite, and a list or tuple holds items of its one item type."""
+    if typing.get_origin(hint) in (list, tuple):
+        return (isinstance(value, typing.get_origin(hint))
+                and all(_has_declared_type(v, typing.get_args(hint)[0]) for v in value))
+    if hint is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is hint
+
+
+class TestManifestFieldFuzz:
+    """A checkpoint whose config, or a dataset whose spec, has one field
+    replaced by any JSON value, or a dataset with one caption replaced:
+    zeroshot scores it (exit 0) or exits 2 with one stderr line, and a
+    loader that returns gives a config whose every field has its declared
+    type."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(artifact=st.sampled_from(["ds", "ckpt"]), value=JSON_VALUES_NONFINITE,
+           data=st.data())
+    def test_zeroshot(self, workdir, capsys, artifact, value, data):
+        manifest = json.loads((workdir / artifact / "manifest.json").read_text())
+        if artifact == "ckpt":
+            fields_of = manifest["config"]
+        else:
+            fields_of = data.draw(st.sampled_from([manifest["spec"], manifest["captions"]]),
+                                  label="spec or captions")
+        key = data.draw(st.sampled_from(sorted(fields_of) if isinstance(fields_of, dict)
+                                        else range(len(fields_of))), label="field")
+        fields_of[key] = value
+        capsys.readouterr()
+        with tempfile.TemporaryDirectory() as tmp:
+            code = _zeroshot_with_manifest(workdir, artifact, manifest, Path(tmp))
+            loader = {"ds": load_dataset, "ckpt": load_checkpoint}[artifact]
+            try:
+                loaded = loader(Path(tmp) / artifact)
+            except FormatError:
+                loaded = None
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        assert code in (0, 2) and captured.err.count("\n") <= 1
+        if loaded is not None:
+            config = loaded.spec if artifact == "ds" else loaded.cfg
+            hints = typing.get_type_hints(type(config))
+            wrong = {f.name: getattr(config, f.name) for f in fields(config)
+                     if not _has_declared_type(getattr(config, f.name), hints[f.name])}
+            assert not wrong, f"loaded with fields of the wrong type: {wrong}"
+
+
 def _name_lists(names):
     """The checkpoint's parameter names as they are, permuted, shortened or
     with one name duplicated."""
@@ -524,6 +586,17 @@ HOSTILE_MANIFESTS = {
     "checkpoint-newline-config-key": ("ckpt", lambda m: {**m, "config": {"\n": 1}}),
     "checkpoint-version-1": ("ckpt", lambda m: {**m, "version": 1}),
     "dataset-zero-prototype-grid": ("ds", _spec(prototype_grid=0)),
+    "checkpoint-nan-temperature": ("ckpt", _config(init_temperature=float("nan"))),
+    "checkpoint-infinite-temperature": ("ckpt", _config(init_temperature=float("inf"))),
+    "checkpoint-bool-temperature": ("ckpt", _config(init_temperature=True)),
+    "checkpoint-repeated-vocab-word": ("ckpt", lambda m: _config(vocab_words=[
+        m["config"]["vocab_words"][0], *m["config"]["vocab_words"][:-1]])(m)),
+    "dataset-string-noise": ("ds", _spec(noise="loud")),
+    "dataset-infinite-noise": ("ds", _spec(noise=float("inf"))),
+    "dataset-negative-seed": ("ds", _spec(seed=-5)),
+    "dataset-fractional-shift": ("ds", _spec(pixel_shift=1.5)),
+    "dataset-nan-prototype-scale": ("ds", _spec(prototype_scale=float("nan"))),
+    "dataset-negative-min-distance": ("ds", _spec(min_class_distance=-1.0)),
 }
 
 
@@ -556,6 +629,15 @@ class TestExitCodes:
         code = _zeroshot_with_manifest(workdir, artifact, edit(manifest), tmp_path)
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("name", ["checkpoint-zero-heads", "checkpoint-repeated-vocab-word",
+                                      "checkpoint-nan-temperature"])
+    def test_config_error_names_the_checkpoint(self, name, workdir, tmp_path, capsys):
+        artifact, edit = HOSTILE_MANIFESTS[name]
+        manifest = json.loads((workdir / artifact / "manifest.json").read_text())
+        assert _zeroshot_with_manifest(workdir, artifact, edit(manifest), tmp_path) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: malformed checkpoint config in {tmp_path / artifact} (DomainError: ")
 
     @pytest.mark.parametrize("artifact,name", [
         ("ckpt", "manifest.json"), ("ds", "manifest.json"), ("rows", "zs.csv")])
@@ -791,6 +873,54 @@ class TestUsageErrors:
         assert captured.err.count("\n") == 1 and captured.err.strip()
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "x.csv").exists() and not (tmp_path / "d").exists()
+
+
+# every command's defaults as they resolved before ablate's grid defaults
+# were read from PlacementConfig, in flag order
+RESOLVED_DEFAULTS = {
+    "gen": {"classes": 8, "images_per_class": 64, "noise": 0.6, "shift": 0, "seed": 0},
+    "pretrain": {"epochs": 40, "batch_size": 32, "lr": 0.001, "seed": 0},
+    "zeroshot": {"shots": 4, "seed": 0},
+    "finetune": {"method": "lora", "shots": 4, "seeds": [0, 1, 2], "merged_out": None,
+                 "lr": 0.0002, "iters_per_shot": 500, "batch_size": 32, "rank": 2,
+                 "dropout": 0.25},
+    "ablate": {"groups": ["q", "k", "v", "o", "qk", "qkv", "qkvo"], "ranks": [2],
+               "spans": ["all"], "encoders": ["both"], "shots": 4, "n_seeds": 3,
+               "master_seed": 0, "workers": 1, "iters_per_shot": 500},
+}
+# the config dataclasses whose fields a command's keys stand for
+KEY_SOURCES = {"gen": [SyntheticDatasetSpec], "pretrain": [PretrainConfig],
+               "zeroshot": [TrainConfig], "finetune": [TrainConfig, PlacementConfig],
+               "ablate": [PlacementConfig, TrainConfig]}
+
+
+class TestDefaults:
+    def test_every_command_resolves_its_defaults(self, tmp_path):
+        paths = {"gen": ["--out"], "pretrain": ["--dataset", "--out"]}
+        for command, expected in RESOLVED_DEFAULTS.items():
+            args = build_parser().parse_args([command, *[
+                a for flag in paths.get(command, ["--checkpoint", "--dataset", "--out"])
+                for a in (flag, str(tmp_path / "x"))]])
+            cli._apply_config(args, cli._KEYS[command])
+            assert list(cli._KEYS[command]) == list(expected)
+            assert {key: getattr(args, key) for key in expected} == expected, command
+
+    def test_field_keys_default_to_their_field(self):
+        checked = set()
+        for command, sources in KEY_SOURCES.items():
+            for cls in sources:
+                defaults = {f.name: f.default for f in fields(cls)}
+                for key, value in cli._KEYS[command].items():
+                    name = cli._FIELD_NAMES.get(key, key)
+                    if name in defaults:
+                        grid_axis = isinstance(value, list) and command == "ablate"
+                        assert value == ([defaults[name]] if grid_axis else defaults[name]), \
+                            (command, key)
+                        checked.add((command, key))
+        assert {("ablate", "ranks"), ("ablate", "spans"), ("ablate", "encoders"),
+                ("finetune", "rank"), ("gen", "shift")} <= checked
+        assert {cli._KEYS[c]["shots"] for c in ("zeroshot", "finetune", "ablate")} == \
+            {cli.DEFAULT_SHOTS}
 
 
 class TestUsageErrorNames:

@@ -100,7 +100,20 @@ class TestGenerate:
     @pytest.mark.parametrize("spec,match", [
         (dict(n_classes=-1), "integers"),
         (dict(image_size=0), "image_size"),
-    ], ids=["negative-size", "zero-image-size"])
+        (dict(noise="loud"), "noise must be a finite number"),
+        (dict(noise=float("inf")), "noise must be a finite number"),
+        (dict(noise=-0.1), "noise and min_class_distance must be >= 0"),
+        (dict(prototype_scale=float("nan")), "prototype_scale must be a finite number"),
+        (dict(prototype_scale=True), "prototype_scale must be a finite number"),
+        (dict(min_class_distance=-1.0), "noise and min_class_distance must be >= 0"),
+        (dict(pixel_shift=1.5), "pixel_shift must be an integer"),
+        (dict(pixel_shift=True), "pixel_shift must be an integer"),
+        (dict(seed=-5), "seed an integer >= 0"),
+        (dict(seed=2.0), "seed an integer >= 0"),
+    ], ids=["negative-size", "zero-image-size", "string-noise", "infinite-noise",
+            "negative-noise", "nan-prototype-scale", "bool-prototype-scale",
+            "negative-min-distance", "fractional-shift", "bool-shift", "negative-seed",
+            "float-seed"])
     def test_spec_rejects_malformed_fields(self, spec, match):
         with pytest.raises(DomainError, match=match):
             SyntheticDatasetSpec(**spec)

@@ -233,7 +233,7 @@ class TestFinetune:
                                   small_dataset.class_names, 2, seed=0)
         cfg = TrainConfig(iters_per_shot=5, seed=0)
         hist = finetune_lora(adapted, task, cfg)
-        assert len(hist.steps) == 10
+        assert len(hist.losses) == 10
         assert hist.lrs[0] == cfg.lr
         assert all(np.isfinite(hist.losses))
         assert all(a >= b for a, b in zip(hist.lrs, hist.lrs[1:]))
@@ -331,6 +331,21 @@ class TestTrainingLoop:
         with pytest.raises(LorabenchError, match="step 1"):
             run_training_loop([unmarked, marked], loss_fn, sampler, 2, 0.1, 0.0)
         assert not unmarked.requires_grad and not marked.requires_grad
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad_step,last", [(0, "None"), (2, "1")])
+    def test_non_finite_loss_names_the_last_good_step(self, bad_step, last):
+        w = Tensor(np.ones(3))
+        steps = []
+
+        def loss_fn(idx):
+            steps.append(len(steps))
+            return mean(w * w) * (np.nan if steps[-1] == bad_step else 1.0)
+
+        with pytest.raises(LorabenchError, match=f"non-finite loss at step {bad_step}; "
+                                                 f"last good step: {last}$"):
+            run_training_loop([w], loss_fn, _BatchSampler(4, 2, seed=0, stream=0), 4,
+                              0.1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +469,7 @@ class TestFrozenTowers:
                                   small_dataset.class_names, 2, seed=0)
         monkeypatch.setattr(model_module, "block_forward", spy)
         hist = finetune_lora(adapted, task, TrainConfig(iters_per_shot=3, seed=0))
-        steps = len(hist.steps)
+        steps = len(hist.losses)
         assert steps == 6
         for enc in (model.visual, model.textual):
             assert [calls.get(id(blk), 0) for blk in enc.blocks] == [1, 1, steps]

@@ -1,7 +1,7 @@
 """Every name a module of the package or a test file imports is used there,
-outside the tape only the training loop marks what trains, every entry
-point the benchmark's span recorder wraps exists, and importing the package
-leaves the process alone."""
+outside the tape only the training loop marks what trains, only data.py
+names an artifact's manifest file, every entry point the benchmark's span
+recorder wraps exists, and importing the package leaves the process alone."""
 
 import ast
 import importlib
@@ -86,6 +86,14 @@ def test_only_the_training_loop_marks_what_trains():
         writers += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
                     if _sets_grad_flag(n) and n.lineno not in inside]
     assert not writers, f"requires_grad set outside run_training_loop: {writers}"
+
+
+def test_only_data_names_the_manifest():
+    # data.write_artifact and data.read_artifact alone write and read it
+    naming = [f"{path.name}:{n.lineno}" for path in MODULES
+              for n in ast.walk(ast.parse(path.read_text()))
+              if isinstance(n, ast.Constant) and n.value == "manifest.json"]
+    assert naming and {name.split(":")[0] for name in naming} == {"data.py"}, naming
 
 
 def test_scan_sees_every_module():

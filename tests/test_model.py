@@ -789,6 +789,20 @@ class TestModelConfig:
         with pytest.raises(ShapeError):
             ModelConfig(width=10, heads=4, vocab_words=["a"])
 
+    @pytest.mark.parametrize("fields,match", [
+        (dict(init_temperature=float("inf")), "init_temperature must be a finite number"),
+        (dict(init_temperature=float("nan")), "init_temperature must be a finite number"),
+        (dict(init_temperature=True), "init_temperature must be a finite number"),
+        (dict(init_temperature="0.07"), "init_temperature must be a finite number"),
+        (dict(init_temperature=0), "temperature must be > 0"),
+        (dict(vocab_words=["a", "b", "a"]), "vocab_words must be distinct"),
+    ], ids=["infinite-temperature", "nan-temperature", "bool-temperature",
+            "string-temperature", "zero-temperature", "repeated-word"])
+    def test_rejects_malformed_fields(self, fields, match):
+        from lorabench.errors import DomainError
+        with pytest.raises(DomainError, match=match):
+            ModelConfig(**{"vocab_words": ["a"], **fields})
+
     def test_embed_dim_bound(self):
         from lorabench.errors import DomainError
         with pytest.raises(DomainError):
