@@ -64,7 +64,6 @@ _KEYS = {
                  "merged_out": None,
                  **_defaults(TrainConfig, "lr", "iters_per_shot", "batch_size"),
                  **_defaults(PlacementConfig, "rank", "dropout")},
-    # each grid axis defaults to a one-value list
     "ablate": {"groups": list(DEFAULT_GROUPS),
                **{key: [value] for key, value in
                   _defaults(PlacementConfig, "ranks", "spans", "encoders").items()},

@@ -589,6 +589,7 @@ HOSTILE_MANIFESTS = {
     "checkpoint-nan-temperature": ("ckpt", _config(init_temperature=float("nan"))),
     "checkpoint-infinite-temperature": ("ckpt", _config(init_temperature=float("inf"))),
     "checkpoint-bool-temperature": ("ckpt", _config(init_temperature=True)),
+    "checkpoint-huge-int-temperature": ("ckpt", _config(init_temperature=10 ** 400)),
     "checkpoint-repeated-vocab-word": ("ckpt", lambda m: _config(vocab_words=[
         m["config"]["vocab_words"][0], *m["config"]["vocab_words"][:-1]])(m)),
     "dataset-string-noise": ("ds", _spec(noise="loud")),
