@@ -138,7 +138,7 @@ def _assert_merge_equivalence(adapted, task: FewShotTask,
     _, merged = evaluate(adapted.base, replace(task, query_images=task.query_images[:n],
                                                query_labels=task.query_labels[:n]))
     diff = float(np.abs(logits[:n] - merged).max())
-    if diff >= MERGE_TOLERANCE:
+    if not diff < MERGE_TOLERANCE:  # a NaN diff fails too
         raise LorabenchError(f"merge equivalence violated: max logit diff {diff:.3e}")
 
 

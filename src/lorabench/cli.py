@@ -11,7 +11,6 @@ import argparse
 import ctypes
 import dataclasses
 import json
-import math
 import os
 import sys
 from itertools import product
@@ -21,8 +20,7 @@ import numpy as np
 
 from .bench import (DEFAULT_GROUPS, SHOT_GRID, METHODS, PlannedRow,
                     default_ablation_cells, pretrain_model, run_ablation, run_plan)
-from .data import (DEFAULT_CLASS_NAMES, SyntheticDatasetSpec, generate_dataset,
-                   load_dataset, save_dataset)
+from .data import SyntheticDatasetSpec, generate_dataset, load_dataset, save_dataset
 from .errors import DomainError, LorabenchError
 from .fewshot import PretrainConfig, TrainConfig
 from .lora import PlacementConfig
@@ -128,16 +126,8 @@ def _apply_config(args: argparse.Namespace, defaults: dict) -> None:
 
 def _require_positive(args: argparse.Namespace, *keys) -> None:
     for key in keys:
-        if not 0 < getattr(args, key) < math.inf:
-            raise UsageError(f"{_flag(key)} must be > 0 and finite, got {getattr(args, key)}")
-
-
-def _require_seeds(args: argparse.Namespace, key: str) -> None:
-    """numpy seeds its generators from integers >= 0 only."""
-    seeds = getattr(args, key)
-    for seed in seeds if isinstance(seeds, list) else [seeds]:
-        if seed < 0:
-            raise UsageError(f"{_flag(key)} must be >= 0, got {seed}")
+        if getattr(args, key) < 1:
+            raise UsageError(f"{_flag(key)} must be >= 1, got {getattr(args, key)}")
 
 
 def _reject_repeats(label: str, values: list) -> None:
@@ -147,11 +137,11 @@ def _reject_repeats(label: str, values: list) -> None:
         raise UsageError(f"{label} {repeats[0]} is repeated")
 
 
-def _placement(label: str, **fields) -> PlacementConfig:
-    """PlacementConfig(**fields), where an invalid field is a usage error
-    that names `label`."""
+def _config(label: str, cls, **fields):
+    """cls(**fields), where a field the config rejects is a usage error that
+    names `label`."""
     try:
-        return PlacementConfig(**fields)
+        return cls(**fields)
     except DomainError as e:
         raise UsageError(f"{label}: {e}") from None
 
@@ -192,17 +182,9 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
-    _require_positive(args, "images_per_class")
-    _require_seeds(args, "seed")
-    if not 1 <= args.classes <= len(DEFAULT_CLASS_NAMES):
-        raise UsageError(f"--classes must be in [1, {len(DEFAULT_CLASS_NAMES)}], "
-                         f"got {args.classes}")
-    if not 0 <= args.noise < math.inf:
-        raise UsageError(f"--noise must be >= 0 and finite, got {args.noise}")
-    spec = SyntheticDatasetSpec(n_classes=args.classes,
-                                images_per_class=args.images_per_class,
-                                noise=args.noise, pixel_shift=args.shift,
-                                seed=args.seed)
+    spec = _config("gen", SyntheticDatasetSpec, n_classes=args.classes,
+                   images_per_class=args.images_per_class, noise=args.noise,
+                   pixel_shift=args.shift, seed=args.seed)
     ds = generate_dataset(spec)
     save_dataset(ds, args.out)
     print(f"wrote {ds.images.shape[0]} images, {len(ds.class_names)} classes "
@@ -211,14 +193,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    _require_positive(args, "epochs", "lr")
-    _require_seeds(args, "seed")
-    if args.batch_size < 2:
-        raise UsageError(f"--batch-size must be >= 2 (contrastive pairs), "
-                         f"got {args.batch_size}")
+    cfg = _config("pretrain", PretrainConfig, epochs=args.epochs,
+                  batch_size=args.batch_size, lr=args.lr, seed=args.seed)
     ds = load_dataset(args.dataset)
-    cfg = PretrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                         lr=args.lr, seed=args.seed)
     model, history = pretrain_model(ds, cfg)
     out = Path(args.out)
     save_checkpoint(model, out)
@@ -230,12 +207,12 @@ def cmd_pretrain(args) -> int:
 
 def cmd_zeroshot(args) -> int:
     _require_positive(args, "shots")
-    _require_seeds(args, "seed")
+    train_cfg = _config("zeroshot", TrainConfig, seed=args.seed)
     ds = load_dataset(args.dataset)
     base = load_checkpoint(args.checkpoint)
     # a zero-shot row trains nothing, so it scores the model of the shared pass
     row = run_plan(lambda: base, base, ds, [PlannedRow("zero-shot", args.seed)],
-                   args.shots)[0]
+                   args.shots, train_cfg=train_cfg)[0]
     print(f"zero-shot accuracy: {row.acc:.4f} "
           f"({ds.images.shape[0]} images, {len(ds.class_names)} classes)")
     if args.out:
@@ -253,13 +230,13 @@ def cmd_finetune(args) -> int:
     if not args.seeds:
         raise UsageError("--seeds needs at least one seed")
     _reject_repeats("finetune: seed", args.seeds)
-    _require_seeds(args, "seeds")
-    _require_positive(args, "iters_per_shot", "batch_size", "lr")
-    placement = _placement("finetune", rank=args.rank, dropout=args.dropout)
+    _require_positive(args, "iters_per_shot")
+    for seed in args.seeds:  # each row's config: run_single sets its seed
+        train_cfg = _config("finetune", TrainConfig, lr=args.lr, batch_size=args.batch_size,
+                            iters_per_shot=args.iters_per_shot, seed=seed)
+    placement = _config("finetune", PlacementConfig, rank=args.rank, dropout=args.dropout)
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
-    train_cfg = TrainConfig(lr=args.lr, batch_size=args.batch_size,
-                            iters_per_shot=args.iters_per_shot)
     plan = [PlannedRow(args.method, seed, placement, merged_checkpoint=None
                        if args.merged_out is None else f"{args.merged_out}/merged_seed{seed}")
             for seed in args.seeds]
@@ -283,14 +260,14 @@ def cmd_ablate(args) -> int:
     if not cells:
         raise UsageError("the ablation grid has no cell: --groups, --ranks, "
                          "--spans and --encoders each need a value")
-    placements = [_placement(f"ablation cell {(group, rank, span, encoders)}",
-                             matrices=tuple(group), rank=rank, layer_span=span,
-                             encoders=encoders)
+    placements = [_config(f"ablation cell {(group, rank, span, encoders)}", PlacementConfig,
+                          matrices=tuple(group), rank=rank, layer_span=span,
+                          encoders=encoders)
                   for group, rank, span, encoders in cells]
     _reject_repeats("ablation cell", cells)
+    train_cfg = _config("ablate", TrainConfig, iters_per_shot=args.iters_per_shot)
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
-    train_cfg = TrainConfig(iters_per_shot=args.iters_per_shot)
     rows, skipped = run_ablation(factory, ds, placements, args.shots, args.n_seeds,
                                  master_seed=args.master_seed,
                                  workers=args.workers, train_cfg=train_cfg)

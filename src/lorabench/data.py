@@ -38,38 +38,33 @@ class SyntheticDatasetSpec:
     class_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        sizes = (self.n_classes, self.images_per_class, self.image_size, self.prototype_grid)
-        if not all(type(v) is int and v >= 0 for v in sizes) or \
-                min(self.image_size, self.prototype_grid) < 1:
-            raise DomainError(f"dataset sizes must be integers >= 0, image_size and "
-                              f"prototype_grid >= 1, got {sizes}")
+        for name in ("n_classes", "images_per_class", "image_size", "prototype_grid"):
+            require_int(name, getattr(self, name), 1)
         names = self.class_names
         if (not isinstance(names, (list, tuple)) or not all(isinstance(c, str) for c in names)
                 or len(set(names)) != len(names)):
             raise DomainError(f"class_names must be distinct strings, got {names!r}")
         if not names:
             if self.n_classes > len(DEFAULT_CLASS_NAMES):
-                raise DomainError(f"at most {len(DEFAULT_CLASS_NAMES)} default class "
-                                  f"names; pass class_names explicitly")
+                raise DomainError(f"n_classes {self.n_classes} is more than the "
+                                  f"{len(DEFAULT_CLASS_NAMES)} default class names")
             self.class_names = DEFAULT_CLASS_NAMES[:self.n_classes]
         self.class_names = tuple(self.class_names)
         if len(self.class_names) != self.n_classes:
             raise DomainError(f"{len(self.class_names)} names for {self.n_classes} classes")
         if self.image_size % self.prototype_grid != 0:
             raise DomainError("image_size must be a multiple of prototype_grid")
-        for name in ("prototype_scale", "noise", "min_class_distance"):
-            require_finite(name, getattr(self, name))
-        if min(self.noise, self.min_class_distance) < 0:
-            raise DomainError(f"noise and min_class_distance must be >= 0, "
-                              f"got {self.noise} and {self.min_class_distance}")
-        if type(self.pixel_shift) is not int or type(self.seed) is not int or self.seed < 0:
-            raise DomainError(f"pixel_shift must be an integer and seed an integer >= 0, "
-                              f"got {self.pixel_shift!r} and {self.seed!r}")
+        require_finite("prototype_scale", self.prototype_scale)
+        require_finite("noise", self.noise, least=0)
+        require_finite("min_class_distance", self.min_class_distance, least=0)
+        require_int("pixel_shift", self.pixel_shift)
+        require_int("seed", self.seed, 0)
 
 
-def require_finite(name: str, value) -> None:
-    """A DomainError unless `value` is a finite int or float; a bool is
-    neither, and an int beyond a float's range is not finite."""
+def require_finite(name: str, value, least=None, above=None) -> None:
+    """A DomainError unless `value` is a finite int or float, at least
+    `least` and above `above` where given; a bool is neither, and an int
+    beyond a float's range is not finite."""
     try:
         ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
               and math.isfinite(value))
@@ -77,6 +72,18 @@ def require_finite(name: str, value) -> None:
         ok = False
     if not ok:
         raise DomainError(f"{name} must be a finite number, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value!r}")
+    if above is not None and value <= above:
+        raise DomainError(f"{name} must be > {above}, got {value!r}")
+
+
+def require_int(name: str, value, least=None) -> None:
+    """A DomainError unless `value` is an int (not a bool), at least `least`
+    where given."""
+    if type(value) is not int or (least is not None and value < least):
+        raise DomainError(f"{name} must be an integer"
+                          f"{'' if least is None else f' >= {least}'}, got {value!r}")
 
 
 @dataclass

@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .data import require_finite, require_int
 from .errors import DomainError, LorabenchError, ShapeError
 from .lora import AdaptedModel
 from .model import (DualEncoderModel, encode_images, encode_tokens,
@@ -76,10 +77,15 @@ def sample_support_set(images: np.ndarray, labels: np.ndarray,
 
 
 def predict(scores: Tensor) -> np.ndarray:
-    """Per-row argmax; ties resolve to the lowest class index."""
+    """Per-row argmax; ties resolve to the lowest class index.  A NaN or
+    infinite score has no rank, so it is an error, not a prediction."""
     data = np.asarray(scores.data if isinstance(scores, Tensor) else scores)
     if data.ndim != 2 or data.shape[1] == 0:
         raise ShapeError(f"expected (n, K) scores, got shape {data.shape}")
+    finite = np.isfinite(data)
+    if not finite.all():
+        raise DomainError(f"{finite.size - finite.sum()} of {finite.size} scores "
+                          f"are not finite")
     return data.argmax(axis=1)
 
 
@@ -133,6 +139,12 @@ class TrainConfig:
     batch_size: int = 32
     iters_per_shot: int = 500
     seed: int = 0
+
+    def __post_init__(self):
+        require_finite("lr", self.lr, above=0)
+        require_int("batch_size", self.batch_size, 1)
+        require_int("iters_per_shot", self.iters_per_shot, 0)
+        require_int("seed", self.seed, 0)
 
     def iterations(self, shots: int) -> int:
         return self.iters_per_shot * shots
@@ -271,6 +283,12 @@ class PretrainConfig:
     lr: float = 1e-3
     seed: int = 0
 
+    def __post_init__(self):
+        require_int("epochs", self.epochs, 1)
+        require_int("batch_size", self.batch_size, 2)  # contrastive pairs
+        require_finite("lr", self.lr, above=0)
+        require_int("seed", self.seed, 0)
+
 
 def contrastive_pretrain(model: DualEncoderModel, images: np.ndarray,
                          captions: list[str], cfg: PretrainConfig) -> TrainingHistory:
@@ -280,8 +298,6 @@ def contrastive_pretrain(model: DualEncoderModel, images: np.ndarray,
 
     The temperature is trainable here (and only here), clamped from below.
     """
-    if cfg.batch_size < 2:
-        raise DomainError(f"contrastive batches need >= 2 pairs, got {cfg.batch_size}")
     n = images.shape[0]
     if n < cfg.batch_size:
         raise DomainError(f"pretraining needs at least batch size {cfg.batch_size} "

@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .data import require_int
 from .errors import DomainError, StateError
 from .model import DualEncoderModel
 from .tensor import Tensor
@@ -42,8 +43,7 @@ class PlacementConfig:
             raise DomainError(f"layer_span must be one of {LAYER_SPANS}")
         if self.encoders not in ENCODER_CHOICES:
             raise DomainError(f"encoders must be one of {ENCODER_CHOICES}")
-        if self.rank < 1:
-            raise DomainError(f"rank must be >= 1, got {self.rank}")
+        require_int("rank", self.rank, 1)
         if not (0.0 <= self.dropout < 1.0):
             raise DomainError(f"dropout must be in [0, 1), got {self.dropout}")
 

@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .data import (ArtifactFormat, read_artifact, read_sized, require_finite,
-                   write_artifact)
+                   require_int, write_artifact)
 from .errors import DomainError, FormatError, InputError, ShapeError
 from .tensor import (Tape, Tensor, add, attention, broadcast_to, concat, l2_normalize,
                      layer_norm, linear, lora_linear, matmul, mlp, narrow, select_positions,
@@ -128,19 +128,16 @@ class ModelConfig:
     init_temperature: float = 0.07
 
     def __post_init__(self):
-        sizes = (self.width, self.heads, self.depth, self.embed_dim, self.image_size,
-                 self.patch_size, self.max_text_len)
-        if not all(type(v) is int and v >= 1 for v in sizes):
-            raise DomainError(f"model sizes must be integers >= 1, got {sizes}")
+        for name in ("width", "heads", "depth", "embed_dim", "image_size", "patch_size",
+                     "max_text_len"):
+            require_int(name, getattr(self, name), 1)
         if self.width % self.heads != 0:
             raise ShapeError(f"width {self.width} not divisible by heads {self.heads}")
         if self.image_size % self.patch_size != 0:
             raise ShapeError("image size not divisible by patch size")
         if self.embed_dim > self.width:
             raise DomainError("need embed_dim <= width")
-        require_finite("init_temperature", self.init_temperature)
-        if self.init_temperature <= 0:
-            raise DomainError("temperature must be > 0")
+        require_finite("init_temperature", self.init_temperature, above=0)
         if self.dtype not in ("float32", "float64"):
             raise DomainError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if not (isinstance(self.vocab_words, list)

@@ -11,6 +11,7 @@ from lorabench.bench import (PlannedRow, base_zero_shot_accuracies, run_plan,
 from lorabench.data import SyntheticDatasetSpec, generate_dataset
 from lorabench.errors import LorabenchError
 from lorabench.fewshot import TrainConfig, evaluate, sample_support_set
+from lorabench.lora import PlacementConfig, inject
 
 
 def _dataset():
@@ -71,3 +72,13 @@ def test_merge_check_refuses_a_merged_model_that_disagrees(monkeypatch, small_da
     monkeypatch.setattr(bench, "merge", merge_then_flip_projection)
     with pytest.raises(LorabenchError, match="merge equivalence violated"):
         lora_row()
+
+
+def test_merge_check_refuses_a_nan_difference(small_dataset):
+    # NaN compares false with the tolerance: the check must not read it as agreement
+    ds = small_dataset
+    task = sample_support_set(ds.images, ds.labels, ds.class_names, 1, seed=0)
+    adapted = inject(small_model_for(ds), PlacementConfig(), seed=0)
+    logits = np.full((task.query_images.shape[0], task.num_classes), np.nan)
+    with pytest.raises(LorabenchError, match="merge equivalence violated"):
+        bench._assert_merge_equivalence(adapted, task, logits)

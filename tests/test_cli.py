@@ -26,7 +26,7 @@ from lorabench.cli import build_parser, main
 from lorabench.data import (SyntheticDatasetSpec, generate_dataset, load_dataset,
                             save_dataset)
 from lorabench.errors import DomainError, FormatError
-from lorabench.fewshot import PretrainConfig, TrainConfig
+from lorabench.fewshot import PretrainConfig, TrainConfig, TrainingHistory
 from lorabench.lora import ENCODER_CHOICES, LAYER_SPANS, MATRICES, PlacementConfig
 from lorabench.model import load_checkpoint
 from lorabench.report import ABLATION_EXTRA, RunReport, read_report_csv
@@ -506,6 +506,79 @@ class TestCheckpointFuzz:
         assert code in (0, 2) and captured.err.count("\n") <= 1
 
 
+# any JSON value a --config file holds: NaN, +-Infinity and an int beyond a
+# float's range included
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.just(10 ** 400) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+# the words the commands' string keys take
+CONFIG_WORDS = st.sampled_from([*bench.METHODS, *MATRICES, "qv", *LAYER_SPANS,
+                                *ENCODER_CHOICES])
+
+
+def _values_like(default):
+    """JSON values of the type of a key's default, inside and outside the
+    range its command or config accepts."""
+    if isinstance(default, list):
+        return st.lists(_values_like(default[0]), max_size=3)
+    numbers = st.integers(-1, 4) | st.integers(-3, 40) | st.just(10 ** 400)
+    if isinstance(default, float):
+        return numbers | st.floats()
+    return numbers if isinstance(default, int) else st.none() | CONFIG_WORDS
+
+
+def _stub_plan(model_factory, base, ds, plan, shots, workers=1, train_cfg=None):
+    return [RunReport(method=row.method, config="-", shots=shots, seed=row.seed,
+                      zs_acc=0.5, acc=0.5, trainable=0, total=0, iters=0, seconds=0.0)
+            for row in plan]
+
+
+class TestConfigFileFuzz:
+    """A --config file that sets any keys of its command to any JSON values:
+    the command runs (exit 0) or exits 1 with one stderr line, never with a
+    traceback.  What renders, saves or trains a dataset or model is stubbed,
+    so no fuzzed size is ever allocated and no thread starts: only the
+    command's checks and configs run."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(sorted(cli._KEYS)), data=st.data())
+    def test_config_contents(self, workdir, capsys, command, data):
+        keys = data.draw(st.lists(st.sampled_from(sorted(cli._KEYS[command])),
+                                  unique=True, max_size=4), label="keys")
+        config = {}
+        for key in keys:
+            # the key's own type three times in four, so that most values get
+            # past the type check to the configs' own checks
+            like = _values_like(cli._KEYS[command][key])
+            config[key] = data.draw(st.one_of(CONFIG_VALUES, like, like, like), label=key)
+        model = load_checkpoint(workdir / "ckpt")
+        capsys.readouterr()
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(cli, "generate_dataset", lambda spec: types.SimpleNamespace(
+                images=np.zeros((1, 1, 1)), class_names=spec.class_names))
+            mp.setattr(cli, "save_dataset", lambda ds, directory: None)
+            mp.setattr(cli, "pretrain_model",
+                       lambda ds, cfg: (model, TrainingHistory([cfg.lr], [1.0])))
+            mp.setattr(cli, "run_plan", _stub_plan)
+            mp.setattr(cli, "run_ablation", lambda *args, **kwargs: ([], []))
+            (Path(tmp) / "config.json").write_text(json.dumps(config))
+            paths = {"gen": ["--out"], "pretrain": ["--dataset", "--out"]}.get(
+                command, ["--checkpoint", "--dataset", "--out"])
+            where = {"--checkpoint": workdir / "ckpt", "--dataset": workdir / "ds",
+                     "--out": Path(tmp) / "out"}
+            code = main([command, *[a for flag in paths for a in (flag, str(where[flag]))],
+                         "--config", str(Path(tmp) / "config.json")])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        assert code in (0, 1), captured.err
+        if code == 1:
+            assert captured.err.count("\n") == 1
+
+
 class TestHostileConfig:
     def test_depth_far_beyond_the_blob(self, workdir, tmp_path, capsys):
         # the config asks for a depth of 2**20 over the depth-4 blob
@@ -690,7 +763,21 @@ class TestExitCodes:
         code = main([command, "--checkpoint", str(workdir / "ckpt"), "--dataset", str(ds),
                      "--out", str(tmp_path / "rows.csv")])
         err = capsys.readouterr().err
-        assert code == 2 and err == "error: empty query set\n"
+        assert code == 2 and err == (f"error: malformed dataset spec in {ds} (DomainError: "
+                                     f"n_classes must be an integer >= 1, got 0)\n")
+
+    def test_diverged_finetune_is_runtime_error(self, workdir, tmp_path, capsys):
+        # lr 1e308 overflows the adapters in one step: their NaN scores are
+        # an error, not an accuracy.  numpy may warn on stderr before it.
+        out = tmp_path / "x.csv"
+        code = main(["finetune", "--checkpoint", str(workdir / "ckpt"),
+                     "--dataset", str(workdir / "ds"), "--shots", "1",
+                     "--iters-per-shot", "1", "--lr", "1e308", "--seeds", "0",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err.splitlines()[-1].startswith("error: ")
+        assert "not finite" in captured.err
+        assert "Traceback" not in captured.err + captured.out and not out.exists()
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -837,6 +924,9 @@ class TestUsageErrors:
          "--seeds", "0,-1", "--out", "{tmp}/x.csv"],
         ["finetune", "--checkpoint", "{work}/ckpt", "--dataset", "{work}/ds",
          "--config", "{tmp}/negative-seed.json", "--out", "{tmp}/x.csv"],
+        ["pretrain", "--dataset", "{work}/ds", "--out", "{tmp}/d",
+         "--config", "{tmp}/huge-int.json"],
+        ["gen", "--out", "{tmp}/d", "--config", "{tmp}/huge-int.json"],
     ], ids=["malformed-config-json", "finetune-empty-seeds", "ablate-zero-shots",
             "ablate-zero-seeds", "gen-negative-noise", "gen-zero-classes",
             "gen-zero-images-per-class", "unknown-config-key", "pretrain-zero-epochs",
@@ -856,7 +946,8 @@ class TestUsageErrors:
             "gen-nan-noise", "gen-inf-noise", "pretrain-inf-lr", "finetune-inf-lr",
             "finetune-config-inf-lr", "gen-17-classes", "gen-negative-seed",
             "pretrain-negative-seed", "zeroshot-negative-seed",
-            "finetune-negative-seed", "finetune-config-negative-seed"])
+            "finetune-negative-seed", "finetune-config-negative-seed",
+            "pretrain-config-huge-int-lr", "gen-config-huge-int-noise"])
     def test_exit_1_with_one_line(self, argv, workdir, tmp_path, capsys):
         (tmp_path / "bad.json").write_text('{"classes": 4,')
         (tmp_path / "typo.json").write_text('{"iters_per_shots": 1}')
@@ -864,6 +955,8 @@ class TestUsageErrors:
             {"method": "adapter", "merged_out": str(tmp_path / "d")}))
         (tmp_path / "inf-lr.json").write_text('{"lr": Infinity}')
         (tmp_path / "negative-seed.json").write_text('{"seeds": [-1]}')
+        (tmp_path / "huge-int.json").write_text(json.dumps(
+            {"lr": 10 ** 400} if argv[0] == "pretrain" else {"noise": 10 ** 400}))
         for name, grid in BAD_GRIDS.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(grid))
         for name, (_, cfg) in BAD_TYPES.items():

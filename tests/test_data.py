@@ -98,22 +98,24 @@ class TestGenerate:
         assert set(ds.class_names) <= words
 
     @pytest.mark.parametrize("spec,match", [
-        (dict(n_classes=-1), "integers"),
+        (dict(n_classes=-1), "n_classes must be an integer >= 1"),
         (dict(image_size=0), "image_size"),
         (dict(noise="loud"), "noise must be a finite number"),
         (dict(noise=float("inf")), "noise must be a finite number"),
-        (dict(noise=-0.1), "noise and min_class_distance must be >= 0"),
+        (dict(noise=-0.1), "noise must be >= 0"),
         (dict(prototype_scale=float("nan")), "prototype_scale must be a finite number"),
         (dict(prototype_scale=True), "prototype_scale must be a finite number"),
-        (dict(min_class_distance=-1.0), "noise and min_class_distance must be >= 0"),
+        (dict(min_class_distance=-1.0), "min_class_distance must be >= 0"),
         (dict(pixel_shift=1.5), "pixel_shift must be an integer"),
         (dict(pixel_shift=True), "pixel_shift must be an integer"),
-        (dict(seed=-5), "seed an integer >= 0"),
-        (dict(seed=2.0), "seed an integer >= 0"),
+        (dict(seed=-5), "seed must be an integer >= 0"),
+        (dict(seed=2.0), "seed must be an integer >= 0"),
+        (dict(images_per_class=0), "images_per_class must be an integer >= 1"),
+        (dict(n_classes=0), "n_classes must be an integer >= 1"),
     ], ids=["negative-size", "zero-image-size", "string-noise", "infinite-noise",
             "negative-noise", "nan-prototype-scale", "bool-prototype-scale",
             "negative-min-distance", "fractional-shift", "bool-shift", "negative-seed",
-            "float-seed"])
+            "float-seed", "zero-images-per-class", "zero-classes"])
     def test_spec_rejects_malformed_fields(self, spec, match):
         with pytest.raises(DomainError, match=match):
             SyntheticDatasetSpec(**spec)

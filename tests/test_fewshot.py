@@ -80,6 +80,12 @@ class TestPrediction:
         with pytest.raises(ShapeError):
             predict(Tensor(np.zeros(3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_predict_rejects_non_finite_scores(self, bad):
+        # a NaN row would otherwise argmax to class 0 and score as a guess
+        with pytest.raises(DomainError, match="1 of 4 scores are not finite"):
+            predict(Tensor(np.array([[0.1, 0.9], [bad, 0.5]])))
+
 
 class TestCrossEntropy:
     def test_perfect_prediction_near_zero(self):
@@ -223,6 +229,31 @@ class TestTrainConfig:
         assert TrainConfig().iterations(1) == 500
         assert TrainConfig().iterations(4) == 2000
         assert TrainConfig().iterations(16) == 8000
+
+
+# name -> (a training config, one field it rejects)
+BAD_CONFIGS = {
+    "train-infinite-lr": (TrainConfig, dict(lr=float("inf"))),
+    "train-nan-lr": (TrainConfig, dict(lr=float("nan"))),
+    "train-zero-lr": (TrainConfig, dict(lr=0)),
+    "train-huge-int-lr": (TrainConfig, dict(lr=10 ** 400)),
+    "train-zero-batch-size": (TrainConfig, dict(batch_size=0)),
+    "train-fractional-batch-size": (TrainConfig, dict(batch_size=2.5)),
+    "train-bool-batch-size": (TrainConfig, dict(batch_size=True)),
+    "train-negative-iters-per-shot": (TrainConfig, dict(iters_per_shot=-1)),
+    "train-negative-seed": (TrainConfig, dict(seed=-1)),
+    "pretrain-one-batch-size": (PretrainConfig, dict(batch_size=1)),
+    "pretrain-zero-epochs": (PretrainConfig, dict(epochs=0)),
+    "pretrain-negative-seed": (PretrainConfig, dict(seed=-1)),
+    "pretrain-infinite-lr": (PretrainConfig, dict(lr=float("inf"))),
+}
+
+
+@pytest.mark.parametrize("cls,fields", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_config_rejects_field(cls, fields):
+    [name] = fields
+    with pytest.raises(DomainError, match=f"^{name} must be "):
+        cls(**fields)
 
 
 class TestFinetune:

@@ -138,6 +138,11 @@ class TestPlacement:
         with pytest.raises(DomainError):
             PlacementConfig(dropout=1.0)
 
+    @pytest.mark.parametrize("rank", [2.0, True], ids=["float", "bool"])
+    def test_rank_must_be_an_int(self, rank):
+        with pytest.raises(DomainError, match="rank must be an integer >= 1"):
+            PlacementConfig(rank=rank)
+
     def test_layer_spans(self):
         assert list(PlacementConfig(layer_span="bottom").selected_layers(4)) == [0, 1]
         assert list(PlacementConfig(layer_span="up").selected_layers(4)) == [2, 3]
