@@ -8,6 +8,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import repeat
+from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -68,18 +69,18 @@ def base_zero_shot_accuracies(model: DualEncoderModel, ds: Dataset,
 
 
 class PlannedRow(NamedTuple):
-    """One row of a plan.  `cell` is its ablation coordinates (empty outside
-    `ablate`); a lora row saves its merged model to `merged_checkpoint`."""
+    """One row of a plan, trained with `train`, whose seed is the row's seed.
+    `cell` is its ablation coordinates (empty outside `ablate`); a lora row
+    saves its merged model to `merged_checkpoint`."""
     method: str
-    seed: int
+    train: TrainConfig
     placement: Optional[PlacementConfig] = None
     cell: tuple = ()
-    merged_checkpoint: Optional[str] = None
+    merged_checkpoint: Optional[Path] = None
 
 
 def run_single(model_factory: ModelFactory, task: FewShotTask, row: PlannedRow,
-               zs_acc: float, zs_seconds: float = 0.0,
-               train_cfg: Optional[TrainConfig] = None) -> RunReport:
+               zs_acc: float, zs_seconds: float = 0.0) -> RunReport:
     """The report of planned `row` on a model from `model_factory`.
 
     `zs_acc` is the base model's zero-shot accuracy on `task`, from the
@@ -87,11 +88,10 @@ def run_single(model_factory: ModelFactory, task: FewShotTask, row: PlannedRow,
     pass, and is the `seconds` of a zero-shot row.  A trained row's `seconds`
     covers its training and its final evaluation.
     """
-    method, seed = row.method, row.seed
+    method, cfg, seed = row.method, row.train, row.train.seed
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
     model = model_factory()
-    cfg = replace(train_cfg or TrainConfig(), seed=seed)
     t0 = time.perf_counter()
     total = model.param_count()
     iters = cfg.iterations(task.shots)
@@ -143,23 +143,21 @@ def _assert_merge_equivalence(adapted, task: FewShotTask,
 
 
 def run_plan(model_factory: ModelFactory, base: DualEncoderModel, ds: Dataset,
-             plan: list[PlannedRow], shots: int, workers: int = 1,
-             train_cfg: Optional[TrainConfig] = None) -> list[RunReport]:
+             plan: list[PlannedRow], shots: int, workers: int = 1) -> list[RunReport]:
     """One row per planned row, in plan order.  Every row's task is sampled,
     and one zero-shot pass of `base` gives every row its zs_acc, before any
     row runs.  Each row then takes its model from `model_factory`, serially
     or on `workers` threads.  An error in a row propagates."""
     if not plan:
         return []
-    tasks = [sample_support_set(ds.images, ds.labels, ds.class_names, shots, row.seed)
+    tasks = [sample_support_set(ds.images, ds.labels, ds.class_names, shots, row.train.seed)
              for row in plan]
     t0 = time.perf_counter()
     zs_accs = base_zero_shot_accuracies(base, ds, tasks)
     zs_seconds = (time.perf_counter() - t0) / len(plan)
     del base  # each row loads its own model; keep one model per running row
 
-    args = (repeat(model_factory), tasks, plan, zs_accs, repeat(zs_seconds),
-            repeat(train_cfg))
+    args = (repeat(model_factory), tasks, plan, zs_accs, repeat(zs_seconds))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_single, *args))
@@ -169,12 +167,12 @@ def run_plan(model_factory: ModelFactory, base: DualEncoderModel, ds: Dataset,
 def run_ablation(model_factory: ModelFactory, ds: Dataset,
                  placements: list[PlacementConfig], shots: int,
                  n_seeds: int, master_seed: int = 0, workers: int = 1,
-                 train_cfg: Optional[TrainConfig] = None
+                 train_cfg: TrainConfig = TrainConfig()
                  ) -> tuple[list[RunReport], list[tuple]]:
-    """One lora row per (placement, seed), ordered by placement then seed.
-    A placement whose rank exceeds the base model's width is skipped before
-    any model is loaded for it; the second return value lists it with the
-    reason."""
+    """One lora row per (placement, seed), ordered by placement then seed,
+    each trained with `train_cfg` at the seed derived for it.  A placement
+    whose rank exceeds the base model's width is skipped before any model
+    is loaded for it; the second return value lists it with the reason."""
     loaded = [model_factory()]
     width = loaded[0].cfg.width
     plan, skipped = [], []
@@ -183,11 +181,10 @@ def run_ablation(model_factory: ModelFactory, ds: Dataset,
         if pl.rank > width:
             skipped.append((cell, f"rank {pl.rank} exceeds matrix dimension {width}"))
             continue
-        plan += [PlannedRow("lora", derive_seed(master_seed, *cell, s), pl, cell)
-                 for s in range(n_seeds)]
+        plan += [PlannedRow("lora", replace(train_cfg, seed=derive_seed(master_seed, *cell, s)),
+                            pl, cell) for s in range(n_seeds)]
     # hand the runner the only reference, so it frees the model after its pass
-    return run_plan(model_factory, loaded.pop(), ds, plan, shots, workers,
-                    train_cfg), skipped
+    return run_plan(model_factory, loaded.pop(), ds, plan, shots, workers), skipped
 
 
 def pretrain_model(ds: Dataset, cfg: PretrainConfig

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -211,8 +212,8 @@ def cmd_zeroshot(args) -> int:
     ds = load_dataset(args.dataset)
     base = load_checkpoint(args.checkpoint)
     # a zero-shot row trains nothing, so it scores the model of the shared pass
-    row = run_plan(lambda: base, base, ds, [PlannedRow("zero-shot", args.seed)],
-                   args.shots, train_cfg=train_cfg)[0]
+    row = run_plan(lambda: base, base, ds, [PlannedRow("zero-shot", train_cfg)],
+                   args.shots)[0]
     print(f"zero-shot accuracy: {row.acc:.4f} "
           f"({ds.images.shape[0]} images, {len(ds.class_names)} classes)")
     if args.out:
@@ -225,22 +226,24 @@ def cmd_finetune(args) -> int:
         raise UsageError(f"method must be one of {METHODS[1:]}, got {args.method!r}")
     if args.merged_out is not None and args.method != "lora":
         raise UsageError(f"--merged-out needs --method lora, got {args.method!r}")
+    if args.merged_out == "":
+        raise UsageError("--merged-out must name a directory, got an empty path")
     if args.shots not in SHOT_GRID:
         raise UsageError(f"shots must be one of {SHOT_GRID}, got {args.shots}")
     if not args.seeds:
         raise UsageError("--seeds needs at least one seed")
     _reject_repeats("finetune: seed", args.seeds)
     _require_positive(args, "iters_per_shot")
-    for seed in args.seeds:  # each row's config: run_single sets its seed
-        train_cfg = _config("finetune", TrainConfig, lr=args.lr, batch_size=args.batch_size,
-                            iters_per_shot=args.iters_per_shot, seed=seed)
     placement = _config("finetune", PlacementConfig, rank=args.rank, dropout=args.dropout)
+    plan = [PlannedRow(args.method, _config("finetune", TrainConfig, lr=args.lr,
+                                            batch_size=args.batch_size,
+                                            iters_per_shot=args.iters_per_shot, seed=seed),
+                       placement, merged_checkpoint=None if args.merged_out is None
+                       else Path(args.merged_out) / f"merged_seed{seed}")
+            for seed in args.seeds]
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
-    plan = [PlannedRow(args.method, seed, placement, merged_checkpoint=None
-                       if args.merged_out is None else f"{args.merged_out}/merged_seed{seed}")
-            for seed in args.seeds]
-    rows = run_plan(factory, factory(), ds, plan, args.shots, train_cfg=train_cfg)
+    rows = run_plan(factory, factory(), ds, plan, args.shots)
     mean = mean_report(rows)
     write_report_csv(args.out, rows + [mean])
     print(f"{args.method} shots={args.shots}: mean acc {mean.acc:.4f} "
@@ -364,7 +367,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command in _KEYS:
             _apply_config(args, _KEYS[args.command])
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            # numpy's floating-point warnings ("overflow encountered in cast"):
+            # the loss, gradient and score checks report non-finite values in
+            # one line.  A filter, unlike np.errstate, covers every thread.
+            warnings.filterwarnings("ignore", ".* encountered in ", RuntimeWarning)
+            return _COMMANDS[args.command](args)
     except UsageError as e:
         message, code = str(e), 1
     except (LorabenchError, OSError) as e:

@@ -24,39 +24,32 @@ CAPTION_TEMPLATES = ("a photo of a {}",
                      "a small photo of a {}")
 
 
+# coarse cells per side of a class prototype, upsampled to image_size
+PROTOTYPE_GRID = 4
+# least L2 distance between two class prototypes
+MIN_CLASS_DISTANCE = 2.0
+
+
 @dataclass
 class SyntheticDatasetSpec:
+    """The classes are named DEFAULT_CLASS_NAMES[:n_classes]."""
     n_classes: int = 8
     images_per_class: int = 64
     image_size: int = 16
-    prototype_grid: int = 4       # coarse cells per side, upsampled to image_size
-    prototype_scale: float = 1.0
     noise: float = 0.6
-    min_class_distance: float = 2.0
     pixel_shift: int = 0     # cyclic roll of rendered images on both axes
     seed: int = 0
-    class_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for name in ("n_classes", "images_per_class", "image_size", "prototype_grid"):
+        for name in ("n_classes", "images_per_class", "image_size"):
             require_int(name, getattr(self, name), 1)
-        names = self.class_names
-        if (not isinstance(names, (list, tuple)) or not all(isinstance(c, str) for c in names)
-                or len(set(names)) != len(names)):
-            raise DomainError(f"class_names must be distinct strings, got {names!r}")
-        if not names:
-            if self.n_classes > len(DEFAULT_CLASS_NAMES):
-                raise DomainError(f"n_classes {self.n_classes} is more than the "
-                                  f"{len(DEFAULT_CLASS_NAMES)} default class names")
-            self.class_names = DEFAULT_CLASS_NAMES[:self.n_classes]
-        self.class_names = tuple(self.class_names)
-        if len(self.class_names) != self.n_classes:
-            raise DomainError(f"{len(self.class_names)} names for {self.n_classes} classes")
-        if self.image_size % self.prototype_grid != 0:
-            raise DomainError("image_size must be a multiple of prototype_grid")
-        require_finite("prototype_scale", self.prototype_scale)
+        if self.n_classes > len(DEFAULT_CLASS_NAMES):
+            raise DomainError(f"n_classes {self.n_classes} is more than the "
+                              f"{len(DEFAULT_CLASS_NAMES)} default class names")
+        if self.image_size % PROTOTYPE_GRID != 0:
+            raise DomainError(f"image_size must be a multiple of {PROTOTYPE_GRID}, "
+                              f"got {self.image_size}")
         require_finite("noise", self.noise, least=0)
-        require_finite("min_class_distance", self.min_class_distance, least=0)
         require_int("pixel_shift", self.pixel_shift)
         require_int("seed", self.seed, 0)
 
@@ -101,7 +94,7 @@ class Dataset:
     def __post_init__(self):
         self.labels = np.repeat(np.arange(self.spec.n_classes, dtype=np.int64),
                                 self.spec.images_per_class)
-        self.class_names = list(self.spec.class_names)
+        self.class_names = list(DEFAULT_CLASS_NAMES[:self.spec.n_classes])
         self.vocab_words = build_vocab_words(self.captions, self.class_names)
 
 
@@ -116,20 +109,19 @@ def build_vocab_words(captions, class_names) -> list[str]:
 
 
 def make_prototypes(spec: SyntheticDatasetSpec, rng: np.random.Generator) -> np.ndarray:
-    g = spec.prototype_grid
-    protos = rng.uniform(-1.0, 1.0, size=(spec.n_classes, g, g)) * spec.prototype_scale
-    check_prototypes(protos, spec.min_class_distance)
+    protos = rng.uniform(-1.0, 1.0, size=(spec.n_classes, PROTOTYPE_GRID, PROTOTYPE_GRID))
+    check_prototypes(protos)
     return protos
 
 
-def check_prototypes(protos: np.ndarray, min_distance: float) -> None:
+def check_prototypes(protos: np.ndarray) -> None:
     n = protos.shape[0]
     for i in range(n):
         for j in range(i + 1, n):
             d = float(np.linalg.norm(protos[i] - protos[j]))
-            if d < min_distance:
+            if d < MIN_CLASS_DISTANCE:
                 raise DomainError(f"class prototypes {i} and {j} too close "
-                                  f"(distance {d:.3f} < {min_distance})")
+                                  f"(distance {d:.3f} < {MIN_CLASS_DISTANCE})")
 
 
 def generate_dataset(spec: SyntheticDatasetSpec,
@@ -139,10 +131,10 @@ def generate_dataset(spec: SyntheticDatasetSpec,
         prototypes = make_prototypes(spec, rng)
     else:
         prototypes = np.asarray(prototypes, dtype=np.float64)
-        check_prototypes(prototypes, spec.min_class_distance)
-    up = spec.image_size // spec.prototype_grid
+        check_prototypes(prototypes)
+    up = spec.image_size // PROTOTYPE_GRID
     images, captions = [], []
-    for k, name in enumerate(spec.class_names):
+    for k, name in enumerate(DEFAULT_CLASS_NAMES[:spec.n_classes]):
         base = np.kron(prototypes[k], np.ones((up, up)))
         for _ in range(spec.images_per_class):
             img = base + spec.noise * rng.standard_normal((spec.image_size,
@@ -176,8 +168,17 @@ class ArtifactFormat:
 def write_artifact(fmt: ArtifactFormat, directory, config, names: list, blob: bytes) -> None:
     """Write both files in full to temporaries beside their targets, then
     rename the blob and last the manifest.  So a failed or cut-off write
-    leaves the old files as they were, and a new manifest has a new blob."""
+    leaves the old files as they were, and a new manifest has a new blob.
+    A directory whose manifest names another kind is refused untouched."""
     directory = Path(directory)
+    try:
+        old = json.loads((directory / "manifest.json").read_bytes())
+    except (OSError, ValueError):
+        old = None
+    kind = old.get("kind", fmt.kind) if isinstance(old, dict) else fmt.kind
+    if kind != fmt.kind:
+        raise FormatError(f"{directory} holds an artifact of kind {kind!r}; "
+                          f"a {fmt.what} written there would replace it")
     manifest = {"version": fmt.version, "kind": fmt.kind,
                 fmt.config_key: asdict(config), fmt.list_key: names}
     directory.mkdir(parents=True, exist_ok=True)
@@ -241,7 +242,7 @@ def read_sized(path: Path, need: int, what: str) -> bytes:
 
 # images.bin holds every image, little-endian float32, in label order; the
 # list is one caption per image; the spec fixes the count, size and labels.
-DATASET = ArtifactFormat("dataset", "synthetic_dataset", 2, "spec", SyntheticDatasetSpec,
+DATASET = ArtifactFormat("dataset", "synthetic_dataset", 3, "spec", SyntheticDatasetSpec,
                          "captions", "images.bin")
 
 

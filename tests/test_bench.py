@@ -39,7 +39,7 @@ def test_shared_pass_gives_each_task_its_own_zero_shot_accuracy():
              for seed in seeds]
     shared = base_zero_shot_accuracies(factory(), ds, tasks)
     assert shared == [evaluate(factory(), task)[0] for task in tasks]
-    plan = [PlannedRow("zero-shot", seed) for seed in seeds]
+    plan = [PlannedRow("zero-shot", TrainConfig(seed=seed)) for seed in seeds]
     rows = run_plan(factory, factory(), ds, plan, 4)
     assert [r.zs_acc for r in rows] == shared
     assert [r.acc for r in rows] == shared
@@ -58,8 +58,8 @@ def test_merge_check_refuses_a_merged_model_that_disagrees(monkeypatch, small_da
     task = sample_support_set(ds.images, ds.labels, ds.class_names, 1, seed=0)
 
     def lora_row():
-        return run_single(lambda: small_model_for(ds), task, PlannedRow("lora", 0),
-                          0.0, train_cfg=TrainConfig(iters_per_shot=2))
+        return run_single(lambda: small_model_for(ds), task,
+                          PlannedRow("lora", TrainConfig(iters_per_shot=2, seed=0)), 0.0)
 
     assert lora_row().method == "lora"
     real_merge = bench.merge

@@ -9,6 +9,7 @@ import re
 import shlex
 import shutil
 import subprocess
+import sys
 import tempfile
 import threading
 import types
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 
 from lorabench import bench, cli
 from lorabench.cli import build_parser, main
-from lorabench.data import (SyntheticDatasetSpec, generate_dataset, load_dataset,
-                            save_dataset)
+from lorabench.data import (DEFAULT_CLASS_NAMES, SyntheticDatasetSpec, generate_dataset,
+                            load_dataset, save_dataset)
 from lorabench.errors import DomainError, FormatError
 from lorabench.fewshot import PretrainConfig, TrainConfig, TrainingHistory
 from lorabench.lora import ENCODER_CHOICES, LAYER_SPANS, MATRICES, PlacementConfig
@@ -312,7 +313,7 @@ class TestCheckpointLoads:
 
 def _stub_row(model_factory, task, row, zs_acc, *args):
     return RunReport(method=row.method, config=row.placement.digest(), shots=task.shots,
-                     seed=row.seed, zs_acc=zs_acc, acc=zs_acc, trainable=0, total=0,
+                     seed=row.train.seed, zs_acc=zs_acc, acc=zs_acc, trainable=0, total=0,
                      iters=0, extra=dict(zip(ABLATION_EXTRA, row.cell)))
 
 
@@ -530,8 +531,8 @@ def _values_like(default):
     return numbers if isinstance(default, int) else st.none() | CONFIG_WORDS
 
 
-def _stub_plan(model_factory, base, ds, plan, shots, workers=1, train_cfg=None):
-    return [RunReport(method=row.method, config="-", shots=shots, seed=row.seed,
+def _stub_plan(model_factory, base, ds, plan, shots, workers=1):
+    return [RunReport(method=row.method, config="-", shots=shots, seed=row.train.seed,
                       zs_acc=0.5, acc=0.5, trainable=0, total=0, iters=0, seconds=0.0)
             for row in plan]
 
@@ -559,7 +560,7 @@ class TestConfigFileFuzz:
         capsys.readouterr()
         with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
             mp.setattr(cli, "generate_dataset", lambda spec: types.SimpleNamespace(
-                images=np.zeros((1, 1, 1)), class_names=spec.class_names))
+                images=np.zeros((1, 1, 1)), class_names=DEFAULT_CLASS_NAMES[:spec.n_classes]))
             mp.setattr(cli, "save_dataset", lambda ds, directory: None)
             mp.setattr(cli, "pretrain_model",
                        lambda ds, cfg: (model, TrainingHistory([cfg.lr], [1.0])))
@@ -748,7 +749,7 @@ class TestExitCodes:
         assert main(["zeroshot", "--checkpoint", str(workdir / "ckpt"),
                      "--dataset", str(tmp_path / "ds")]) == 2
         assert capsys.readouterr().err == \
-            "error: unsupported dataset version None; this build reads version 2\n"
+            "error: unsupported dataset version None; this build reads version 3\n"
 
     @pytest.mark.parametrize("command", ["zeroshot", "finetune"])
     def test_dataset_without_classes_is_runtime_error(self, command, workdir,
@@ -757,7 +758,7 @@ class TestExitCodes:
         shutil.copytree(workdir / "ds", ds)
         manifest = json.loads((ds / "manifest.json").read_text())
         (ds / "manifest.json").write_text(json.dumps(
-            {**manifest, "spec": {**manifest["spec"], "n_classes": 0, "class_names": []},
+            {**manifest, "spec": {**manifest["spec"], "n_classes": 0},
              "captions": []}))
         (ds / "images.bin").write_bytes(b"")
         code = main([command, "--checkpoint", str(workdir / "ckpt"), "--dataset", str(ds),
@@ -768,7 +769,8 @@ class TestExitCodes:
 
     def test_diverged_finetune_is_runtime_error(self, workdir, tmp_path, capsys):
         # lr 1e308 overflows the adapters in one step: their NaN scores are
-        # an error, not an accuracy.  numpy may warn on stderr before it.
+        # an error, not an accuracy, and numpy's warnings about them are not
+        # printed (test_diverged_run_prints_one_line runs it as a process)
         out = tmp_path / "x.csv"
         code = main(["finetune", "--checkpoint", str(workdir / "ckpt"),
                      "--dataset", str(workdir / "ds"), "--shots", "1",
@@ -778,6 +780,35 @@ class TestExitCodes:
         assert code == 2 and captured.err.splitlines()[-1].startswith("error: ")
         assert "not finite" in captured.err
         assert "Traceback" not in captured.err + captured.out and not out.exists()
+
+    def test_diverged_run_prints_one_line(self, workdir, tmp_path):
+        # numpy warns of the overflow in this thread and in the image-block
+        # threads; a process prints none of it, only the error
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from lorabench.cli import main; sys.exit(main())",
+             "finetune", "--checkpoint", str(workdir / "ckpt"), "--dataset", str(workdir / "ds"),
+             "--shots", "1", "--iters-per-shot", "1", "--lr", "1e308", "--seeds", "0",
+             "--out", str(tmp_path / "x.csv")],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: 240 of 240 scores are not finite\n"
+
+    @pytest.mark.parametrize("target", ["ds", "ckpt"])
+    def test_an_artifact_is_not_written_over_the_other_kind(self, target, workdir, tmp_path,
+                                                            capsys):
+        writes = {"ds": ["gen", "--classes", "4", "--images-per-class", "16"],
+                  "ckpt": ["pretrain", "--dataset", str(workdir / "ds"), "--epochs", "1"]}
+        other = writes["ckpt" if target == "ds" else "ds"]
+        copy = tmp_path / target
+        shutil.copytree(workdir / target, copy)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        capsys.readouterr()
+        assert main([*other, "--out", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {copy} holds an artifact of kind ")
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+        assert main([*writes[target], "--out", str(copy)]) == 0  # its own kind may overwrite
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -967,6 +998,22 @@ class TestUsageErrors:
         assert captured.err.count("\n") == 1 and captured.err.strip()
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "x.csv").exists() and not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_empty_merged_out_is_refused(self, spelling, workdir, tmp_path, capsys,
+                                         monkeypatch):
+        # the merged checkpoint would be saved at /merged_seed0
+        saved = []
+        monkeypatch.setattr(bench, "save_checkpoint", lambda model, path: saved.append(path))
+        (tmp_path / "c.json").write_text(json.dumps({"merged_out": ""}))
+        merged_out = {"flag": ["--merged-out="], "config": ["--config", str(tmp_path / "c.json")]}
+        code = main(["finetune", "--checkpoint", str(workdir / "ckpt"), "--dataset",
+                     str(workdir / "ds"), "--shots", "1", "--iters-per-shot", "1", "--seeds",
+                     "0", *merged_out[spelling], "--out", str(tmp_path / "x.csv")])
+        assert (code, saved) == (1, [])
+        assert capsys.readouterr().err == \
+            "--merged-out must name a directory, got an empty path\n"
+        assert not (tmp_path / "x.csv").exists()
 
 
 # every command's defaults as they resolved before ablate's grid defaults

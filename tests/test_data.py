@@ -10,9 +10,9 @@ import pytest
 
 from conftest import fail_writes_part_way
 from lorabench import data
-from lorabench.data import (DEFAULT_CLASS_NAMES, Dataset, SyntheticDatasetSpec,
-                            check_prototypes, generate_dataset, load_dataset,
-                            make_prototypes, save_dataset)
+from lorabench.data import (DEFAULT_CLASS_NAMES, MIN_CLASS_DISTANCE, Dataset,
+                            SyntheticDatasetSpec, check_prototypes, generate_dataset,
+                            load_dataset, make_prototypes, save_dataset)
 from lorabench.errors import DomainError, FormatError
 
 
@@ -25,7 +25,9 @@ class TestGenerate:
         assert len(ds.captions) == 512
         save_dataset(ds, tmp_path / "ds")
         manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
-        assert len(manifest["spec"]["class_names"]) == 8
+        assert sorted(manifest["spec"]) == sorted(f.name for f in fields(SyntheticDatasetSpec))
+        assert [f.name for f in fields(SyntheticDatasetSpec)] == [
+            "n_classes", "images_per_class", "image_size", "noise", "pixel_shift", "seed"]
 
     def test_byte_identical_regeneration(self, tmp_path):
         spec = SyntheticDatasetSpec(n_classes=4, images_per_class=8, seed=7)
@@ -39,9 +41,8 @@ class TestGenerate:
     def test_failed_overwrite_keeps_the_old_dataset(self, tmp_path, monkeypatch, failing):
         old = generate_dataset(SyntheticDatasetSpec(n_classes=4, images_per_class=8,
                                                     seed=7))
-        new = generate_dataset(SyntheticDatasetSpec(
-            n_classes=4, images_per_class=8, seed=8,
-            class_names=("ant", "bee", "cow", "doe")))
+        new = generate_dataset(SyntheticDatasetSpec(n_classes=3, images_per_class=8,
+                                                    seed=8))
         save_dataset(old, tmp_path / "ds")
         fail_writes_part_way(monkeypatch, failing)
         with pytest.raises(OSError, match="part-way"):
@@ -62,10 +63,10 @@ class TestGenerate:
             generate_dataset(spec, prototypes=proto)
 
     def test_check_prototypes_direct(self):
-        ok = np.stack([np.zeros((4, 4)), np.full((4, 4), 2.0)])
-        check_prototypes(ok, 2.0)
-        with pytest.raises(DomainError):
-            check_prototypes(ok, 50.0)
+        # 16 cells 0.5 apart are MIN_CLASS_DISTANCE = 2.0 apart, which is enough
+        check_prototypes(np.stack([np.zeros((4, 4)), np.full((4, 4), 0.5)]))
+        with pytest.raises(DomainError, match=f"< {MIN_CLASS_DISTANCE}"):
+            check_prototypes(np.stack([np.zeros((4, 4)), np.full((4, 4), 0.49)]))
 
     def test_class_labels_match_names(self):
         ds = generate_dataset(SyntheticDatasetSpec(n_classes=3,
@@ -103,19 +104,16 @@ class TestGenerate:
         (dict(noise="loud"), "noise must be a finite number"),
         (dict(noise=float("inf")), "noise must be a finite number"),
         (dict(noise=-0.1), "noise must be >= 0"),
-        (dict(prototype_scale=float("nan")), "prototype_scale must be a finite number"),
-        (dict(prototype_scale=True), "prototype_scale must be a finite number"),
-        (dict(min_class_distance=-1.0), "min_class_distance must be >= 0"),
         (dict(pixel_shift=1.5), "pixel_shift must be an integer"),
         (dict(pixel_shift=True), "pixel_shift must be an integer"),
         (dict(seed=-5), "seed must be an integer >= 0"),
         (dict(seed=2.0), "seed must be an integer >= 0"),
         (dict(images_per_class=0), "images_per_class must be an integer >= 1"),
         (dict(n_classes=0), "n_classes must be an integer >= 1"),
+        (dict(image_size=6), "image_size must be a multiple of 4, got 6"),
     ], ids=["negative-size", "zero-image-size", "string-noise", "infinite-noise",
-            "negative-noise", "nan-prototype-scale", "bool-prototype-scale",
-            "negative-min-distance", "fractional-shift", "bool-shift", "negative-seed",
-            "float-seed", "zero-images-per-class", "zero-classes"])
+            "negative-noise", "fractional-shift", "bool-shift", "negative-seed",
+            "float-seed", "zero-images-per-class", "zero-classes", "off-grid-image-size"])
     def test_spec_rejects_malformed_fields(self, spec, match):
         with pytest.raises(DomainError, match=match):
             SyntheticDatasetSpec(**spec)
@@ -145,7 +143,7 @@ class TestDiskLayout:
             ["images.bin", "manifest.json"]
         manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
         assert sorted(manifest) == ["captions", "kind", "spec", "version"]
-        assert manifest["version"] == 2
+        assert manifest["version"] == 3
         back = load_dataset(tmp_path / "ds")
         for f in fields(Dataset):
             got, want = getattr(back, f.name), getattr(ds, f.name)
