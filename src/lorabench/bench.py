@@ -150,8 +150,8 @@ def run_plan(model_factory: ModelFactory, base: DualEncoderModel, ds: Dataset,
     or on `workers` threads.  An error in a row propagates."""
     if not plan:
         return []
-    tasks = [sample_support_set(ds.images, ds.labels, ds.class_names, shots, row.train.seed)
-             for row in plan]
+    tasks = [sample_support_set(ds.images, ds.labels, ds.class_names, shots,
+                                row.train.seed) for row in plan]
     t0 = time.perf_counter()
     zs_accs = base_zero_shot_accuracies(base, ds, tasks)
     zs_seconds = (time.perf_counter() - t0) / len(plan)
@@ -181,8 +181,8 @@ def run_ablation(model_factory: ModelFactory, ds: Dataset,
         if pl.rank > width:
             skipped.append((cell, f"rank {pl.rank} exceeds matrix dimension {width}"))
             continue
-        plan += [PlannedRow("lora", replace(train_cfg, seed=derive_seed(master_seed, *cell, s)),
-                            pl, cell) for s in range(n_seeds)]
+        seeds = [derive_seed(master_seed, *cell, s) for s in range(n_seeds)]
+        plan += [PlannedRow("lora", replace(train_cfg, seed=seed), pl, cell) for seed in seeds]
     # hand the runner the only reference, so it frees the model after its pass
     return run_plan(model_factory, loaded.pop(), ds, plan, shots, workers), skipped
 
