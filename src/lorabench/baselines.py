@@ -9,6 +9,7 @@ counts and accuracy trends are directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -48,12 +49,15 @@ def _soft_prompt_features(model: DualEncoderModel, context: Tensor,
 
 
 def soft_prompt_finetune(model: DualEncoderModel, task: FewShotTask,
-                         train_cfg: TrainConfig = TrainConfig()) -> BaselineResult:
+                         train_cfg: TrainConfig = TrainConfig(),
+                         query_feats: Optional[np.ndarray] = None) -> BaselineResult:
     """Optimize the embeddings of the template words "a photo of a", shared
     by every class prompt (Eq.4-style).
 
     The context starts as the embeddings of those words, so step-0
-    predictions match template zero-shot predictions exactly.
+    predictions match template zero-shot predictions exactly.  The vision
+    tower does not train, so the queries are scored by `query_feats`, their
+    features under `model`, when given.
     """
     tokens = class_prompts(model, task.class_names)
     m = len(PROMPT_TEMPLATE)
@@ -62,7 +66,8 @@ def soft_prompt_finetune(model: DualEncoderModel, task: FewShotTask,
 
     history = train_on_support(model, [context], task, train_cfg,
                                encode_text_fn=encode_text_fn)
-    acc, _ = evaluate(model, task, _soft_prompt_features(model, context, tokens))
+    acc, _ = evaluate(model, task, _soft_prompt_features(model, context, tokens),
+                      query_feats)
     return BaselineResult(accuracy=acc, trainable_count=context.size,
                           history=history)
 
@@ -107,12 +112,16 @@ def adapter_logits(adapter: LinearAdapter, alpha: float, feats: Tensor,
 
 def adapter_finetune(model: DualEncoderModel, task: FewShotTask,
                      adapter: LinearAdapter, alpha: float,
-                     train_cfg: TrainConfig = TrainConfig()) -> BaselineResult:
-    """Train only the adapter on frozen, precomputed embeddings (Eq.5-style)."""
+                     train_cfg: TrainConfig = TrainConfig(),
+                     query_feats: Optional[np.ndarray] = None) -> BaselineResult:
+    """Train only the adapter on frozen, precomputed embeddings (Eq.5-style).
+    `query_feats`, the queries' features under `model`, are encoded when
+    not given."""
     if not (0.0 <= alpha <= 1.0):
         raise DomainError(f"alpha must be in [0, 1], got {alpha}")
     sup_feats = encode_images(model, task.support_images).data
-    qry_feats = encode_images(model, task.query_images)
+    if query_feats is None:
+        query_feats = encode_images(model, task.query_images).data
     texts = encode_tokens(model, class_prompts(model, task.class_names))
     tau = model.tau
 
@@ -125,7 +134,8 @@ def adapter_finetune(model: DualEncoderModel, task: FewShotTask,
     history = run_training_loop(adapter.parameters(), loss_fn, sampler,
                                 train_cfg.iterations(task.shots), train_cfg.lr,
                                 FINETUNE_WEIGHT_DECAY)
-    acc = accuracy(adapter_logits(adapter, alpha, qry_feats, texts), task.query_labels)
+    acc = accuracy(adapter_logits(adapter, alpha, Tensor(query_feats), texts),
+                   task.query_labels)
     return BaselineResult(accuracy=acc, trainable_count=adapter.param_count(),
                           history=history)
 

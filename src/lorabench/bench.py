@@ -21,7 +21,8 @@ from .fewshot import (FewShotTask, PretrainConfig, TrainConfig, accuracy,
                       contrastive_pretrain, evaluate, finetune_lora,
                       sample_support_set)
 from .lora import PlacementConfig, inject, merge
-from .model import PROMPT_TEMPLATE, DualEncoderModel, ModelConfig, save_checkpoint
+from .model import (PROMPT_TEMPLATE, DualEncoderModel, ModelConfig, encode_images,
+                    save_checkpoint)
 from .report import ABLATION_EXTRA, RunReport
 
 METHODS = ("zero-shot", "lora", "soft-prompt", "adapter", "bias-only")
@@ -56,16 +57,23 @@ def derive_seed(master: int, *parts) -> int:
     return int(h)
 
 
-def base_zero_shot_accuracies(model: DualEncoderModel, ds: Dataset,
-                              tasks: list[FewShotTask]) -> list[float]:
-    """Every task's zero-shot accuracy, read from one evaluation of `model`
-    on the union of the tasks' query images (rows of `ds`)."""
+def shared_zero_shot_pass(model: DualEncoderModel, ds: Dataset, tasks: list[FewShotTask]
+                          ) -> tuple[list[float], np.ndarray, list[np.ndarray]]:
+    """One evaluation of `model` on the union of the tasks' query images
+    (rows of `ds`): every task's zero-shot accuracy, the (n_union, embed_dim)
+    image features, and each task's rows of those features, in query order.
+
+    An image's features do not depend on the other images of its forward
+    block, so a task's rows are bitwise the features of its queries encoded
+    on their own."""
     union = np.unique(np.concatenate([t.query_indices for t in tasks]))
+    feats = encode_images(model, ds.images[union]).data
     pooled = replace(tasks[0], query_images=ds.images[union],
                      query_labels=ds.labels[union], query_indices=union)
-    _, logits = evaluate(model, pooled)
-    return [accuracy(logits[np.searchsorted(union, t.query_indices)], t.query_labels)
-            for t in tasks]
+    _, logits = evaluate(model, pooled, image_feats=feats)
+    rows = [np.searchsorted(union, t.query_indices) for t in tasks]
+    return ([accuracy(logits[r], t.query_labels) for r, t in zip(rows, tasks)],
+            feats, rows)
 
 
 class PlannedRow(NamedTuple):
@@ -80,13 +88,19 @@ class PlannedRow(NamedTuple):
 
 
 def run_single(model_factory: ModelFactory, task: FewShotTask, row: PlannedRow,
-               zs_acc: float, zs_seconds: float = 0.0) -> RunReport:
+               zs_acc: float, zs_seconds: float = 0.0,
+               base_feats: Optional[np.ndarray] = None,
+               feat_rows: Optional[np.ndarray] = None) -> RunReport:
     """The report of planned `row` on a model from `model_factory`.
 
     `zs_acc` is the base model's zero-shot accuracy on `task`, from the
     command's one zero-shot pass; `zs_seconds` is this row's share of that
     pass, and is the `seconds` of a zero-shot row.  A trained row's `seconds`
     covers its training and its final evaluation.
+
+    `base_feats[feat_rows]`, when given, are the image features of `task`'s
+    queries from that pass.  A row whose vision tower nothing trains scores
+    its queries with them instead of encoding the images again.
     """
     method, cfg, seed = row.method, row.train, row.train.seed
     if method not in METHODS:
@@ -103,20 +117,27 @@ def run_single(model_factory: ModelFactory, task: FewShotTask, row: PlannedRow,
         pl = row.placement or PlacementConfig()
         config_digest = pl.digest()
         adapted = inject(model, pl, seed=seed)
+        # training's test for a frozen block, taken before merge empties the
+        # blocks of their adapters
+        frozen = model.visual.frozen_prefix(adapted.trainable_parameters()) == model.cfg.depth
+        feats = base_feats[feat_rows] if frozen and base_feats is not None else None
         finetune_lora(adapted, task, cfg)
-        acc, logits = evaluate(adapted.base, task)
+        acc, logits = evaluate(adapted.base, task, image_feats=feats)
         trainable = adapted.trainable_count()
-        _assert_merge_equivalence(adapted, task, logits)
+        _assert_merge_equivalence(adapted, task, logits, feats)
         if row.merged_checkpoint is not None:
             save_checkpoint(adapted.base, row.merged_checkpoint)
     else:
+        # soft prompts and adapters train no tensor of the model
+        feats = base_feats[feat_rows] if base_feats is not None else None
         if method == "soft-prompt":
-            res = soft_prompt_finetune(model, task, cfg)
+            res = soft_prompt_finetune(model, task, cfg, feats)
             config_digest = f"ctx{len(PROMPT_TEMPLATE)}"
         elif method == "adapter":
             adapter = LinearAdapter(model.cfg.embed_dim, bottleneck=ADAPTER_BOTTLENECK,
                                     seed=seed, dtype=model.cfg.np_dtype)
-            res = adapter_finetune(model, task, adapter, alpha=ADAPTER_ALPHA, train_cfg=cfg)
+            res = adapter_finetune(model, task, adapter, alpha=ADAPTER_ALPHA, train_cfg=cfg,
+                                   query_feats=feats)
             config_digest = f"mlp{ADAPTER_BOTTLENECK}-a{ADAPTER_ALPHA}"
         else:  # bias-only
             res, config_digest = bias_only_finetune(model, task, cfg), "bias"
@@ -129,14 +150,17 @@ def run_single(model_factory: ModelFactory, task: FewShotTask, row: PlannedRow,
                      extra=dict(zip(ABLATION_EXTRA, row.cell)))
 
 
-def _assert_merge_equivalence(adapted, task: FewShotTask,
-                              logits: np.ndarray) -> None:
+def _assert_merge_equivalence(adapted, task: FewShotTask, logits: np.ndarray,
+                              image_feats: Optional[np.ndarray] = None) -> None:
     """Merged logits must agree with `logits`, the adapted model's query
-    logits before the merge, before a lora row is reported."""
+    logits before the merge, before a lora row is reported.  `image_feats`,
+    the queries' features when the vision tower has no adapter, stand for
+    the merged model's."""
     n = MERGE_CHECK_QUERIES
     merge(adapted)
     _, merged = evaluate(adapted.base, replace(task, query_images=task.query_images[:n],
-                                               query_labels=task.query_labels[:n]))
+                                               query_labels=task.query_labels[:n]),
+                         image_feats=None if image_feats is None else image_feats[:n])
     diff = float(np.abs(logits[:n] - merged).max())
     if not diff < MERGE_TOLERANCE:  # a NaN diff fails too
         raise LorabenchError(f"merge equivalence violated: max logit diff {diff:.3e}")
@@ -145,19 +169,21 @@ def _assert_merge_equivalence(adapted, task: FewShotTask,
 def run_plan(model_factory: ModelFactory, base: DualEncoderModel, ds: Dataset,
              plan: list[PlannedRow], shots: int, workers: int = 1) -> list[RunReport]:
     """One row per planned row, in plan order.  Every row's task is sampled,
-    and one zero-shot pass of `base` gives every row its zs_acc, before any
-    row runs.  Each row then takes its model from `model_factory`, serially
-    or on `workers` threads.  An error in a row propagates."""
+    and one zero-shot pass of `base`, a model from `model_factory`, gives
+    every row its zs_acc and its query features, before any row runs.  Each
+    row then takes its model from `model_factory`, serially or on `workers`
+    threads.  An error in a row propagates."""
     if not plan:
         return []
     tasks = [sample_support_set(ds.images, ds.labels, ds.class_names, shots,
                                 row.train.seed) for row in plan]
     t0 = time.perf_counter()
-    zs_accs = base_zero_shot_accuracies(base, ds, tasks)
+    zs_accs, feats, feat_rows = shared_zero_shot_pass(base, ds, tasks)
     zs_seconds = (time.perf_counter() - t0) / len(plan)
     del base  # each row loads its own model; keep one model per running row
 
-    args = (repeat(model_factory), tasks, plan, zs_accs, repeat(zs_seconds))
+    args = (repeat(model_factory), tasks, plan, zs_accs, repeat(zs_seconds),
+            repeat(feats), feat_rows)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_single, *args))

@@ -21,11 +21,12 @@ import numpy as np
 
 from .bench import (DEFAULT_GROUPS, SHOT_GRID, METHODS, PlannedRow,
                     default_ablation_cells, pretrain_model, run_ablation, run_plan)
-from .data import SyntheticDatasetSpec, generate_dataset, load_dataset, save_dataset
+from .data import (DATASET, SyntheticDatasetSpec, generate_dataset, load_dataset,
+                   refuse_other_kind, save_dataset)
 from .errors import DomainError, LorabenchError
 from .fewshot import PretrainConfig, TrainConfig
 from .lora import PlacementConfig
-from .model import load_checkpoint, save_checkpoint, usable_cpus
+from .model import CHECKPOINT, load_checkpoint, save_checkpoint, usable_cpus
 from .report import (format_summary, mean_report, read_report_csv, summarize,
                      write_report_csv)
 
@@ -186,6 +187,7 @@ def cmd_gen(args) -> int:
     spec = _config("gen", SyntheticDatasetSpec, n_classes=args.classes,
                    images_per_class=args.images_per_class, noise=args.noise,
                    pixel_shift=args.shift, seed=args.seed)
+    refuse_other_kind(DATASET, args.out)
     ds = generate_dataset(spec)
     save_dataset(ds, args.out)
     print(f"wrote {ds.images.shape[0]} images, {len(ds.class_names)} classes "
@@ -196,6 +198,7 @@ def cmd_gen(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _config("pretrain", PretrainConfig, epochs=args.epochs,
                   batch_size=args.batch_size, lr=args.lr, seed=args.seed)
+    refuse_other_kind(CHECKPOINT, args.out)
     ds = load_dataset(args.dataset)
     model, history = pretrain_model(ds, cfg)
     out = Path(args.out)
@@ -241,6 +244,9 @@ def cmd_finetune(args) -> int:
                        placement, merged_checkpoint=None if args.merged_out is None
                        else Path(args.merged_out) / f"merged_seed{seed}")
             for seed in args.seeds]
+    for row in plan:
+        if row.merged_checkpoint is not None:
+            refuse_other_kind(CHECKPOINT, row.merged_checkpoint)
     ds = load_dataset(args.dataset)
     factory = lambda: load_checkpoint(args.checkpoint)
     rows = run_plan(factory, factory(), ds, plan, args.shots)

@@ -165,20 +165,27 @@ class ArtifactFormat:
     blob_name: str
 
 
+def refuse_other_kind(fmt: ArtifactFormat, directory) -> None:
+    """Raise FormatError if `directory`'s manifest names a kind other than
+    fmt's, so that writing a fmt artifact there would destroy another.  A
+    missing manifest, or one that is not a JSON object, names no kind."""
+    try:
+        old = json.loads((Path(directory) / "manifest.json").read_bytes())
+    except (OSError, ValueError):
+        return
+    kind = old.get("kind", fmt.kind) if isinstance(old, dict) else fmt.kind
+    if kind != fmt.kind:
+        raise FormatError(f"{directory} holds an artifact of kind {kind!r}; "
+                          f"a {fmt.what} written there would replace it")
+
+
 def write_artifact(fmt: ArtifactFormat, directory, config, names: list, blob: bytes) -> None:
     """Write both files in full to temporaries beside their targets, then
     rename the blob and last the manifest.  So a failed or cut-off write
     leaves the old files as they were, and a new manifest has a new blob.
     A directory whose manifest names another kind is refused untouched."""
     directory = Path(directory)
-    try:
-        old = json.loads((directory / "manifest.json").read_bytes())
-    except (OSError, ValueError):
-        old = None
-    kind = old.get("kind", fmt.kind) if isinstance(old, dict) else fmt.kind
-    if kind != fmt.kind:
-        raise FormatError(f"{directory} holds an artifact of kind {kind!r}; "
-                          f"a {fmt.what} written there would replace it")
+    refuse_other_kind(fmt, directory)
     manifest = {"version": fmt.version, "kind": fmt.kind,
                 fmt.config_key: asdict(config), fmt.list_key: names}
     directory.mkdir(parents=True, exist_ok=True)

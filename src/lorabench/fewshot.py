@@ -111,17 +111,20 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray, tau: float) -> Tensor
 
 
 def evaluate(model: DualEncoderModel, task: FewShotTask,
-             text_feats: Optional[Tensor] = None) -> tuple[float, np.ndarray]:
+             text_feats: Optional[Tensor] = None,
+             image_feats: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
     """Top-1 accuracy on the query set, and the (n_query, K) logits it was
     read from.  `text_feats` are the class features the queries are scored
-    against; by default the encoded class prompts."""
+    against; by default the encoded class prompts.  `image_feats` are the
+    queries' features; by default the query images encoded by `model`."""
     if task.query_images.shape[0] == 0:
         raise DomainError("empty query set")
     if task.num_classes < 2:
         raise DomainError(f"need at least 2 classes, got {task.num_classes}")
     if text_feats is None:
         text_feats = encode_tokens(model, class_prompts(model, task.class_names))
-    feats = encode_images(model, task.query_images)
+    feats = (encode_images(model, task.query_images) if image_feats is None
+             else Tensor(image_feats))
     logits = matmul(feats, transpose(text_feats, (1, 0))).data
     return accuracy(logits, task.query_labels), logits
 

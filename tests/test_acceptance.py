@@ -25,6 +25,9 @@ from lorabench.optim import cosine_lr
 from lorabench.report import write_report_csv
 from lorabench.tensor import Tensor, matmul, row_softmax, transpose
 
+# the pipeline fixture takes most of the suite's time: `pytest -m "not slow"` skips it
+pytestmark = pytest.mark.slow
+
 
 def check(num, desc, cond):
     print(f"[{'PASS' if cond else 'FAIL'}] criterion {num}: {desc}")

@@ -144,6 +144,37 @@ class TestPinnedPipeline:
         assert read_report_csv(tmp_path / "zs.csv")[0]["acc"] == PIPELINE_ZEROSHOT_ACC
 
 
+# A tiny float32 ablation over one encoder or half the layers, and one
+# soft-prompt and one adapter row, on a base pretrained to 0.5 zero-shot
+# accuracy: text-only cells and both baselines leave the vision tower frozen,
+# the others train it.  Same caveat as PIPELINE_SHA256: float32 bytes depend
+# on the BLAS kernels the CPU selects.
+ABLATION_SHA256 = "c414943933eb0681513673f655de7189df91ec03dbaf8621dd483664d4face5f"
+BASELINE_ACC = {"soft-prompt": 0.5, "adapter": 0.467391}
+
+
+class TestPinnedAblation:
+    def test_bytes_and_accuracies(self, tmp_path):
+        ds, ckpt = tmp_path / "ds", tmp_path / "ckpt"
+        assert main(["gen", "--out", str(ds), "--classes", "4",
+                     "--images-per-class", "24", "--seed", "0"]) == 0
+        assert main(["pretrain", "--dataset", str(ds), "--out", str(ckpt), "--epochs", "20",
+                     "--lr", "0.002", "--batch-size", "8", "--seed", "0"]) == 0
+        inputs = ["--checkpoint", str(ckpt), "--dataset", str(ds), "--shots", "1",
+                  "--iters-per-shot", "20"]
+        assert main(["ablate", *inputs, "--groups", "qv", "--ranks", "2",
+                     "--encoders", "text,vision", "--spans", "up,bottom", "--seeds", "1",
+                     "--out", str(tmp_path / "ab.csv")]) == 0
+        accs = {}
+        for method in BASELINE_ACC:
+            out = tmp_path / f"{method}.csv"
+            assert main(["finetune", *inputs, "--method", method, "--seeds", "0",
+                         "--lr", "0.01", "--out", str(out)]) == 0
+            accs[method] = read_report_csv(out)[0]["acc"]
+        assert hashlib.sha256((tmp_path / "ab.csv").read_bytes()).hexdigest() == ABLATION_SHA256
+        assert accs == BASELINE_ACC
+
+
 class TestFinetune:
     def test_rows_and_mean(self, workdir, tmp_path):
         out = tmp_path / "ft.csv"
@@ -809,6 +840,32 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith(f"error: {copy} holds an artifact of kind ")
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
         assert main([*writes[target], "--out", str(copy)]) == 0  # its own kind may overwrite
+
+    @pytest.mark.parametrize("command", ["gen", "pretrain", "finetune"])
+    def test_the_other_kind_is_refused_before_any_work(self, command, workdir, tmp_path,
+                                                       capsys, monkeypatch):
+        calls = []
+        for name in ("generate_dataset", "load_dataset", "pretrain_model", "run_plan"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+        inputs = ["--checkpoint", str(workdir / "ckpt"), "--dataset", str(workdir / "ds")]
+        # finetune checks every planned merged checkpoint, not only the first
+        out = tmp_path / "out"
+        target, copy, argv = {
+            "gen": ("ckpt", out, ["gen", "--out", str(out)]),
+            "pretrain": ("ds", out, ["pretrain", "--dataset", str(workdir / "ds"),
+                                     "--out", str(out)]),
+            "finetune": ("ds", out / "merged_seed1",
+                         ["finetune", *inputs, "--seeds", "0,1", "--merged-out", str(out),
+                          "--out", str(tmp_path / "rows.csv")]),
+        }[command]
+        shutil.copytree(workdir / target, copy)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {copy} holds an artifact of kind ")
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+        assert calls == []
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
