@@ -67,9 +67,10 @@ def shared_zero_shot_pass(model: DualEncoderModel, ds: Dataset, tasks: list[FewS
     block, so a task's rows are bitwise the features of its queries encoded
     on their own."""
     union = np.unique(np.concatenate([t.query_indices for t in tasks]))
-    feats = encode_images(model, ds.images[union]).data
-    pooled = replace(tasks[0], query_images=ds.images[union],
-                     query_labels=ds.labels[union], query_indices=union)
+    images = ds.images[union]
+    feats = encode_images(model, images).data
+    pooled = replace(tasks[0], query_images=images, query_labels=ds.labels[union],
+                     query_indices=union)
     _, logits = evaluate(model, pooled, image_feats=feats)
     rows = [np.searchsorted(union, t.query_indices) for t in tasks]
     return ([accuracy(logits[r], t.query_labels) for r, t in zip(rows, tasks)],
@@ -215,6 +216,7 @@ def run_ablation(model_factory: ModelFactory, ds: Dataset,
 
 def pretrain_model(ds: Dataset, cfg: PretrainConfig
                    ) -> tuple[DualEncoderModel, "TrainingHistory"]:
-    model = DualEncoderModel(ModelConfig(vocab_words=ds.vocab_words), seed=cfg.seed)
+    model = DualEncoderModel(ModelConfig(image_size=ds.spec.image_size,
+                                         vocab_words=ds.vocab_words), seed=cfg.seed)
     history = contrastive_pretrain(model, ds.images, ds.captions, cfg)
     return model, history

@@ -37,7 +37,7 @@ class FewShotTask:
     support_labels: np.ndarray   # (N,)
     query_images: np.ndarray
     query_labels: np.ndarray
-    query_indices: Optional[np.ndarray] = None   # rows of the sampled dataset
+    query_indices: np.ndarray    # rows of the sampled dataset
 
     @property
     def num_classes(self) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -40,9 +41,6 @@ _MASK_NEG = -1e9  # large finite negative; exp underflows to exactly 0
 # float32 and stays inside a 2 MB L2 cache; a 480-image block spills it.
 IMAGE_BLOCK = 64
 
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_lock = threading.Lock()
-
 
 def usable_cpus() -> int:
     """The CPUs this process may run on."""
@@ -51,25 +49,10 @@ def usable_cpus() -> int:
 
 
 def _block_pool() -> Optional[ThreadPoolExecutor]:
-    """The process's pool for image blocks, one thread per usable CPU, made
-    on first use; None where one CPU is usable."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            cpus = usable_cpus()
-            if cpus > 1:
-                _pool = ThreadPoolExecutor(cpus, thread_name_prefix="lorabench-images")
-    return _pool
-
-
-def _forget_pool():
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-# a forked child has none of its parent's threads, so it makes its own pool
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    """A new pool for one forward's image blocks, one thread per usable CPU;
+    None where one CPU is usable."""
+    cpus = usable_cpus()
+    return ThreadPoolExecutor(cpus, thread_name_prefix="lorabench-images") if cpus > 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +359,13 @@ def encode_images(model: DualEncoderModel, images: np.ndarray, rng=None,
     ends in a block of one image: numpy would multiply that image with a
     matrix-vector kernel, whose sums round differently.
 
-    An untaped forward without an rng runs its blocks on one thread per
-    usable CPU.  Each block makes the same numpy calls on the same shapes
-    either way, so the features are bitwise those of a serial run.  A taped
-    forward, which records on this thread's tape, and a forward given an rng,
-    whose masks must be drawn in block order, run their blocks in order here.
+    An untaped forward without an rng, on the main thread, runs its blocks
+    on a pool of one thread per usable CPU, made for this call and shut down
+    before it returns.  Each block makes the same numpy calls on the same
+    shapes either way, so the features are bitwise those of a serial run.  A
+    taped forward, which records on this thread's tape, a forward given an
+    rng, whose masks must be drawn in block order, and a forward on any other
+    thread run their blocks in order here.
 
     For start > 0, `images` is the hidden state entering block `start`; given
     `stop`, the hidden state leaving block stop-1 replaces the features.
@@ -404,10 +389,13 @@ def encode_images(model: DualEncoderModel, images: np.ndarray, rng=None,
             x = add(concat([cls_rows, x], axis=1), enc.pos_embed)
         return enc.forward(x, None, rng, start, stop, np.zeros(b, dtype=np.int64))
 
-    # a pool thread records on no tape, and only this thread may draw from rng
+    # a pool thread records on no tape, only this thread may draw from rng, and
+    # a forward off the main thread, such as a row of `ablate --workers`,
+    # leaves the cores to the other rows
     pool = (_block_pool() if len(bounds) > 2 and rng is None and Tape.current() is None
-            else None)
-    feats = list((pool.map if pool else map)(block, bounds[:-1], bounds[1:]))
+            and threading.current_thread() is threading.main_thread() else None)
+    with pool or nullcontext():
+        feats = list((pool.map if pool else map)(block, bounds[:-1], bounds[1:]))
     return feats[0] if len(feats) == 1 else concat(feats, axis=0)
 
 

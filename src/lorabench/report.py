@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .data import read_text
 from .errors import FormatError
@@ -26,7 +26,7 @@ class RunReport:
     trainable: int
     total: int
     iters: int
-    seconds: Optional[float] = None
+    seconds: float
     extra: dict = field(default_factory=dict)   # ablation coordinates
 
     def to_row(self, ablation: bool = False) -> list[str]:
@@ -35,7 +35,7 @@ class RunReport:
         row = [self.method, self.config, str(self.shots), str(self.seed),
                f"{self.zs_acc:.6f}", f"{self.acc:.6f}", str(self.trainable),
                str(self.total), str(self.iters),
-               "" if self.seconds is None or ablation else f"{self.seconds:.3f}"]
+               "" if ablation else f"{self.seconds:.3f}"]
         if ablation:
             row += [str(self.extra.get(k, "")) for k in ABLATION_EXTRA]
         return row
@@ -44,13 +44,12 @@ class RunReport:
 def mean_report(rows: Sequence[RunReport]) -> RunReport:
     """Aggregate per-seed rows into one row with seed='mean'."""
     first = rows[0]
-    secs = [r.seconds for r in rows]
     return RunReport(
         method=first.method, config=first.config, shots=first.shots, seed="mean",
         zs_acc=sum(r.zs_acc for r in rows) / len(rows),
         acc=sum(r.acc for r in rows) / len(rows),
         trainable=first.trainable, total=first.total, iters=first.iters,
-        seconds=None if any(s is None for s in secs) else sum(secs) / len(secs),
+        seconds=sum(r.seconds for r in rows) / len(rows),
         extra=dict(first.extra))
 
 

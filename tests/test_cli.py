@@ -98,6 +98,17 @@ class TestPretrain:
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "ckpt").exists()
 
+    def test_model_takes_the_datasets_image_size(self, tmp_path, capsys):
+        ds = generate_dataset(SyntheticDatasetSpec(n_classes=4, images_per_class=16,
+                                                   image_size=8, seed=0))
+        save_dataset(ds, tmp_path / "ds")
+        assert main(["pretrain", "--dataset", str(tmp_path / "ds"),
+                     "--out", str(tmp_path / "ckpt"), "--epochs", "1"]) == 0
+        assert load_checkpoint(tmp_path / "ckpt").cfg.image_size == 8
+        assert main(["zeroshot", "--checkpoint", str(tmp_path / "ckpt"),
+                     "--dataset", str(tmp_path / "ds")]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestZeroshot:
     def test_row_schema(self, workdir, tmp_path):
@@ -345,7 +356,7 @@ class TestCheckpointLoads:
 def _stub_row(model_factory, task, row, zs_acc, *args):
     return RunReport(method=row.method, config=row.placement.digest(), shots=task.shots,
                      seed=row.train.seed, zs_acc=zs_acc, acc=zs_acc, trainable=0, total=0,
-                     iters=0, extra=dict(zip(ABLATION_EXTRA, row.cell)))
+                     iters=0, seconds=0.0, extra=dict(zip(ABLATION_EXTRA, row.cell)))
 
 
 def _valid_grid(cells) -> bool:

@@ -176,7 +176,8 @@ class TestEvaluate:
                            support_images=small_dataset.images[:4],
                            support_labels=np.arange(4),
                            query_images=small_dataset.images[:0],
-                           query_labels=np.zeros(0, dtype=np.int64))
+                           query_labels=np.zeros(0, dtype=np.int64),
+                           query_indices=np.zeros(0, dtype=np.int64))
         model = small_model_for(small_dataset)
         with pytest.raises(DomainError):
             evaluate(model, task)
@@ -335,6 +336,20 @@ class TestFinetune:
         assert not any(t.is_alive() for t in threads)
         assert all(len(serial[s][1]) == 20 for s in seeds)
         assert threaded == serial
+
+
+class TestBatchSampler:
+    def test_each_epoch_is_a_permutation(self):
+        sampler = _BatchSampler(64, 32, seed=3, stream=0)
+        for _ in range(5):
+            epoch = np.concatenate([sampler.next(), sampler.next()])
+            assert np.array_equal(np.sort(epoch), np.arange(64))
+
+    def test_a_pool_smaller_than_the_batch_fills_it(self):
+        sampler = _BatchSampler(5, 32, seed=3, stream=0)
+        for _ in range(5):
+            batch = sampler.next()
+            assert batch.shape == (32,) and batch.min() >= 0 and batch.max() < 5
 
 
 class TestTrainingLoop:

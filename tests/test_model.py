@@ -5,6 +5,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -252,7 +253,8 @@ def _forward_in_fork(conn):
 
 
 class TestThreadedBlocks:
-    """An untaped forward without an rng runs its blocks on the pool."""
+    """An untaped forward without an rng, on the main thread, runs its
+    blocks on a pool of its own."""
 
     @staticmethod
     def _model(dtype):
@@ -329,16 +331,31 @@ class TestThreadedBlocks:
             encode_images(model, imgs)
         assert str(threaded.value) == str(serial.value) == "expected 8x8 images, got 7x7"
 
-    def test_pool_made_on_first_use_with_a_thread_per_usable_cpu(self, monkeypatch):
-        monkeypatch.setattr(model_module, "_pool", None)
+    def test_each_forward_makes_and_shuts_down_its_own_pool(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert model_module._block_pool() is None
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        pool = model_module._block_pool()
-        try:
-            assert pool is model_module._block_pool() and pool._max_workers == 3
-        finally:
-            pool.shutdown()
+        pools, make = [], model_module._block_pool
+        monkeypatch.setattr(model_module, "_block_pool",
+                            lambda: pools.append(make()) or pools[-1])
+        model, imgs = self._model("float32"), np.zeros((130, 8, 8))
+        encode_images(model, imgs)
+        encode_images(model, imgs)
+        assert len(pools) == 2 and pools[0] is not pools[1]
+        assert all(p._max_workers == 3 and p._threads for p in pools)
+        assert not any(t.name.startswith("lorabench-images") for t in threading.enumerate())
+
+    def test_forward_off_the_main_thread_runs_its_blocks_in_order(self, monkeypatch):
+        # a row of `ablate --workers` leaves the cores to the other rows
+        model = self._model("float32")
+        imgs = np.random.default_rng(8).standard_normal((150, 8, 8))
+        with ThreadPoolExecutor(2) as pool:
+            monkeypatch.setattr(model_module, "_block_pool", lambda: pool)
+            threaded = encode_images(model, imgs).data
+        monkeypatch.setattr(model_module, "_block_pool", _fail_on_pool)
+        with ThreadPoolExecutor(1) as row:
+            off_main = row.submit(encode_images, model, imgs).result().data
+        assert np.array_equal(off_main, threaded)
 
     def test_forked_child_makes_its_own_pool(self):
         # the child of a fork has none of the parent pool's threads

@@ -10,10 +10,10 @@ from lorabench.report import (ABLATION_EXTRA, RUN_REPORT_HEADER, RunReport,
                               summarize, write_report_csv)
 
 
-def row(method="lora", shots=4, seed=0, acc=0.5, zs=0.3, **kw):
+def row(method="lora", shots=4, seed=0, acc=0.5, zs=0.3, seconds=2.0, **kw):
     return RunReport(method=method, config="qkv-all-both-r2", shots=shots,
                      seed=seed, zs_acc=zs, acc=acc, trainable=6144,
-                     total=410_000, iters=2000, **kw)
+                     total=410_000, iters=2000, seconds=seconds, **kw)
 
 
 class TestRows:
@@ -23,16 +23,17 @@ class TestRows:
                                      "iters", "seconds"]
         assert ABLATION_EXTRA == ["group", "rank", "span", "encoders"]
 
-    def test_missing_seconds_serializes_empty(self):
-        assert row(seconds=None).to_row()[-1] == ""
+    def test_seconds_serialize_to_the_millisecond(self):
         assert row(seconds=1.5).to_row()[-1] == "1.500"
 
     def test_mean_report(self):
-        rows = [row(seed=0, acc=0.4, zs=0.2), row(seed=1, acc=0.6, zs=0.4)]
+        rows = [row(seed=0, acc=0.4, zs=0.2, seconds=1.0),
+                row(seed=1, acc=0.6, zs=0.4, seconds=2.0)]
         m = mean_report(rows)
         assert m.seed == "mean"
         assert abs(m.acc - 0.5) < 1e-12
         assert abs(m.zs_acc - 0.3) < 1e-12
+        assert m.seconds == 1.5
 
     def test_accuracy_fields_in_unit_interval(self):
         r = row()

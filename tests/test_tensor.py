@@ -482,6 +482,20 @@ class TestFusedOps:
             with pytest.raises(DomainError):
                 lora_linear(x, w, b, A, B, p, np.random.default_rng(0))
 
+    def test_lora_linear_dropout_is_inverted(self):
+        # with w = 0, b = 0 and A = B = I the op gives drop(x) itself: about
+        # 1 - p of the entries kept, each scaled so that drop(x) / x has mean 1
+        p, d = 0.25, 16
+        x = t64(np.random.default_rng(28).uniform(1.0, 2.0, (12_500, d)))
+        eye = t64(np.eye(d))
+        ratio = lora_linear(x, t64(np.zeros((d, d))), t64(np.zeros(d)), eye, eye, p,
+                            np.random.default_rng(29)).data / x.data
+        n = ratio.size
+        kept = float((ratio != 0).mean())
+        assert abs(kept - (1 - p)) < 5 * np.sqrt(p * (1 - p) / n)
+        # drop(x) / x is 1 / (1 - p) with chance 1 - p, else 0: variance p / (1 - p)
+        assert abs(float(ratio.mean()) - 1.0) < 5 * np.sqrt(p / (1 - p) / n)
+
     def test_untaped_mlp_forms_no_slope(self, monkeypatch):
         # evaluation records nothing, so it skips the slope
         rng = np.random.default_rng(27)
