@@ -56,8 +56,8 @@ def _defaults(cls, *keys) -> dict:
 
 # Per command, every key a flag (see _flag) or a --config file sets, and its default
 _KEYS = {
-    "gen": _defaults(SyntheticDatasetSpec, "classes", "images_per_class", "noise",
-                     "shift", "seed"),
+    "gen": _defaults(SyntheticDatasetSpec, "classes", "images_per_class", "image_size",
+                     "noise", "shift", "seed"),
     "pretrain": _defaults(PretrainConfig, "epochs", "batch_size", "lr", "seed"),
     "zeroshot": {"shots": DEFAULT_SHOTS, **_defaults(TrainConfig, "seed")},
     "finetune": {"method": "lora", "shots": DEFAULT_SHOTS, "seeds": [0, 1, 2],
@@ -185,8 +185,8 @@ def build_parser() -> _Parser:
 
 def cmd_gen(args) -> int:
     spec = _config("gen", SyntheticDatasetSpec, n_classes=args.classes,
-                   images_per_class=args.images_per_class, noise=args.noise,
-                   pixel_shift=args.shift, seed=args.seed)
+                   images_per_class=args.images_per_class, image_size=args.image_size,
+                   noise=args.noise, pixel_shift=args.shift, seed=args.seed)
     refuse_other_kind(DATASET, args.out)
     ds = generate_dataset(spec)
     save_dataset(ds, args.out)

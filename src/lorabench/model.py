@@ -9,7 +9,11 @@ one, dropout is off.  The text tower pools each prompt at its first EOS token.
 
 A block is built from the fused ops of tensor.py, so a taped block records
 at most ten nodes: the two layer norms and residual adds, a `linear` or
-`lora_linear` per projection, one `attention` and one `mlp`.
+`lora_linear` per projection, one `attention` and one `mlp`.  A tower's
+feature is read at one position of each row, the class token or the first
+EOS, so its last block runs everything after the k, v and q projections at
+that position only, and records two more: the `select_positions` of q and
+of the residual.
 """
 
 from __future__ import annotations
@@ -209,21 +213,44 @@ def _lora_linear(x: Tensor, w: Tensor, b: Tensor, module, rng) -> Tensor:
 
 
 def block_forward(block: AttentionBlock, x: Tensor, mask: Optional[np.ndarray],
-                  rng=None) -> Tensor:
-    h = add(x, attention_forward(block, layer_norm(x, block.ln1_g, block.ln1_b),
-                                 mask, rng))
+                  rng=None, pool_at: Optional[np.ndarray] = None) -> Tensor:
+    """One block over hidden state x of shape (batch, seq, width).  Given
+    `pool_at`, the tower's last block maps x to (batch, width): keys, values
+    and q come from every position, and the rest runs only at position
+    pool_at[i] of row i."""
+    h = attention_forward(block, layer_norm(x, block.ln1_g, block.ln1_b), mask, rng, pool_at)
+    h = add(x if pool_at is None else select_positions(x, pool_at), h)
     z = mlp(layer_norm(h, block.ln2_g, block.ln2_b), block.w1, block.b1, block.w2, block.b2)
     return add(h, z)
 
 
 def attention_forward(block: AttentionBlock, x: Tensor, mask: Optional[np.ndarray],
-                      rng=None) -> Tensor:
-    """Batched multi-head self-attention on x of shape (batch, seq, width)."""
+                      rng=None, pool_at: Optional[np.ndarray] = None) -> Tensor:
+    """Batched multi-head self-attention on x of shape (batch, seq, width),
+    given `pool_at` only for the query at position pool_at[i] of row i."""
     q = _lora_linear(x, block.wq, block.bq, block.lora.get("q"), rng)
     k = _lora_linear(x, block.wk, block.bk, block.lora.get("k"), rng)
     v = _lora_linear(x, block.wv, block.bv, block.lora.get("v"), rng)
+    if pool_at is not None:
+        q = select_positions(q, pool_at)
+        if rng is not None:
+            rng = _PooledDraws(rng, x.shape[1], pool_at)
     ctx = attention(q, k, v, mask, block.heads)
     return _lora_linear(ctx, block.wo, block.bo, block.lora.get("o"), rng)
+
+
+class _PooledDraws:
+    """The rng of a projection at the pooled rows of a (batch, seq, d)
+    hidden state: each (batch, d) dropout mask holds row i's position
+    pool_at[i] of one drawn at (batch, seq, d), so the stream advances as for
+    a projection at every position."""
+
+    def __init__(self, rng, seq: int, pool_at: np.ndarray):
+        self.rng, self.seq, self.pool_at = rng, seq, pool_at
+
+    def random(self, shape, dtype):
+        b, d = shape
+        return self.rng.random((b, self.seq, d), dtype=dtype)[np.arange(b), self.pool_at]
 
 
 class _Encoder:
@@ -259,14 +286,16 @@ class _Encoder:
     def forward(self, x: Tensor, mask: Optional[np.ndarray], rng, start: int,
                 stop: Optional[int], pool_at: np.ndarray) -> Tensor:
         """Run hidden state `x` through blocks start..stop-1; without `stop`,
-        the head then gives the (batch, embed_dim) unit features, row i
-        pooled at position pool_at[i]."""
-        for blk in self.blocks[start:stop]:
-            x = block_forward(blk, x, mask, rng=rng)
+        the head then gives the (batch, embed_dim) unit features.  The last
+        block pools row i at position pool_at[i], so the state leaving it,
+        and the one entering the head, is (batch, width)."""
+        last = len(self.blocks) - 1
+        for i in range(start, last + 1 if stop is None else stop):
+            x = block_forward(self.blocks[i], x, mask, rng=rng,
+                              pool_at=pool_at if i == last else None)
         if stop is not None:
             return x
-        x = layer_norm(x, self.ln_f_g, self.ln_f_b)
-        return l2_normalize(matmul(select_positions(x, pool_at), self.proj))
+        return l2_normalize(matmul(layer_norm(x, self.ln_f_g, self.ln_f_b), self.proj))
 
 
 class VisionEncoder(_Encoder):
@@ -368,7 +397,8 @@ def encode_images(model: DualEncoderModel, images: np.ndarray, rng=None,
     thread run their blocks in order here.
 
     For start > 0, `images` is the hidden state entering block `start`; given
-    `stop`, the hidden state leaving block stop-1 replaces the features.
+    `stop`, the hidden state leaving block stop-1 replaces the features.  The
+    state leaving the last block is pooled at the class token, (batch, width).
     """
     cfg = model.cfg
     enc = model.visual
@@ -424,7 +454,8 @@ def encode_tokens(model: DualEncoderModel, tokens: np.ndarray, rng=None,
     The tower runs over the first n positions only, n being 1 plus the last
     position any row fills: every later one is PAD in every row, masked as a
     key and never pooled, so it cannot reach a feature.  An `x` is cut to n
-    too, and the hidden state given back for `stop` has width n.
+    too, and the hidden state given back for `stop` has width n, unless it is
+    the pooled (batch, width) state of the last block.
     """
     enc = model.textual
     tokens = np.asarray(tokens)
@@ -437,8 +468,10 @@ def encode_tokens(model: DualEncoderModel, tokens: np.ndarray, rng=None,
     if rng is not None:
         rng = _FullWidthDraws(rng, tokens.shape[1])
     tokens = tokens[:, :n]
-    x = (add(take_rows(enc.token_embed, tokens), narrow(enc.pos_embed, n)) if x is None
-         else narrow(x, n, axis=1))
+    if x is None:
+        x = add(take_rows(enc.token_embed, tokens), narrow(enc.pos_embed, n))
+    elif start < len(enc.blocks):
+        x = narrow(x, n, axis=1)
     mask = np.where((tokens == PAD_ID)[:, None, None, :], _MASK_NEG, 0.0)
     return enc.forward(x, mask, rng, start, stop, is_eos.argmax(axis=1))
 

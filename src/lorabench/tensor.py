@@ -562,20 +562,23 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray],
               heads: int) -> Tensor:
-    """Multi-head attention over (batch, seq, width) queries, keys and
+    """Multi-head attention of queries q over (batch, seq, width) keys and
     values, one node: split the heads, softmax(q k^T / sqrt(dh) + mask) v,
-    merge the heads.  `mask` is added to the scores (None adds nothing).  The
-    node keeps the softmax weights."""
-    bsz, seq, d = q.data.shape
-    if k.data.shape != q.data.shape or v.data.shape != q.data.shape or d % heads:
+    merge the heads.  q is (batch, seq, width), or (batch, width) for one
+    query per batch row, and the output has q's shape.  `mask` is added to
+    the scores (None adds nothing).  The node keeps the softmax weights."""
+    bsz, seq, d = k.data.shape
+    nq = seq if q.data.ndim == 3 else 1
+    if (q.data.shape not in ((bsz, seq, d), (bsz, d)) or v.data.shape != k.data.shape
+            or d % heads):
         raise ShapeError(f"attention over q {q.data.shape}, k {k.data.shape}, "
                          f"v {v.data.shape} in {heads} heads")
     dh = d // heads
 
-    def split(t):
-        return t.data.reshape(bsz, seq, heads, dh).transpose(0, 2, 1, 3)
+    def split(t, n):
+        return t.reshape(bsz, n, heads, dh).transpose(0, 2, 1, 3)
 
-    qs, ks, vs = split(q), split(k), split(v)
+    qs, ks, vs = split(q.data, nq), split(k.data, seq), split(v.data, seq)
     kT = ks.transpose(0, 1, 3, 2)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
     s = np.matmul(qs, kT)
@@ -584,24 +587,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray],
         s += mask.astype(s.dtype)
     p = _softmax(s)
     del s
-    out = Tensor(np.matmul(p, vs).transpose(0, 2, 1, 3).reshape(bsz, seq, d))
+    out = Tensor(np.matmul(p, vs).transpose(0, 2, 1, 3).reshape(q.data.shape))
 
-    def merge(g):
-        return g.transpose(0, 2, 1, 3).reshape(bsz, seq, d)
+    def merge(g, shape):
+        return g.transpose(0, 2, 1, 3).reshape(shape)
 
     def backward(g):
-        gctx = g.reshape(bsz, seq, heads, dh).transpose(0, 2, 1, 3)
+        gctx = split(g, nq)
         gq = gk = gv = None
         if v.requires_grad:
-            gv = merge(np.matmul(np.swapaxes(p, -1, -2), gctx))
+            gv = merge(np.matmul(np.swapaxes(p, -1, -2), gctx), k.data.shape)
         if q.requires_grad or k.requires_grad:
             gp = np.matmul(gctx, np.swapaxes(vs, -1, -2))
             gs = _softmax_grad(p, gp)
             gs *= scale
             if q.requires_grad:
-                gq = merge(np.matmul(gs, ks))
+                gq = merge(np.matmul(gs, ks), q.data.shape)
             if k.requires_grad:
-                gk = merge(np.matmul(np.swapaxes(qs, -1, -2), gs).transpose(0, 1, 3, 2))
+                gk = merge(np.matmul(np.swapaxes(qs, -1, -2), gs).transpose(0, 1, 3, 2),
+                           k.data.shape)
         return gq, gk, gv
 
     return _record(out, (q, k, v), backward)

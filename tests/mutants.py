@@ -86,6 +86,21 @@ MUTANTS = [
     ("pool-off-the-main-thread", MODEL,
      "\n            and threading.current_thread() is threading.main_thread() else None)",
      " else None)"),
+    # the pooled last block
+    ("vision-pools-row-1", MODEL,
+     "return enc.forward(x, None, rng, start, stop, np.zeros(b, dtype=np.int64))",
+     "return enc.forward(x, None, rng, start, stop, np.ones(b, dtype=np.int64))"),
+    ("text-pools-position-0-not-eos", MODEL,
+     "return enc.forward(x, mask, rng, start, stop, is_eos.argmax(axis=1))",
+     "return enc.forward(x, mask, rng, start, stop, np.zeros(len(tokens), dtype=np.int64))"),
+    ("residual-pooled-at-position-0", MODEL,
+     "h = add(x if pool_at is None else select_positions(x, pool_at), h)",
+     "h = add(x if pool_at is None else select_positions(x, 0 * pool_at), h)"),
+    ("o-mask-drawn-at-the-pooled-shape", MODEL,
+     "return self.rng.random((b, self.seq, d), dtype=dtype)[np.arange(b), self.pool_at]",
+     "return self.rng.random((b, d), dtype=dtype)"),
+    ("whole-tower-text-prefix-narrowed", MODEL,
+     "    elif start < len(enc.blocks):\n", "    else:\n"),
 ]
 
 

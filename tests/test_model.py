@@ -302,9 +302,9 @@ class TestThreadedBlocks:
         with Tape() as tape:
             encode_images(model, imgs, rng=None if rng is None else np.random.default_rng(rng))
         # the nodes of the three image blocks run in order on this thread:
-        # each records 9 in the tower's one transformer block (whose first
-        # layer norm sees no trained tensor) and 7 in the pooling head, and
-        # the concat of the three adds one
+        # each records 10 in the tower's one transformer block (whose first
+        # layer norm sees no trained tensor, and which pools q at the class
+        # token) and 6 in the head, and the concat of the three adds one
         assert len(tape) == 49
 
     def test_rng_forward_stays_serial(self, monkeypatch):
@@ -430,17 +430,27 @@ class TestEncodeText:
         assert np.abs(with_b[0] - with_c[1]).max() < 1e-10
 
 
-def _full_width_text(model, tokens, rng=None):
-    """The text forward over all max_text_len positions, PAD keys masked:
-    the reference for a forward cut to the positions the rows fill."""
-    enc = model.textual
-    x = add(take_rows(enc.token_embed, tokens), enc.pos_embed)
-    mask = np.where((tokens == PAD_ID)[:, None, None, :], -1e9, 0.0)
+def _unpooled(enc, x, mask, rng, pool_at):
+    """A tower's forward from hidden state x that runs every block at every
+    position and pools after the head's layer norm: the reference for a last
+    block that runs at the pooled rows only."""
     for blk in enc.blocks:
         x = block_forward(blk, x, mask, rng=rng)
     x = layer_norm(x, enc.ln_f_g, enc.ln_f_b)
-    pooled = select_positions(x, (tokens == EOS_ID).argmax(axis=1))
-    return l2_normalize(matmul(pooled, enc.proj))
+    return l2_normalize(matmul(select_positions(x, pool_at), enc.proj))
+
+
+def _full_width_text(model, tokens, rng=None, pooled=True):
+    """The text forward over all max_text_len positions, PAD keys masked:
+    the reference for a forward cut to the positions the rows fill.  With
+    `pooled` false, every block runs at every position (`_unpooled`)."""
+    enc = model.textual
+    x = add(take_rows(enc.token_embed, tokens), enc.pos_embed)
+    mask = np.where((tokens == PAD_ID)[:, None, None, :], -1e9, 0.0)
+    pool_at = (tokens == EOS_ID).argmax(axis=1)
+    if not pooled:
+        return _unpooled(enc, x, mask, rng, pool_at)
+    return enc.forward(x, mask, rng, 0, None, pool_at)
 
 
 class TestTextWidth:
@@ -553,6 +563,81 @@ class TestTextWidth:
         assert all(np.array_equal(g, w) for g, w in zip(got_grads, want_grads))
 
 
+class TestPooledLastBlock:
+    """A tower's last block runs everything after its k, v and q projections
+    at the pooled rows only.  Its features and gradients are those of a
+    forward that runs every block at every position and pools after the
+    head's layer norm (`_unpooled`), with the same dropout masks."""
+
+    @staticmethod
+    def _forwards(ds, tower):
+        """A float64 model with q, k, v and o adapters on `tower` whose B
+        factors are not zero, so the features depend on every mask; the
+        tower, the pooled forward and the unpooled reference, each taking
+        an rng."""
+        model = TestTextWidth._model(ds)
+        adapted = inject(model, PlacementConfig(matrices=("q", "k", "v", "o"),
+                                                encoders=tower, dropout=0.25), seed=0)
+        draw = np.random.default_rng(14)
+        for module in adapted.modules.values():
+            module.B.data = draw.standard_normal(module.B.shape) * 0.1
+        if tower == "vision":
+            images = ds.images[:6]
+
+            def reference(rng):
+                x = encode_images(model, images, stop=0)
+                return _unpooled(model.visual, x, None, rng, np.zeros(len(images), dtype=int))
+
+            return (model.visual, adapted, lambda rng: encode_images(model, images, rng=rng),
+                    reference)
+        tokens, _ = TestTextWidth._captions(model, ds)
+        return (model.textual, adapted, lambda rng: encode_tokens(model, tokens, rng=rng),
+                lambda rng: _full_width_text(model, tokens, rng=rng, pooled=False))
+
+    @pytest.mark.parametrize("tower", ["vision", "text"])
+    def test_pooled_forward_matches_the_unpooled_reference(self, small_dataset, tower):
+        enc, adapted, forward, reference = self._forwards(small_dataset, tower)
+        # every tensor of the tower trains, the adapters' factors too
+        params = [p for _, p in enc.named_parameters()] + adapted.trainable_parameters()
+        weights = Tensor(np.random.default_rng(15).standard_normal((6, 8)))
+
+        def run(fn):
+            for p in params:
+                p.requires_grad = True
+            rng = np.random.default_rng(16)
+            with Tape() as tape:
+                feats = fn(rng)
+                tape.backward(tsum(mul(feats, weights)))
+            grads = [p.grad for p in params]
+            for p in params:
+                p.requires_grad, p.grad = False, None
+            return feats.data, grads, rng.bit_generator.state
+
+        (got, got_grads, got_state), (want, want_grads, want_state) = run(forward), run(reference)
+        assert got_state == want_state
+        assert got.shape == (6, 8) and np.abs(got - want).max() < 1e-12
+        # a key bias moves every score of a query alike, so its gradient is
+        # zero up to rounding: each error is measured against the largest
+        top = max(np.abs(w).max() for w in want_grads)
+        for p, g, w in zip(params, got_grads, want_grads):
+            assert g is not None and np.abs(g - w).max() <= 1e-12 * top, p.shape
+
+    def test_a_whole_tower_prefix_is_the_pooled_state(self, small_dataset):
+        # a tower frozen through its last block keeps (batch, width), and
+        # the rest of its forward is the head
+        model = TestTextWidth._model(small_dataset)
+        depth = model.cfg.depth
+        images = small_dataset.images[:6]
+        tokens, _ = TestTextWidth._captions(model, small_dataset)
+        image_state = encode_images(model, images, stop=depth)
+        text_state = encode_tokens(model, tokens, stop=depth)
+        assert image_state.shape == text_state.shape == (6, 24)
+        assert np.array_equal(encode_images(model, image_state.data, start=depth).data,
+                              encode_images(model, images).data)
+        assert np.array_equal(encode_tokens(model, tokens, start=depth, x=text_state).data,
+                              encode_tokens(model, tokens).data)
+
+
 # ---------------------------------------------------------------------------
 # full-stack gradients
 
@@ -639,7 +724,7 @@ class TestStepCounts:
         nodes, peak, loss, grads = self._step(*args, keep_nodes=False)
         unfused.use_unfused(monkeypatch, model_module)
         want_nodes, want_peak, want_loss, want_grads = self._step(*args, keep_nodes=True)
-        assert want_nodes == 340 and nodes <= 120
+        assert want_nodes == 342 and nodes <= 120
         assert peak <= 0.6 * want_peak
         assert loss == want_loss
         assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))

@@ -259,6 +259,8 @@ SKIP_CASES = {
                     [(2, 3, 4), (4, 5), (5,), (4, 2), (2, 5)]),
     "mlp": (mlp, [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)]),
     "attention": (lambda q, k, v: attention(q, k, v, None, 2), [(2, 3, 4)] * 3),
+    "attention-pooled": (lambda q, k, v: attention(q, k, v, None, 2),
+                         [(2, 4), (2, 3, 4), (2, 3, 4)]),
 }
 
 
@@ -426,6 +428,11 @@ FUSED_CASES = {
     "attention": ([(2, 5, 8)] * 3, lambda ops, t, rng: ops.attention(*t, None, 2)),
     "attention-masked": ([(2, 5, 8)] * 3,
                          lambda ops, t, rng: ops.attention(*t, _PAD_MASK, 2)),
+    # one query per batch row, as a tower's last block asks at its pooled rows
+    "attention-pooled": ([(2, 8), (2, 5, 8), (2, 5, 8)],
+                         lambda ops, t, rng: ops.attention(*t, None, 2)),
+    "attention-pooled-masked": ([(2, 8), (2, 5, 8), (2, 5, 8)],
+                                lambda ops, t, rng: ops.attention(*t, _PAD_MASK, 2)),
 }
 
 

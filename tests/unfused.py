@@ -76,18 +76,21 @@ def mlp(x, w1, b1, w2, b2):
 
 
 def attention(q, k, v, mask, heads):
-    bsz, seq, d = q.shape
+    """q is (batch, seq, d), or (batch, d) for one query per row."""
+    bsz, seq, d = k.shape
     dh = d // heads
+    nq = seq if len(q.shape) == 3 else 1
 
-    def split_heads(t):
-        return transpose(reshape(t, (bsz, seq, heads, dh)), (0, 2, 1, 3))
+    def split_heads(t, n):
+        return transpose(reshape(t, (bsz, n, heads, dh)), (0, 2, 1, 3))
 
-    q, k, v = split_heads(q), split_heads(k), split_heads(v)
+    shape = q.shape
+    q, k, v = split_heads(q, nq), split_heads(k, seq), split_heads(v, seq)
     scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
     if mask is not None:
         scores = add(scores, Tensor(mask.astype(q.dtype)))
     ctx = matmul(row_softmax(scores), v)
-    return reshape(transpose(ctx, (0, 2, 1, 3)), (bsz, seq, d))
+    return reshape(transpose(ctx, (0, 2, 1, 3)), shape)
 
 
 FUSED = ("linear", "lora_linear", "mlp", "attention")
